@@ -155,9 +155,9 @@ def _add_common_options(
     parser.add_argument(
         "--fast", action="store_true",
         default=default(False),
-        help="fast tier: profile-selected fused-round kernels, pre-drawn "
-        "participation, and sub-sampled evaluation (statistically "
-        "equivalent to the exact path; combine with --precision float32)",
+        help="fast tier: cached dtype-cast shard rows and sub-sampled "
+        "evaluation (statistically equivalent to the exact path, with "
+        "its own cache keys; combine with --precision float32)",
     )
     parser.add_argument(
         "--algorithm", default=default(None), metavar="KIND[:P=V,...]",

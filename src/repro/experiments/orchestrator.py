@@ -229,13 +229,13 @@ class TrainJob:
     history is bit-identical to an uninterrupted one, so checkpointing
     must not fork the cache.
 
-    ``precision`` / ``fast`` select the fast tier. They are excluded from
-    :meth:`key_fields` like the other performance knobs — the fast tier is
-    validated by statistical equivalence to the exact path, and its results
-    stand in for exact ones wherever the tier is chosen. Corollary: do
-    **not** point fast-tier and exact sweeps at the same cache directory
-    when you need the exact numbers — warm the exact store first, or give
-    the fast tier its own ``cache_dir``.
+    ``precision`` / ``fast`` select the fast tier. Its results are only
+    statistically equivalent to the exact path's (float32 kernels,
+    sub-sampled evaluation), so both enter :meth:`key_fields` — at
+    non-default values only (``precision`` when not ``"float64"``,
+    ``fast`` when set), so every exact job keeps its historical key. Fast
+    and exact sweeps can therefore share one cache directory: neither is
+    ever served the other's history.
 
     ``algorithm`` (an :class:`~repro.algorithms.AlgorithmSpec`) selects
     the local-update rule. Unlike the performance knobs it **changes the
@@ -266,6 +266,10 @@ class TrainJob:
             fields["participation"] = self.participation.to_doc()
         if self.exclude_zero:
             fields["exclude_zero"] = True
+        if self.precision != "float64":
+            fields["precision"] = self.precision
+        if self.fast:
+            fields["fast"] = True
         if self.algorithm is not None and not self.algorithm.is_default:
             fields["algorithm"] = self.algorithm.to_doc()
         return fields
@@ -666,12 +670,10 @@ class ExperimentOrchestrator:
             results, only peak memory.
         precision: Kernel dtype for the train jobs this orchestrator
             builds (``"float64"`` or ``"float32"``).
-        fast: Run train jobs on the fast tier (float32-friendly fused
-            rounds, sub-sampled evaluation). Like ``backend``, neither
-            knob enters cache keys — the fast tier is validated by
-            statistical equivalence, and its results stand in for the
-            exact ones wherever the tier is selected; use a separate
-            ``cache_dir`` when exact numbers must not be displaced.
+        fast: Run train jobs on the fast tier (row caching, sub-sampled
+            evaluation). Unlike ``backend``, both knobs change results,
+            so non-default values enter every train job's cache key — a
+            store warmed on the fast tier never serves an exact request.
         algorithm: Local-update rule for the train jobs this orchestrator
             builds (an :class:`~repro.algorithms.AlgorithmSpec`, its
             string/dict form, or ``None`` for plain FedAvg). Unlike the

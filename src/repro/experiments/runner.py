@@ -110,13 +110,14 @@ def run_history(
     :mod:`repro.fl.checkpoint`), so — like ``backend``/``chunk_size`` —
     the checkpoint knobs never enter cache keys.
 
-    ``precision``/``fast`` select the fast tier (float32 kernels,
-    pre-drawn participation, sub-sampled evaluation — see
+    ``precision``/``fast`` select the fast tier (float32 kernels, cached
+    shard rows, sub-sampled evaluation — see
     :class:`~repro.fl.FederatedTrainer`). The default pair is byte-for-byte
     the historical exact path; non-default settings trade bit-exactness
-    for throughput and are validated by statistical-equivalence tests
-    instead of digest pins. ``phase_timings``, when a dict, receives the
-    trainer's per-phase wall-clock breakdown (``train_s`` / ``eval_s``).
+    for throughput, are validated by statistical-equivalence tests
+    instead of digest pins, and enter orchestrator cache keys.
+    ``phase_timings``, when a dict, receives the trainer's per-phase
+    wall-clock breakdown (``train_s`` / ``eval_s``).
 
     ``algorithm`` selects the local-update rule (an
     :class:`~repro.algorithms.AlgorithmSpec`, its string/dict form, or

@@ -9,32 +9,30 @@ Two compute backends produce **bit-identical** histories:
 
 * ``"loop"`` — the reference semantics: each participating client runs its
   ``E`` local steps sequentially through the scalar model API.
-* ``"vectorized"`` (default) — one round's local SGD for *all* participants
-  runs simultaneously on stacked arrays through the batched model API; each
-  client's mini-batch indices are pre-drawn from its *own* RNG stream, so
-  the vectorized path consumes exactly the random numbers the loop path
-  would. Clients whose shard is smaller than the batch size draw narrower
-  batches and are grouped by batch width (the non-vectorizable escape
-  hatch degrades to smaller stacks, never to different numbers).
+* ``"vectorized"`` (default) — the participants' local SGD runs on stacked
+  arrays through the batched model API; each client's mini-batch indices
+  are pre-drawn from its *own* RNG stream, so the vectorized path consumes
+  exactly the random numbers the loop path would. Clients whose shard is
+  smaller than the batch size draw narrower batches and are grouped by
+  batch width (the non-vectorizable escape hatch degrades to smaller
+  stacks, never to different numbers).
 
-A third axis — ``chunk_size`` — bounds *memory* instead of picking an
-engine: the vectorized round is processed in stacks of at most
-``chunk_size`` participants, gathering only those clients' shards at a
-time, so peak residency scales with the chunk width rather than the fleet
-size. Because each stack slice is bit-identical to the scalar path, any
-chunking produces the same histories as the full-width stack; chunking is
-a pure memory/speed dial. Streaming federations
+``chunk_size`` bounds *memory* instead of picking an engine: the
+vectorized round is processed in stacks of at most ``chunk_size``
+participants (``None`` = one stack holding the whole active cohort),
+gathering only those clients' shards at a time, so peak residency scales
+with the chunk width rather than the fleet size. Because each stack slice
+is bit-identical to the scalar path, any chunking produces the same
+histories; chunking is a pure memory/speed dial. Streaming federations
 (:class:`~repro.datasets.streaming.StreamingFederatedDataset`) always run
-chunked — their shards regenerate on demand inside each chunk gather and
-are never all resident at once.
+with a bounded chunk — their shards regenerate on demand inside each
+chunk gather and are never all resident at once.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from collections import OrderedDict
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -82,47 +80,10 @@ FAST_EVAL_SAMPLE = 256
 #: resident across rounds, above the provider's own LRU).
 FAST_ROW_CACHE_CLIENTS = 4096
 
-#: Fast-tier pool cache budget in *samples* across all cached stacked
-#: pools (repeat participant groups skip the gather entirely).
-FAST_POOL_CACHE_SAMPLES = 1 << 18
-
-#: Stack width used by the fast tier when the kernel-sweep profile is
-#: unavailable (the committed sweep selects 32 as well).
-FAST_FALLBACK_CHUNK = 32
-
-#: The committed kernel sweep that seeds profile-driven chunk selection.
-_SWEEP_PROFILE_PATH = (
-    Path(__file__).resolve().parents[3]
-    / "benchmarks"
-    / "results"
-    / "bench"
-    / "bench_trainer_kernel_sweep.json"
-)
-
-
-def select_fast_chunk_size(profile_path: Optional[Path] = None) -> int:
-    """Profile-driven kernel selection from the committed sweep.
-
-    Picks the ``stack_size`` minimizing *per-client* kernel cost
-    (``vectorized_us_per_step / stack_size``) over the archived
-    ``bench_trainer_kernel_sweep.json`` rows; falls back to
-    :data:`FAST_FALLBACK_CHUNK` when the profile is missing or malformed
-    (the fast tier must not depend on benchmark artifacts to run).
-    """
-    path = _SWEEP_PROFILE_PATH if profile_path is None else Path(profile_path)
-    try:
-        rows = json.loads(path.read_text())["rows"]
-        best = min(
-            rows,
-            key=lambda row: float(row["vectorized_us_per_step"])
-            / int(row["stack_size"]),
-        )
-        size = int(best["stack_size"])
-        if size >= 1:
-            return size
-    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
-        pass
-    return FAST_FALLBACK_CHUNK
+#: Default participants-per-stack for streaming federations on the fast
+#: tier: the width minimizing per-client kernel cost in the stack-size
+#: kernel sweep, pinned in code so no run depends on a benchmark artifact.
+FAST_CHUNK_SIZE = 32
 
 
 def _unit_round_timer(mask: np.ndarray, round_index: int) -> float:
@@ -155,10 +116,9 @@ class FederatedTrainer:
             SGD into batched model kernels; ``"loop"`` runs the reference
             per-client loop. Histories are bit-identical either way.
         chunk_size: Maximum participants per vectorized stack. ``None``
-            (default) keeps the full-width stack for eager federations and
-            :data:`DEFAULT_CHUNK_SIZE` for streaming ones (the fast tier
-            instead selects the profile-driven width from the committed
-            kernel sweep — see :func:`select_fast_chunk_size`). Histories
+            (default) stacks the whole active cohort at once for eager
+            federations and uses :data:`DEFAULT_CHUNK_SIZE` for streaming
+            ones (:data:`FAST_CHUNK_SIZE` on the fast tier). Histories
             are bit-identical for every chunking — the knob only bounds
             peak memory (gathered shards + kernel workspace scale with the
             chunk, not the fleet).
@@ -166,15 +126,14 @@ class FederatedTrainer:
             (default) is the bit-exact path; ``"float32"`` runs the
             stacked GEMMs in single precision (validated by statistical
             equivalence, not digest equality — see the fast-tier docs).
-        fast: Opt into the fast tier: participation masks are pre-drawn
-            for the whole run (same stream, same masks), dtype-cast shard
-            rows and assembled participant pools persist across rounds in
-            trainer-level LRUs, and large-fleet evaluation switches to the
-            deterministic sub-sampled estimator of
-            :func:`repro.models.metrics.subsampled_global_loss` (scored
+        fast: Opt into the fast tier: dtype-cast shard rows persist
+            across rounds in a trainer-level LRU, and large-fleet
+            evaluation switches to the deterministic sub-sampled estimator
+            of :func:`repro.models.metrics.subsampled_global_loss` (scored
             in the working dtype, so a float32 run's panel pass rides the
             float32 row cache). Implies nothing about ``precision`` —
-            ``fast`` + ``float64`` is valid.
+            ``fast`` + ``float64`` is valid and bit-identical to the exact
+            path's training (only the evaluation differs).
         algorithm: Which local-update rule trains each round — an
             :class:`~repro.algorithms.AlgorithmSpec`, a CLI string
             (``"fedprox:mu=0.05"``), or ``None`` for the plain-FedAvg
@@ -229,28 +188,18 @@ class FederatedTrainer:
         self.fast = bool(fast)
         self.streaming = bool(getattr(federated, "streaming", False))
         if chunk_size is None and self.streaming:
-            chunk_size = (
-                select_fast_chunk_size() if self.fast else DEFAULT_CHUNK_SIZE
-            )
+            chunk_size = FAST_CHUNK_SIZE if self.fast else DEFAULT_CHUNK_SIZE
         self.chunk_size = None if chunk_size is None else int(chunk_size)
-        # Fast-tier persistent caches (see the class docstring); empty and
+        # Fast-tier row cache (see the class docstring); empty and
         # untouched on the exact path.
         self._row_cache: "OrderedDict[int, Tuple[np.ndarray, np.ndarray]]"
         self._row_cache = OrderedDict()
-        self._pool_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
-        self._pool_cache_samples = 0
         self._eval_panel = None
         #: Diagnostics of the most recent sub-sampled evaluation (None on
         #: the exact path).
         self.last_subsampled_loss = None
         #: Cumulative wall-clock seconds by phase, for the bench breakdown.
         self.phase_timings: Dict[str, float] = {"train_s": 0.0, "eval_s": 0.0}
-        # Concatenated shard arrays for the vectorized backend, built lazily
-        # on the first vectorized round (client n's sample i lives at flat
-        # row ``offsets[n] + i``).
-        self._flat_features: Optional[np.ndarray] = None
-        self._flat_labels: Optional[np.ndarray] = None
-        self._shard_offsets: Optional[np.ndarray] = None
         self.model = model
         self.federated = federated
         self.participation = participation
@@ -320,7 +269,7 @@ class FederatedTrainer:
             "test_accuracy": self.model.dataset_accuracy(params, test),
         }
 
-    # Fast-tier caches -------------------------------------------------------
+    # Shard staging ----------------------------------------------------------
 
     def _client_rows(self, client: FLClient) -> Tuple[np.ndarray, np.ndarray]:
         """A client's shard rows, dtype-cast and LRU-cached in fast mode.
@@ -351,21 +300,14 @@ class FederatedTrainer:
     def _member_pool(self, members) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Stacked ``(features, labels, offsets)`` pool for a kernel group.
 
-        The exact path assembles a fresh pool per group. The fast tier
-        keeps assembled pools in an LRU keyed by the exact participant
-        tuple (bounded by :data:`FAST_POOL_CACHE_SAMPLES` total samples),
-        so a repeat participant group — deterministic cohorts, full
-        participation, cyclic schedules — skips the gather entirely.
+        Only the group's shards are staged (one sequential copy per
+        member, amortized over ``E`` steps), so the kernel's per-step
+        gathers read a region sized to the group rather than the fleet.
+        The pool follows the working precision (assignment casts), so a
+        float32 trainer runs float32 GEMMs even over float64 shards.
         """
         shard_sizes = [client.num_samples for client, _ in members]
         pool_size = int(np.sum(shard_sizes))
-        key = None
-        if self.fast:
-            key = tuple(client.client_id for client, _ in members)
-            cached = self._pool_cache.get(key)
-            if cached is not None:
-                self._pool_cache.move_to_end(key)
-                return cached
         pool_features = np.empty(
             (pool_size, self.federated.num_features), dtype=self.dtype
         )
@@ -381,15 +323,6 @@ class FederatedTrainer:
             pool_labels[position:position + size] = labels
             pool_offsets[row] = position
             position += size
-        if key is not None:
-            self._pool_cache[key] = (pool_features, pool_labels, pool_offsets)
-            self._pool_cache_samples += pool_size
-            while (
-                self._pool_cache_samples > FAST_POOL_CACHE_SAMPLES
-                and len(self._pool_cache) > 1
-            ):
-                _, evicted = self._pool_cache.popitem(last=False)
-                self._pool_cache_samples -= int(evicted[0].shape[0])
         return pool_features, pool_labels, pool_offsets
 
     # Local-update engines ---------------------------------------------------
@@ -421,125 +354,35 @@ class FederatedTrainer:
             if mask[client.client_id]
         }
 
-    def _ensure_flat_shards(self) -> None:
-        if self._flat_features is not None:
-            return
-        if self.streaming:
-            raise RuntimeError(
-                "the full-width vectorized engine materializes every shard; "
-                "streaming federations must run chunked (chunk_size is set "
-                "automatically — this indicates a trainer bug)"
-            )
-        sizes = np.array([len(client.dataset) for client in self.clients])
-        self._shard_offsets = np.concatenate(([0], np.cumsum(sizes[:-1])))
-        self._flat_features = np.concatenate(
-            [client.dataset.features for client in self.clients]
-        )
-        self._flat_labels = np.concatenate(
-            [client.dataset.labels for client in self.clients]
-        )
-        # Per-round staging area holding just the *active* clients' shards:
-        # the kernel's per-step gathers then read a pool sized to the round
-        # (cache-resident) instead of the whole federation. Copying a shard
-        # is one sequential memcpy per participant, amortized over E steps.
-        # The pool follows the working precision (assignment casts), so a
-        # float32 trainer runs float32 GEMMs even over eager float64 data.
-        self._pool_features = np.empty(
-            self._flat_features.shape, dtype=self.dtype
-        )
-        self._pool_labels = np.empty_like(self._flat_labels)
-
-    def _local_updates_vectorized(
-        self, global_params: np.ndarray, step_size: float, mask: np.ndarray
-    ) -> Dict[int, np.ndarray]:
-        """Stacked engine: all participants' local SGD as batched kernels.
-
-        Consumes exactly the loop engine's random draws: each participating
-        client (visited in client order, like the loop) pre-draws its whole
-        round of mini-batch indices from its own stream in the one generator
-        call :func:`~repro.models.optim.sgd_steps` would have made. Clients
-        are then grouped by effective batch width (shards smaller than the
-        batch size draw narrower batches) and each group's ``E`` steps run
-        on a ``(group, width, features)`` stack gathered from the
-        concatenated shard array. Per-slice results are bit-identical to
-        the scalar path, so the two engines return identical updates.
-        """
-        active = [client for client in self.clients if mask[client.client_id]]
-        if not active:
-            return {}
-        self._ensure_flat_shards()
-        groups: Dict[int, List[Tuple[FLClient, np.ndarray]]] = {}
-        for client in active:
-            indices = client.draw_batch_indices(self.local_steps)
-            groups.setdefault(indices.shape[1], []).append((client, indices))
-        updated: Dict[int, np.ndarray] = {}
-        for members in groups.values():
-            position = 0
-            pool_offsets = np.empty(len(members), dtype=int)
-            for row, (client, _) in enumerate(members):
-                start = self._shard_offsets[client.client_id]
-                size = len(client.dataset)
-                self._pool_features[position:position + size] = (
-                    self._flat_features[start:start + size]
-                )
-                self._pool_labels[position:position + size] = (
-                    self._flat_labels[start:start + size]
-                )
-                pool_offsets[row] = position
-                position += size
-            pool_indices = (
-                np.stack([indices for _, indices in members])
-                + pool_offsets[:, None, None]
-            )
-            algorithm_kwargs = {}
-            if self._algorithm.has_local_terms:
-                algorithm_kwargs = self._algorithm.stacked_kwargs(
-                    global_params,
-                    [client.client_id for client, _ in members],
-                    self.dtype,
-                )
-            params_stack = self.model.batched_sgd_steps(
-                np.repeat(
-                    np.asarray(global_params, dtype=self.dtype)[None, :],
-                    len(members),
-                    axis=0,
-                ),
-                self._pool_features,
-                self._pool_labels,
-                pool_indices,
-                step_size=step_size,
-                **algorithm_kwargs,
-            )
-            for row, (client, _) in enumerate(members):
-                updated[client.client_id] = params_stack[row]
-        # Same dict order as the loop engine (ascending client id), which
-        # the sequential delta aggregation depends on for bit-identity.
-        return {client.client_id: updated[client.client_id] for client in active}
-
     def _local_updates_chunked(
         self, global_params: np.ndarray, step_size: float, mask: np.ndarray
     ) -> Dict[int, np.ndarray]:
-        """Memory-bounded engine: vectorized stacks of <= ``chunk_size``.
+        """Stacked engine: participants' local SGD as batched kernels.
 
-        Identical math and identical random draws as the full-width
-        vectorized engine — participants are visited in the same ascending
-        client order and each pre-draws its round of batch indices from its
-        own stream — but the active cohort is processed ``chunk_size``
-        clients at a time, gathering only that chunk's shards into a pool
-        sized to the chunk. Peak residency is ``O(chunk_size x max shard)``
-        plus the kernel workspace, independent of the fleet size; with a
+        Consumes exactly the loop engine's random draws: participating
+        clients are visited in ascending client order, and each pre-draws
+        its whole round of mini-batch indices from its own stream in the
+        one generator call :func:`~repro.models.optim.sgd_steps` would have
+        made. The active cohort is processed ``chunk_size`` clients at a
+        time (``None`` = one chunk holding the whole cohort); within a
+        chunk, clients are grouped by effective batch width (shards
+        smaller than the batch size draw narrower batches) and each group's
+        ``E`` steps run on a ``(group, width, features)`` stack over a pool
+        holding just that group's shards. Peak residency is
+        ``O(chunk_size x max shard)`` plus the kernel workspace; with a
         streaming federation the gathered shards are regenerated on demand
         and released as the LRU turns over. Because every stack slice is
-        bit-identical to the scalar path (the PR-3 contract), any chunking
-        returns exactly the full-width engine's updates.
+        bit-identical to the scalar path, every chunking returns exactly
+        the loop engine's updates.
         """
         active = [client for client in self.clients if mask[client.client_id]]
         if not active:
             return {}
         params0 = np.asarray(global_params, dtype=self.dtype)
+        width = self.chunk_size or len(active)
         updated: Dict[int, np.ndarray] = {}
-        for start in range(0, len(active), self.chunk_size):
-            chunk = active[start:start + self.chunk_size]
+        for start in range(0, len(active), width):
+            chunk = active[start:start + width]
             groups: Dict[int, List[Tuple[FLClient, np.ndarray]]] = {}
             for client in chunk:
                 indices = client.draw_batch_indices(self.local_steps)
@@ -571,7 +414,7 @@ class FederatedTrainer:
                 )
                 for row, (client, _) in enumerate(members):
                     updated[client.client_id] = params_stack[row]
-        # Ascending client id, like the other engines (the sequential delta
+        # Ascending client id, like the loop engine (the sequential delta
         # aggregation depends on this order for bit-identity).
         return {client.client_id: updated[client.client_id] for client in active}
 
@@ -583,13 +426,7 @@ class FederatedTrainer:
         # in the working dtype (a float64 -> float64 cast is a no-op).
         global_params = np.asarray(global_params, dtype=self.dtype)
         if self.backend == "vectorized":
-            if self.chunk_size is not None:
-                return self._local_updates_chunked(
-                    global_params, step_size, mask
-                )
-            return self._local_updates_vectorized(
-                global_params, step_size, mask
-            )
+            return self._local_updates_chunked(global_params, step_size, mask)
         return self._local_updates_loop(global_params, step_size, mask)
 
     def run(
@@ -643,24 +480,9 @@ class FederatedTrainer:
                 )
             )
         q = self.participation.inclusion_probabilities
-        # Fast tier: pre-draw every remaining round's participation mask.
-        # The masks come off the same stream in the same order as the
-        # lazy per-round draws, so the histories are unchanged; skipped
-        # when checkpointing so a mid-run snapshot still captures the
-        # participation state as of its own round (a checkpointed fast
-        # run draws lazily — identical masks either way).
-        masks = None
-        if self.fast and manager is None:
-            masks = [
-                self.participation.sample_round(r)
-                for r in range(start_round, num_rounds)
-            ]
         for round_index in range(start_round, num_rounds):
             step_size = float(self.schedule(round_index))
-            if masks is not None:
-                mask = masks[round_index - start_round]
-            else:
-                mask = self.participation.sample_round(round_index)
+            mask = self.participation.sample_round(round_index)
             global_params = self.server.params
             train_started = time.perf_counter()
             local_params = self._local_updates(

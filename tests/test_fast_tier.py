@@ -11,18 +11,21 @@ untouched).
 
 from __future__ import annotations
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.datasets import synthetic_federated
+import repro
+from repro.datasets import streaming_synthetic_federated, synthetic_federated
+from repro.experiments import SCALES, SETUP1, apply_scale
+from repro.experiments.orchestrator import ExperimentOrchestrator, TrainJob
+from repro.experiments.runner import default_schemes, run_pricing_comparison
+from repro.experiments.setup import prepare_setup
 from repro.fl import BernoulliParticipation, CheckpointConfig, FederatedTrainer
-from repro.fl.trainer import (
-    FAST_FALLBACK_CHUNK,
-    PRECISIONS,
-    select_fast_chunk_size,
-)
+from repro.fl.trainer import FAST_CHUNK_SIZE, PRECISIONS
 from repro.game import ServerProblem, solve_stage1_kkt
 from repro.game.client_model import sample_population
 from repro.game.pricing import UniformPricing, WeightedPricing
@@ -296,17 +299,100 @@ class TestSubsampledEvaluation:
 
 
 class TestKernelSelection:
-    def test_committed_profile_selects_width(self):
-        size = select_fast_chunk_size()
-        assert isinstance(size, int) and size >= 1
-
-    def test_missing_profile_falls_back(self, tmp_path):
-        assert (
-            select_fast_chunk_size(tmp_path / "absent.json")
-            == FAST_FALLBACK_CHUNK
+    def test_fast_streaming_trainer_uses_pinned_width(self):
+        federated = streaming_synthetic_federated(
+            40, total_samples=1_200, seed=2, test_clients=4
         )
+        trainer = FederatedTrainer(
+            MultinomialLogisticRegression(
+                num_features=federated.num_features,
+                num_classes=federated.num_classes,
+            ),
+            federated,
+            BernoulliParticipation(np.full(federated.num_clients, 0.5)),
+            fast=True,
+        )
+        assert trainer.chunk_size == FAST_CHUNK_SIZE
 
-    def test_malformed_profile_falls_back(self, tmp_path):
-        path = tmp_path / "sweep.json"
-        path.write_text(json.dumps({"rows": [{"stack_size": 0}]}))
-        assert select_fast_chunk_size(path) == FAST_FALLBACK_CHUNK
+    @pytest.mark.parametrize("checkpointed", [False, True])
+    def test_fast_tier_draws_the_exact_participants(
+        self, tmp_path, checkpointed
+    ):
+        def participants(fast):
+            checkpoint = None
+            if checkpointed:
+                checkpoint = CheckpointConfig(
+                    directory=tmp_path / f"fast-{fast}", every=2
+                )
+            history = make_trainer(fast=fast).run(
+                NUM_ROUNDS, checkpoint=checkpoint
+            )
+            return [record.participants for record in history.records]
+
+        assert participants(fast=True) == participants(fast=False)
+
+    def test_runtime_never_reads_benchmark_artifacts(self):
+        """No module under ``src/repro`` names a path in the ``benchmarks/``
+        tree, except a bench verb's ``out_dir`` (written, never read)."""
+        offenders = []
+        for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            output_dirs = {
+                id(constant)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["out_dir"]
+                for constant in ast.walk(node.value)
+            }
+            offenders += [
+                f"{path.name}:{node.lineno}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and node.value.split("/")[0] == "benchmarks"
+                and id(node) not in output_dirs
+            ]
+        assert offenders == []
+
+
+class TestCacheKeys:
+    """``precision`` / ``fast`` change histories, so they fork the cache
+    key — at non-default values only, so exact keys stay byte-stable."""
+
+    def test_default_key_is_unchanged(self):
+        explicit = TrainJob(
+            q=(0.5, 0.25), seed=3, precision="float64", fast=False
+        )
+        assert explicit.key_fields() == {"q": [0.5, 0.25], "seed": 3}
+
+    def test_fast_tier_jobs_get_their_own_keys(self):
+        keys = [
+            TrainJob(q=(0.5, 0.25), seed=3, **knobs).key_fields()
+            for knobs in (
+                {},
+                {"precision": "float32"},
+                {"fast": True},
+                {"precision": "float32", "fast": True},
+            )
+        ]
+        assert len({json.dumps(key, sort_keys=True) for key in keys}) == 4
+        assert keys[1]["precision"] == "float32"
+        assert keys[2]["fast"] is True
+
+    def test_fast_warmed_store_misses_for_exact_jobs(self, tmp_path):
+        config = apply_scale(SETUP1, SCALES["ci"])
+        prepared = prepare_setup(config, scale=SCALES["ci"], seed=0)
+
+        def store_misses(**knobs):
+            orchestrator = ExperimentOrchestrator(cache_dir=tmp_path, **knobs)
+            run_pricing_comparison(
+                prepared, repeats=1, orchestrator=orchestrator
+            )
+            return orchestrator.store.misses
+
+        warmed = store_misses(fast=True)
+        assert warmed > 0
+        # The equilibrium solves are shared; every train job misses.
+        assert store_misses() == warmed - len(default_schemes())
+        assert store_misses() == 0
+        assert store_misses(fast=True) == 0
