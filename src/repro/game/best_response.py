@@ -75,6 +75,14 @@ def best_response(
     return float(min(0.5 * (lower + upper), q_max))
 
 
+# Retiring rows pays only past these sizes: copying the survivors costs
+# about one iteration, so a compaction waits until this share of the active
+# rows has frozen, and below this many rows the per-call overhead of the
+# extra array operations outweighs what they save.
+_RETIRE_SHARE = 0.25
+_RETIRE_MIN_ROWS = 1024
+
+
 def _bracketed_newton_cubic(
     price: np.ndarray,
     cost: np.ndarray,
@@ -90,13 +98,27 @@ def _bracketed_newton_cubic(
     Newton iteration inside a maintained bracket converges for every client
     simultaneously: Newton steps that leave the bracket fall back to
     bisection, which bounds the worst case while keeping the usual
-    quadratic convergence.
+    quadratic convergence. The iteration stops once every bracket is
+    narrow, or after ``max_iterations``.
+
+    Rows are retired as they converge, and retirement is exact. One
+    iteration maps a row's ``(q, lower, upper)`` to the next by a fixed
+    elementwise rule, and the new ``lower``/``upper`` take the old ``q``.
+    So once an iteration leaves a row's ``q`` bit-for-bit unchanged, the
+    next one leaves its bracket unchanged too, and the row sits at a fixed
+    point: its final value is known and its bracket is frozen. Frozen rows
+    drop out of the active arrays once they are a sizeable share of them.
+    A frozen row whose bracket is still wide would have kept the stopping
+    rule from ever holding, so the active rows then iterate to
+    ``max_iterations``. Each row thus ends with the bits it would have had
+    if every row had iterated until the stopping rule held.
     """
+    twice_cost = 2.0 * cost
 
     def residual(q: np.ndarray) -> np.ndarray:
-        return 2.0 * cost * q**3 - price * q**2 - value_contribution
+        return twice_cost * q**3 - price * q**2 - value_contribution
 
-    upper = np.maximum(q_max, np.abs(price) / (2.0 * cost) + 1.0)
+    upper = np.maximum(q_max, np.abs(price) / twice_cost + 1.0)
     expand = residual(upper) < 0
     while np.any(expand):
         upper[expand] *= 2.0
@@ -104,24 +126,83 @@ def _bracketed_newton_cubic(
     lower = np.zeros_like(upper)
     q = 0.5 * (lower + upper)
     tiny = 4.0 * np.finfo(float).eps
+    # Work buffers, reused by every iteration. The steps below evaluate each
+    # commented expression in Python's operator order, so every element
+    # gets exactly the bits the plain expression would give it.
+    value, square, step = (np.empty_like(q) for _ in range(3))
+    flag, inside = np.empty(q.shape, bool), np.empty(q.shape, bool)
+    result = None  # once rows retire: final q at every row's position
+    active = None  # which positions of ``result`` are still iterating
+    retired_wide = False
     for _ in range(max_iterations):
-        value = residual(q)
-        negative = value < 0
-        lower = np.where(negative, q, lower)
-        upper = np.where(negative, upper, q)
-        slope = 6.0 * cost * q**2 - 2.0 * price * q
+        # value = 2c q^3 - P q^2 - vA
+        np.multiply(q, q, out=square)
+        np.power(q, 3, out=value)
+        np.multiply(twice_cost, value, out=value)
+        np.multiply(price, square, out=step)
+        np.subtract(value, step, out=value)
+        np.subtract(value, value_contribution, out=value)
+        np.less(value, 0, out=flag)
+        np.copyto(lower, q, where=flag)
+        np.logical_not(flag, out=flag)
+        np.copyto(upper, q, where=flag)
+        # slope = 6c q^2 - 2P q; step = q - value / slope (Newton)
+        np.multiply(6.0, cost, out=step)
+        np.multiply(step, square, out=square)
+        np.multiply(2.0, price, out=step)
+        np.multiply(step, q, out=step)
+        np.subtract(square, step, out=square)
         with np.errstate(divide="ignore", invalid="ignore"):
-            newton = q - value / slope
-        inside = (
-            (slope != 0)
-            & np.isfinite(newton)
-            & (newton > lower)
-            & (newton < upper)
-        )
-        q = np.where(inside, newton, 0.5 * (lower + upper))
-        if np.all(upper - lower <= tiny * np.maximum(upper, 1.0)):
+            np.divide(value, square, out=step)
+        np.subtract(q, step, out=step)
+        # A non-finite step (a zero slope among them) fails both strict
+        # comparisons, so they alone decide whether Newton stays inside.
+        np.greater(step, lower, out=flag)
+        np.less(step, upper, out=inside)
+        np.logical_and(flag, inside, out=inside)
+        np.add(lower, upper, out=value)
+        np.multiply(0.5, value, out=value)
+        np.copyto(value, step, where=inside)
+        q, value = value, q  # ``value`` keeps the previous iterate
+        # flag = the bracket is narrow
+        np.subtract(upper, lower, out=step)
+        np.maximum(upper, 1.0, out=square)
+        np.multiply(tiny, square, out=square)
+        np.less_equal(step, square, out=flag)
+        converged = bool(flag.all())
+        if q.size >= _RETIRE_MIN_ROWS:
+            frozen = np.equal(q.view(np.int64), value.view(np.int64),
+                              out=inside)
+            if np.count_nonzero(frozen) >= _RETIRE_SHARE * q.size:
+                retired_wide = retired_wide or bool(np.any(frozen & ~flag))
+                keep = ~frozen
+                if result is None:
+                    # Slot i of q is still row i: retired rows are in place.
+                    result, active = q, keep
+                else:
+                    result[active] = q
+                    active[active] = keep
+                # Free the work buffers first and copy one array at a time,
+                # so compacting never holds more memory than an iteration.
+                value = square = step = None
+                q = q[keep]
+                lower = lower[keep]
+                upper = upper[keep]
+                twice_cost = twice_cost[keep]
+                value, square, step = (np.empty_like(q) for _ in range(3))
+                price = price[keep]
+                cost = cost[keep]
+                value_contribution = value_contribution[keep]
+                flag, inside = flag[:q.size], inside[:q.size]
+                if q.size == 0:
+                    break
+        if converged and not retired_wide:
             break
-    return np.minimum(q, q_max)
+    if result is None:
+        result = q
+    else:
+        result[active] = q
+    return np.minimum(result, q_max, out=result)
 
 
 def best_response_vector(
@@ -135,6 +216,10 @@ def best_response_vector(
     bracketed Newton iteration (the scalar :func:`best_response` — which
     goes through ``np.roots`` — is kept as the reference implementation and
     cross-checked in the test suite; agreement is to ~1e-12 relative).
+    The iteration works on the clients still converging only: a client
+    whose iterate stops changing is at a fixed point of the update, so
+    setting it aside changes no bit of its answer or anyone else's, and
+    the result is the same as iterating every client to the end.
 
     Args:
         prices: ``P_n`` per client.

@@ -6,6 +6,26 @@ app layer; this module only moves bytes. ``HTTP/1.1`` with explicit
 ``Content-Length`` keeps client connections alive across requests, which
 is what makes the warm-cache latency visible instead of being drowned in
 per-request TCP setup.
+
+Known transport floor, deliberately left in place: a response goes out
+in two sends, the status line and headers first and then the body. With
+Nagle's algorithm on, the body waits for the client to acknowledge the
+headers, and the client delays that ACK, so every keep-alive request
+pays about 44 ms however little work it is. Setting
+``disable_nagle_algorithm = True`` on the handler removes the wait, but
+it does not pay yet. ``perf/run.py --workload serve-mixed`` (2
+closed-loop clients, 2-vCPU host, six alternating pairs) measured:
+
+* cached ``/v1/price`` p50 fell from 45.7 to 2.1 ms, and throughput rose
+  from 36.6 to 62.2 requests/s;
+* the uncached 10k-client ``/v1/best-response`` p50 rose from 69.3 to
+  128.4 ms, and the p90 of all requests from 72 to 128 ms.
+
+Without the stall, the two clients' best responses overlap, and each
+holds the GIL for about 60 ms of server CPU: about 9 ms to parse and
+validate 10k prices, 19 ms to solve, 2 ms to build the result lists and
+28 ms to encode the 20k-float JSON envelope. The transport change waits
+until the uncached best response is cheaper.
 """
 
 from __future__ import annotations

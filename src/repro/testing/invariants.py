@@ -15,8 +15,9 @@ The registry :data:`INVARIANTS` is what the ``fuzz`` CLI verb iterates;
 Families:
 
 * ``game`` — solved-price properties: q bounds, budget feasibility,
-  individual rationality, the best-response fixed point, Theorem-2
-  constancy, Proposition-1 budget monotonicity.
+  individual rationality, the best-response fixed point, the Eq.-(13)
+  first-order condition, Theorem-2 constancy, Proposition-1 budget
+  monotonicity.
 * ``estimator`` — Lemma-1 unbiasedness under the case's *participation
   process* (exact enumeration over a sub-economy) plus bias-mass
   accounting — including under every non-default local-update algorithm
@@ -86,6 +87,12 @@ TRAIN_SHAPE = (30, 4, 2, 8)
 #: exact price scale (prices cross zero, so element-wise relative error
 #: is ill-posed at the sign change).
 FAST_PRICE_RTOL = 1e-3
+
+#: Relative tolerance of the Eq.-(13) cubic at a solved best response,
+#: against the cubic's scale ``2c q^3 + |P| q^2 + vA``. A root off by a
+#: relative ``d`` leaves a residual of at most about ``3 d`` of that scale,
+#: so this admits roots good to about nine digits.
+FIRST_ORDER_RTOL = 1e-9
 
 #: Pinned equivalence band for fast-tier training: the float32 fused
 #: path's final global loss must land within this relative distance of
@@ -457,6 +464,54 @@ def check_fixed_point(ctx: InvariantContext) -> Optional[List[Violation]]:
                 residual=float(residual.max()),
                 q=float(ctx.outcome.q[worst]),
                 induced=float(induced[worst]),
+            )
+        ]
+    return []
+
+
+@register_invariant(
+    "best-response-first-order",
+    claim="Every stake client's best response solves the Eq.-(13) cubic "
+    "2c q^3 - P q^2 - vA = 0, or sits at q_max with the root beyond it "
+    "(Stage II)",
+    module="repro.game.best_response",
+    family="game",
+)
+def check_best_response_first_order(
+    ctx: InvariantContext,
+) -> Optional[List[Violation]]:
+    if ctx.mechanism not in PRICE_MECHANISMS:
+        return None
+    problem = ctx.problem
+    population = problem.population
+    prices = ctx.outcome.prices
+    costs = population.costs
+    q_max = population.q_max
+    stake = population.values * problem.contributions
+    q = best_response_vector(prices, population, problem.contributions)
+
+    def cubic(x: np.ndarray) -> np.ndarray:
+        return 2.0 * costs * x**3 - prices * x**2 - stake
+
+    def scale(x: np.ndarray) -> np.ndarray:
+        return 2.0 * costs * x**3 + np.abs(prices) * x**2 + stake
+
+    interior = np.abs(cubic(q)) <= FIRST_ORDER_RTOL * scale(q)
+    # f < 0 below the unique positive root, so f(q_max) <= 0 puts the
+    # root at or beyond the cap.
+    capped = (q == q_max) & (
+        cubic(q_max) <= FIRST_ORDER_RTOL * scale(q_max)
+    )
+    bad = (stake > 0) & ~(interior | capped)
+    if bad.any():
+        return [
+            _violation(
+                "best-response-first-order",
+                "a best response is neither a root of Eq. (13) nor capped",
+                clients=np.flatnonzero(bad).tolist(),
+                q=q[bad].tolist(),
+                residual=cubic(q)[bad].tolist(),
+                scale=scale(q)[bad].tolist(),
             )
         ]
     return []

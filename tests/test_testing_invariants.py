@@ -30,6 +30,7 @@ from repro.testing import (
     register_invariant,
     shrink_case,
 )
+from repro.testing import invariants as invariants_module
 from repro.testing.invariants import (
     BUDGETED_MECHANISMS,
     PRICE_MECHANISMS,
@@ -194,8 +195,27 @@ class TestInvariantApplicability:
             context = InvariantContext(
                 problem, ParticipationSpec(kind="bernoulli"), mechanism
             )
-            report = INVARIANTS["equilibrium-fixed-point"].run(context)
-            assert report.checked == (mechanism in PRICE_MECHANISMS)
+            for name in ("equilibrium-fixed-point", "best-response-first-order"):
+                report = INVARIANTS[name].run(context)
+                assert report.checked == (mechanism in PRICE_MECHANISMS)
+                assert not report.failed, report.violations
+
+    def test_first_order_check_catches_an_inexact_root(self, monkeypatch):
+        """Eq. (13) alone convicts a solver that is off by one part in a
+        million, with no reference solver to compare against."""
+        solve = invariants_module.best_response_vector
+
+        def inexact(prices, population, contributions):
+            return solve(prices, population, contributions) * (1.0 + 1e-6)
+
+        monkeypatch.setattr(invariants_module, "best_response_vector", inexact)
+        problem = draw_problem(spawn_rng(1, "edge"))
+        context = InvariantContext(
+            problem, ParticipationSpec(kind="bernoulli"), "proposed"
+        )
+        report = INVARIANTS["best-response-first-order"].run(context)
+        assert report.failed
+        assert report.violations[0].details["clients"]
 
     def test_full_mechanism_exempt_from_budget(self):
         problem = draw_problem(spawn_rng(2, "edge"))
