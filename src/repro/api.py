@@ -691,6 +691,15 @@ def run_scenario(
             "fast_suite": request.fast_suite,
             "repeats": request.repeats,
         }
+        # The training orchestrator's knobs change results too; at
+        # non-default values only, so default keys are unchanged.
+        orchestrator = (
+            runtime._runner.training_orchestrator(spec) if spec.train else None
+        )
+        if orchestrator is not None:
+            key_doc.update(orchestrator.execution.key_fields())
+            if spec.algorithm is None and orchestrator.algorithm is not None:
+                key_doc["algorithm"] = orchestrator.algorithm.to_doc()
         key = content_address(key_doc)
         doc = runtime.cache_get(key)
         cells = None

@@ -56,11 +56,13 @@ Artifacts are printed to stdout and, with ``--out``, archived as JSON/CSV.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import tempfile
 import time
+from dataclasses import fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.experiments.configs import SETUPS, apply_scale, resolve_scale
 from repro.experiments.figures import fig4_grid, sweep_series
@@ -88,8 +90,71 @@ from repro.experiments.tables import (
     table4_rows,
     table5_rows,
 )
+from repro.fl.checkpoint import CheckpointConfig
+from repro.fl.execution import (
+    BACKENDS,
+    DEFAULT_EXECUTION,
+    PRECISIONS,
+    ExecutionSpec,
+)
 from repro.utils.serialization import save_json
 from repro.utils.tables import render_table
+
+
+def add_execution_options(
+    parser: argparse.ArgumentParser, default=lambda value: value
+) -> None:
+    """Add one flag per :class:`ExecutionSpec` field, stored under the
+    field's name; ``default`` maps each default (see
+    :func:`_add_common_options`)."""
+    parser.add_argument(
+        "--backend", choices=BACKENDS,
+        default=default(DEFAULT_EXECUTION.backend),
+        help="trainer local-SGD engine (bit-identical results; "
+        "'loop' is the slow reference path)",
+    )
+    parser.add_argument(
+        "--chunk-size", type=int, default=default(None), metavar="CLIENTS",
+        help="memory-bounded stack width for training runs (bit-identical "
+        "results; default: full-width for eager setups, a bounded chunk "
+        "for streaming megafleet scenarios)",
+    )
+    parser.add_argument(
+        "--precision", choices=PRECISIONS,
+        default=default(DEFAULT_EXECUTION.precision),
+        help="kernel dtype for training runs (float32 is the fast tier's "
+        "precision; results are statistically equivalent, not bit-exact)",
+    )
+    parser.add_argument(
+        "--fast", action="store_true",
+        default=default(False),
+        help="fast tier: cached dtype-cast shard rows and sub-sampled "
+        "evaluation (statistically equivalent to the exact path, with "
+        "its own cache keys; combine with --precision float32)",
+    )
+
+
+def execution_from_args(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> ExecutionSpec:
+    """The spec the parsed execution flags describe; a value the spec
+    rejects is reported through ``parser.error`` as its flag."""
+    knobs = {f.name: getattr(args, f.name) for f in fields(ExecutionSpec)}
+    try:
+        return ExecutionSpec(**knobs)
+    except ValueError as error:
+        name, _, rest = str(error).partition(" ")
+        parser.error(f"--{name.replace('_', '-')} {rest}")
+
+
+def execution_argv(execution: ExecutionSpec) -> List[str]:
+    """The flags that rebuild ``execution`` (non-default knobs only)."""
+    argv: List[str] = []
+    for name, value in execution.non_default().items():
+        argv.append("--" + name.replace("_", "-"))
+        if value is not True:
+            argv.append(str(value))
+    return argv
 
 
 def _add_common_options(
@@ -134,31 +199,7 @@ def _add_common_options(
         "--cache-dir", type=Path, default=default(None),
         help="content-addressed result store; re-runs become near-instant",
     )
-    parser.add_argument(
-        "--backend", choices=("vectorized", "loop"),
-        default=default("vectorized"),
-        help="trainer local-SGD engine (bit-identical results; "
-        "'loop' is the slow reference path)",
-    )
-    parser.add_argument(
-        "--chunk-size", type=int, default=default(None), metavar="CLIENTS",
-        help="memory-bounded stack width for training runs (bit-identical "
-        "results; default: full-width for eager setups, a bounded chunk "
-        "for streaming megafleet scenarios)",
-    )
-    parser.add_argument(
-        "--precision", choices=("float64", "float32"),
-        default=default("float64"),
-        help="kernel dtype for training runs (float32 is the fast tier's "
-        "precision; results are statistically equivalent, not bit-exact)",
-    )
-    parser.add_argument(
-        "--fast", action="store_true",
-        default=default(False),
-        help="fast tier: cached dtype-cast shard rows and sub-sampled "
-        "evaluation (statistically equivalent to the exact path, with "
-        "its own cache keys; combine with --precision float32)",
-    )
+    add_execution_options(parser, default)
     parser.add_argument(
         "--algorithm", default=default(None), metavar="KIND[:P=V,...]",
         help="local-update rule for training runs: fedavg (default), "
@@ -356,34 +397,22 @@ def _orchestrator(args) -> Optional[ExperimentOrchestrator]:
     if (
         args.jobs == 1
         and args.cache_dir is None
-        and args.backend == "vectorized"
-        and args.chunk_size is None
-        and args.precision == "float64"
-        and not args.fast
+        and args.execution == DEFAULT_EXECUTION
         and args.algorithm is None
-        and args.checkpoint_dir is None
+        and args.checkpoint is None
         and args.job_timeout is None
         and args.max_retries == 2
     ):
         return None
-    orchestrator = ExperimentOrchestrator(
+    return ExperimentOrchestrator(
         jobs=args.jobs,
         cache_dir=args.cache_dir,
-        backend=args.backend,
-        chunk_size=args.chunk_size,
-        precision=args.precision,
-        fast=args.fast,
+        execution=args.execution,
+        checkpoint=args.checkpoint,
         algorithm=args.algorithm,
         job_timeout=args.job_timeout,
         max_retries=args.max_retries,
     )
-    if args.checkpoint_dir is not None:
-        orchestrator.with_checkpointing(
-            args.checkpoint_dir,
-            every=args.checkpoint_every,
-            resume=args.resume,
-        )
-    return orchestrator
 
 
 def _api_runtime(args):
@@ -633,7 +662,7 @@ def _cmd_scenarios(args) -> int:
                     mechanisms=mechanisms,
                     # --fast selects the approximate mechanism suite too,
                     # so a fast run is fast end to end (game + training).
-                    fast_suite=bool(args.fast and not mechanisms),
+                    fast_suite=bool(args.execution.fast and not mechanisms),
                     repeats=args.repeats,
                 ),
                 runtime,
@@ -1048,7 +1077,8 @@ def _cmd_bench_trainer(args) -> int:
     solve_start = time.perf_counter()
     q = OptimalPricing().apply(prepared.problem).q
     solve_s = time.perf_counter() - solve_start
-    exact_mode = args.precision == "float64" and not args.fast
+    # Knobs that enter cache keys are exactly those that change results.
+    exact_mode = not args.execution.key_fields()
 
     # Shared hosts throttle under sustained load, which would bias
     # whichever backend happens to run second. Alternate the order across
@@ -1070,10 +1100,9 @@ def _cmd_bench_trainer(args) -> int:
                 prepared,
                 q,
                 seed=args.seed,
-                backend=backend,
-                precision=args.precision,
-                fast=args.fast,
                 algorithm=algorithm,
+                execution=args.execution,
+                backend=backend,
                 phase_timings=timings,
             )
             times[backend].append(time.perf_counter() - start)
@@ -1160,8 +1189,8 @@ def _cmd_bench_trainer(args) -> int:
             - histories["vectorized"].final_global_loss()
         )
         print(
-            f"fast tier ({args.precision}): |final loss delta| between "
-            f"backends = {deviation:.3e}"
+            f"fast tier ({args.execution.precision}): |final loss delta| "
+            f"between backends = {deviation:.3e}"
         )
     if args.out:
         out_dir, filename = args.out, "bench_trainer.json"
@@ -1195,8 +1224,8 @@ def _cmd_bench_trainer(args) -> int:
             "local_steps": prepared.config.local_steps,
             "batch_size": prepared.config.batch_size,
             "mean_participants": float(np.clip(q, 0.0, 1.0).sum()),
-            "precision": args.precision,
-            "fast": args.fast,
+            "precision": args.execution.precision,
+            "fast": args.execution.fast,
             "algorithm": algorithm.canonical(),
             "solve_s": solve_s,
             "loop_s": loop_s,
@@ -1439,26 +1468,26 @@ def _cmd_bench(args) -> int:
             "an empty private store)"
         )
     cache_dir = Path(tempfile.mkdtemp(prefix="repro-bench-cache-"))
+    # Every mode times the training the flags ask for.
+    bench_orchestrator = functools.partial(
+        ExperimentOrchestrator, execution=args.execution, algorithm=args.algorithm
+    )
     try:
-        serial_orch = ExperimentOrchestrator(jobs=1, backend=args.backend)
+        serial_orch = bench_orchestrator(jobs=1)
         start = time.perf_counter()
         serial, _ = fig4_grid(
             prepared, repeats=repeats, orchestrator=serial_orch
         )
         serial_s = time.perf_counter() - start
 
-        cold_orch = ExperimentOrchestrator(
-            jobs=args.jobs, cache_dir=cache_dir, backend=args.backend
-        )
+        cold_orch = bench_orchestrator(jobs=args.jobs, cache_dir=cache_dir)
         start = time.perf_counter()
         parallel, _ = fig4_grid(
             prepared, repeats=repeats, orchestrator=cold_orch
         )
         parallel_s = time.perf_counter() - start
 
-        warm_orch = ExperimentOrchestrator(
-            jobs=args.jobs, cache_dir=cache_dir, backend=args.backend
-        )
+        warm_orch = bench_orchestrator(jobs=args.jobs, cache_dir=cache_dir)
         start = time.perf_counter()
         warm, _ = fig4_grid(prepared, repeats=repeats, orchestrator=warm_orch)
         warm_s = time.perf_counter() - start
@@ -1604,12 +1633,27 @@ def main(
     contract *without* that process-wide side effect — their stdout is
     theirs to manage.
     """
+    args = _parse_args(argv)
+    if args.out:
+        args.out.mkdir(parents=True, exist_ok=True)
+    try:
+        code = _dispatch(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        if standalone:
+            _quiet_pipe_exit()
+        return 1
+
+
+def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """Parse and validate ``argv``, adding the ``execution`` spec and the
+    ``checkpoint`` config (or ``None``) the flags describe."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.chunk_size is not None and args.chunk_size < 1:
-        parser.error(f"--chunk-size must be >= 1, got {args.chunk_size}")
+    args.execution = execution_from_args(args, parser)
     if args.checkpoint_every < 1:
         parser.error(
             f"--checkpoint-every must be >= 1, got {args.checkpoint_every}"
@@ -1629,16 +1673,12 @@ def main(
             parse_algorithm(args.algorithm)
         except ValueError as error:
             parser.error(f"--algorithm: {error}")
-    if args.out:
-        args.out.mkdir(parents=True, exist_ok=True)
-    try:
-        code = _dispatch(args)
-        sys.stdout.flush()
-        return code
-    except BrokenPipeError:
-        if standalone:
-            _quiet_pipe_exit()
-        return 1
+    args.checkpoint = None
+    if args.checkpoint_dir is not None:
+        args.checkpoint = CheckpointConfig(
+            args.checkpoint_dir, every=args.checkpoint_every, resume=args.resume
+        )
+    return args
 
 
 if __name__ == "__main__":

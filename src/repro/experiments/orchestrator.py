@@ -52,10 +52,10 @@ mechanism's constructor kwargs — and the local-update *algorithm*
 (:class:`~repro.algorithms.AlgorithmSpec`) enter job keys **only at
 non-default values**, so every pre-scenario/pre-algorithm key is
 preserved and the paper-default scenario shares the plain pipeline's
-entries. The trainer *backend*
-(vectorized vs loop) is excluded from the key on purpose: both engines
-produce bit-identical histories, so a store populated under either backend
-serves the other. Within a single graph run,
+entries. The trainer's execution knobs contribute exactly
+:meth:`~repro.fl.execution.ExecutionSpec.key_fields`, the single statement
+of which of them change results; the rest (the engine, the stack width)
+and checkpointing never fork the cache. Within a single graph run,
 duplicate keys are coalesced in memory — onto one pool submission while in
 flight, and onto the already-decoded result afterwards — so the sharing
 holds even without an on-disk store.
@@ -86,6 +86,8 @@ import repro
 from repro import faults
 from repro.algorithms import AlgorithmSpec, coerce_algorithm
 from repro.experiments.setup import PreparedSetup
+from repro.fl.checkpoint import CheckpointConfig
+from repro.fl.execution import DEFAULT_EXECUTION, ExecutionSpec
 from repro.utils.rng import spawn_rng
 from repro.utils.serialization import (
     canonical_dumps,
@@ -204,59 +206,25 @@ class TrainJob:
     (training never reads the economic problem), so identical vectors from
     different schemes or sweep points dedupe to one cached run.
 
-    ``backend`` picks the trainer's local-SGD engine. It is deliberately
-    **not** part of :meth:`key_fields`: the vectorized and loop engines
-    produce bit-identical histories, so a result cached under one backend
-    is the other's result too — switching backends must not fork the cache.
-    ``chunk_size`` (the memory-bounded stack width) is excluded for the
-    same reason: every chunking — and the streaming-vs-eager storage
-    choice it usually rides with — produces bit-identical histories, so a
-    store warmed at any chunk width serves every other.
-
-    ``participation`` (a :class:`~repro.fl.ParticipationSpec`) and
-    ``exclude_zero`` are the scenario layer's knobs on
-    :func:`~repro.experiments.runner.run_history`. Both *do* change
-    results, so both enter :meth:`key_fields` — but only at non-default
-    values, so every pre-scenario job keeps its historical cache key (and
-    the paper-default scenario shares the plain Fig.-4 entries).
-
-    ``checkpoint_dir`` / ``checkpoint_every`` / ``resume`` make the run
-    fault-tolerant: the worker checkpoints into a per-job subdirectory of
-    ``checkpoint_dir`` (derived from this job's cache key, so concurrent
-    jobs never share one) and, when ``resume`` is set, continues from the
-    newest checkpoint left by a killed attempt. Like ``backend`` and
-    ``chunk_size`` they are excluded from :meth:`key_fields`: a resumed
-    history is bit-identical to an uninterrupted one, so checkpointing
-    must not fork the cache.
-
-    ``precision`` / ``fast`` select the fast tier. Its results are only
-    statistically equivalent to the exact path's (float32 kernels,
-    sub-sampled evaluation), so both enter :meth:`key_fields` — at
-    non-default values only (``precision`` when not ``"float64"``,
-    ``fast`` when set), so every exact job keeps its historical key. Fast
-    and exact sweeps can therefore share one cache directory: neither is
-    ever served the other's history.
-
-    ``algorithm`` (an :class:`~repro.algorithms.AlgorithmSpec`) selects
-    the local-update rule. Unlike the performance knobs it **changes the
-    produced history**, so it enters :meth:`key_fields` — but only at
-    non-default values (``None`` and plain ``fedavg`` emit nothing), so a
-    FedProx history is never served from a FedAvg-warmed store while every
-    pre-algorithm job keeps its historical cache key.
+    ``participation`` (a :class:`~repro.fl.ParticipationSpec`),
+    ``exclude_zero`` and ``algorithm`` (an
+    :class:`~repro.algorithms.AlgorithmSpec`) change results, so each
+    enters :meth:`key_fields` — only at non-default values, so every
+    pre-scenario, pre-algorithm job keeps its historical cache key.
+    ``execution`` contributes exactly
+    :meth:`~repro.fl.execution.ExecutionSpec.key_fields`. ``checkpoint``
+    never enters the key (a resumed history is bit-identical); the worker
+    checkpoints into a subdirectory of ``checkpoint.directory`` derived
+    from this job's key, so concurrent jobs never share one.
     """
 
     q: Tuple[float, ...]
     seed: int
-    backend: str = "vectorized"
     participation: Optional[Any] = None
     exclude_zero: bool = False
-    chunk_size: Optional[int] = None
-    checkpoint_dir: Optional[str] = None
-    checkpoint_every: int = 10
-    resume: bool = False
-    precision: str = "float64"
-    fast: bool = False
     algorithm: Optional[AlgorithmSpec] = None
+    execution: ExecutionSpec = DEFAULT_EXECUTION
+    checkpoint: Optional[CheckpointConfig] = None
 
     kind = "train"
 
@@ -266,10 +234,7 @@ class TrainJob:
             fields["participation"] = self.participation.to_doc()
         if self.exclude_zero:
             fields["exclude_zero"] = True
-        if self.precision != "float64":
-            fields["precision"] = self.precision
-        if self.fast:
-            fields["fast"] = True
+        fields.update(self.execution.key_fields())
         if self.algorithm is not None and not self.algorithm.is_default:
             fields["algorithm"] = self.algorithm.to_doc()
         return fields
@@ -536,27 +501,25 @@ def _execute_spec(prepared: PreparedSetup, spec: JobSpec) -> dict:
     if isinstance(spec, TrainJob):
         from repro.experiments.runner import run_history
 
-        checkpoint_dir = spec.checkpoint_dir
-        if checkpoint_dir is not None:
+        checkpoint = spec.checkpoint
+        if checkpoint is not None:
             # Per-job subdirectory keyed by the job's own identity, so
             # concurrent jobs (and retries of this one) land in a stable,
             # collision-free location.
             digest = content_address({"kind": spec.kind, **spec.key_fields()})
-            checkpoint_dir = str(Path(checkpoint_dir) / digest[:16])
+            checkpoint = dataclasses.replace(
+                checkpoint,
+                directory=str(Path(checkpoint.directory) / digest[:16]),
+            )
         history = run_history(
             prepared,
             np.asarray(spec.q, dtype=float),
             seed=spec.seed,
-            backend=spec.backend,
             participation=spec.participation,
             exclude_zero=spec.exclude_zero,
-            chunk_size=spec.chunk_size,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every=spec.checkpoint_every,
-            resume=spec.resume,
-            precision=spec.precision,
-            fast=spec.fast,
             algorithm=spec.algorithm,
+            execution=spec.execution,
+            checkpoint=checkpoint,
         )
         return history_to_doc(history)
     raise TypeError(f"unknown job spec {type(spec).__name__}")
@@ -659,26 +622,19 @@ class ExperimentOrchestrator:
         cache_dir: Directory for the content-addressed result store; when
             ``None``, nothing is persisted and every job recomputes.
         store: Pre-built store (overrides ``cache_dir``); mainly for tests.
-        backend: Local-SGD engine for the train jobs this orchestrator
-            builds (``"vectorized"`` or ``"loop"``). Results are
-            bit-identical either way, so the choice never enters cache
-            keys — it only changes how fast misses compute.
-        chunk_size: Memory-bounded stack width for the train jobs this
-            orchestrator builds (``None`` = the trainer's default:
-            full-width for eager setups, a bounded chunk for streaming
-            ones). Also excluded from cache keys — chunking never changes
-            results, only peak memory.
-        precision: Kernel dtype for the train jobs this orchestrator
-            builds (``"float64"`` or ``"float32"``).
-        fast: Run train jobs on the fast tier (row caching, sub-sampled
-            evaluation). Unlike ``backend``, both knobs change results,
-            so non-default values enter every train job's cache key — a
-            store warmed on the fast tier never serves an exact request.
+        execution: How the train jobs this orchestrator builds execute
+            (an :class:`~repro.fl.execution.ExecutionSpec`; ``None`` is
+            the exact default). The spec decides which of its knobs enter
+            cache keys.
+        checkpoint: Checkpoint the train jobs this orchestrator builds
+            (a :class:`~repro.fl.checkpoint.CheckpointConfig`), each into
+            its own key-derived subdirectory of ``checkpoint.directory``;
+            with ``resume`` a re-run (or a retry after a crash) continues
+            from the newest checkpoint. Never enters cache keys.
         algorithm: Local-update rule for the train jobs this orchestrator
             builds (an :class:`~repro.algorithms.AlgorithmSpec`, its
-            string/dict form, or ``None`` for plain FedAvg). Unlike the
-            performance knobs the algorithm changes results, so
-            non-default values enter every train job's cache key.
+            string/dict form, or ``None`` for plain FedAvg). It changes
+            results, so non-default values enter every train job's key.
         job_timeout: Seconds a pool job may run before it is presumed
             stuck; the pool is torn down (a running task cannot be
             cancelled individually), the overdue job is retried with
@@ -707,10 +663,8 @@ class ExperimentOrchestrator:
         cache_dir: "os.PathLike[str] | str | None" = None,
         *,
         store: Optional[ResultStore] = None,
-        backend: str = "vectorized",
-        chunk_size: Optional[int] = None,
-        precision: str = "float64",
-        fast: bool = False,
+        execution: Optional[ExecutionSpec] = None,
+        checkpoint: Optional[CheckpointConfig] = None,
         algorithm: Optional[Any] = None,
         job_timeout: Optional[float] = None,
         max_retries: int = 2,
@@ -731,10 +685,8 @@ class ExperimentOrchestrator:
                 f"retry_base_delay must be >= 0, got {retry_base_delay}"
             )
         self.jobs = int(jobs)
-        self.backend = backend
-        self.chunk_size = chunk_size
-        self.precision = precision
-        self.fast = bool(fast)
+        self.execution = execution or DEFAULT_EXECUTION
+        self.checkpoint = checkpoint
         # Normalized so plain fedavg and None build identical TrainJobs
         # (and therefore identical cache keys).
         spec = coerce_algorithm(algorithm)
@@ -744,9 +696,6 @@ class ExperimentOrchestrator:
         self.retry_base_delay = float(retry_base_delay)
         self.retry_seed = int(retry_seed)
         self.fault_plan = fault_plan
-        self.checkpoint_dir: Optional[str] = None
-        self.checkpoint_every: int = 10
-        self.resume: bool = False
         self.last_report: Optional[GraphReport] = None
         if store is not None:
             self.store = store
@@ -754,28 +703,6 @@ class ExperimentOrchestrator:
             self.store = ResultStore(cache_dir)
         else:
             self.store = None
-
-    def with_checkpointing(
-        self,
-        directory: "os.PathLike[str] | str",
-        *,
-        every: int = 10,
-        resume: bool = False,
-    ) -> "ExperimentOrchestrator":
-        """Enable trainer checkpointing for the train jobs this
-        orchestrator builds (returns ``self`` for chaining).
-
-        Each train job checkpoints into its own key-derived subdirectory
-        of ``directory``; with ``resume`` a re-run (or an automatic retry
-        after a crash) continues from the newest checkpoint instead of
-        restarting round 0. Checkpoint knobs never enter cache keys.
-        """
-        if every < 1:
-            raise ValueError(f"every must be >= 1, got {every}")
-        self.checkpoint_dir = str(directory)
-        self.checkpoint_every = int(every)
-        self.resume = bool(resume)
-        return self
 
     # Core executor ----------------------------------------------------------
 
@@ -866,7 +793,15 @@ class ExperimentOrchestrator:
                     initializer=_init_worker,
                     initargs=(payload, self.fault_plan),
                 )
-            future = pool.submit(_run_remote, spec, attempt, key)
+            try:
+                future = pool.submit(_run_remote, spec, attempt, key)
+            except BrokenProcessPool:
+                # A worker died since the last wait(); its own future
+                # reports the crash. This job never ran: queue it again
+                # at the same attempt for the fresh pool.
+                info = _Inflight(spec, key, list(names), attempt, 0.0)
+                requeue(info, attempt, 0.0)
+                return
             futures[future] = _Inflight(
                 spec, key, list(names), attempt, time.monotonic()
             )
@@ -1288,16 +1223,11 @@ class ExperimentOrchestrator:
             return TrainJob(
                 q=q_vector,
                 seed=seed,
-                backend=self.backend,
                 participation=participation,
                 exclude_zero=exclude_zero and 0.0 in q_vector,
-                chunk_size=self.chunk_size,
-                checkpoint_dir=self.checkpoint_dir,
-                checkpoint_every=self.checkpoint_every,
-                resume=self.resume,
-                precision=self.precision,
-                fast=self.fast,
                 algorithm=algorithm,
+                execution=self.execution,
+                checkpoint=self.checkpoint,
             )
 
         nodes: List[JobNode] = []
@@ -1399,18 +1329,11 @@ class ExperimentOrchestrator:
                             name=f"train/{index}/{seed}",
                             deps=(eq_name,),
                             build=lambda results, e=eq_name, s=seed: TrainJob(
-                                q=tuple(
-                                    float(v) for v in results[e].q
-                                ),
+                                q=tuple(float(v) for v in results[e].q),
                                 seed=s,
-                                backend=self.backend,
-                                chunk_size=self.chunk_size,
-                                checkpoint_dir=self.checkpoint_dir,
-                                checkpoint_every=self.checkpoint_every,
-                                resume=self.resume,
-                                precision=self.precision,
-                                fast=self.fast,
                                 algorithm=self.algorithm,
+                                execution=self.execution,
+                                checkpoint=self.checkpoint,
                             ),
                         )
                     )

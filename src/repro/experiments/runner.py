@@ -24,6 +24,7 @@ from repro.experiments.setup import PreparedSetup
 from repro.fl import (
     BernoulliParticipation,
     CheckpointConfig,
+    ExecutionSpec,
     FederatedTrainer,
     ParticipationSpec,
     TrainingHistory,
@@ -63,27 +64,19 @@ def run_history(
     q: Sequence[float],
     *,
     seed: int = 0,
-    backend: str = "vectorized",
     participation: Optional[ParticipationSpec] = None,
     exclude_zero: bool = False,
-    chunk_size: Optional[int] = None,
-    checkpoint_dir: Optional[str] = None,
-    checkpoint_every: int = 10,
-    resume: bool = False,
-    precision: str = "float64",
-    fast: bool = False,
     algorithm=None,
+    execution: Optional[ExecutionSpec] = None,
+    checkpoint: Optional[CheckpointConfig] = None,
     phase_timings: Optional[dict] = None,
+    **knobs,
 ) -> TrainingHistory:
     """One FL training run at participation vector ``q`` on the testbed.
 
     ``q`` is clipped into ``[Q_MIN, 1]`` (see :data:`Q_MIN`); when clipping
     actually changes a value a warning is logged so biased-participation
     configurations are not silently masked.
-
-    ``backend`` selects the trainer's local-SGD engine (``"vectorized"`` or
-    ``"loop"``); histories are bit-identical either way, so the choice is
-    purely a performance knob and is excluded from orchestrator cache keys.
 
     ``participation`` optionally replaces the paper's independent-Bernoulli
     round process with another :class:`~repro.fl.ParticipationSpec` regime
@@ -98,32 +91,19 @@ def run_history(
     included subpopulation — quantified by
     :func:`repro.game.estimator_bias_mass`, not masked by clipping.
 
-    ``chunk_size`` bounds the vectorized engine's stack width (see
-    :class:`~repro.fl.FederatedTrainer`); like ``backend`` it never changes
-    the produced history — streaming/megafleet setups pick a bounded
-    default automatically, eager setups default to the full-width stack.
-
-    ``checkpoint_dir`` enables periodic round checkpoints (every
-    ``checkpoint_every`` rounds) into that directory; with ``resume`` the
-    run continues from the newest checkpoint a killed run left behind.
-    A resumed history is bit-identical to an uninterrupted one (see
-    :mod:`repro.fl.checkpoint`), so — like ``backend``/``chunk_size`` —
-    the checkpoint knobs never enter cache keys.
-
-    ``precision``/``fast`` select the fast tier (float32 kernels, cached
-    shard rows, sub-sampled evaluation — see
-    :class:`~repro.fl.FederatedTrainer`). The default pair is byte-for-byte
-    the historical exact path; non-default settings trade bit-exactness
-    for throughput, are validated by statistical-equivalence tests
-    instead of digest pins, and enter orchestrator cache keys.
+    ``execution`` (an :class:`~repro.fl.ExecutionSpec`) says how the
+    trainer computes the run; its fields are also accepted as keywords
+    (``run_history(prepared, q, fast=True)``), which override it. The spec
+    states which knobs change results. ``checkpoint`` (a
+    :class:`~repro.fl.CheckpointConfig`) saves resumable snapshots and,
+    with ``resume``, continues a killed run bit-identically.
     ``phase_timings``, when a dict, receives the trainer's per-phase
     wall-clock breakdown (``train_s`` / ``eval_s``).
 
     ``algorithm`` selects the local-update rule (an
     :class:`~repro.algorithms.AlgorithmSpec`, its string/dict form, or
-    ``None`` for plain FedAvg — see :mod:`repro.algorithms`). Unlike
-    ``backend``/``chunk_size``, the algorithm *changes the produced
-    history*, so it participates in orchestrator cache keys.
+    ``None`` for plain FedAvg — see :mod:`repro.algorithms`); it changes
+    the produced history.
     """
     requested = np.asarray(q, dtype=float)
     q = np.clip(requested, Q_MIN, 1.0)
@@ -161,17 +141,10 @@ def run_history(
         round_timer=prepared.runtime.round_timer(),
         eval_every=prepared.eval_every,
         rng_factory=child,
-        backend=backend,
-        chunk_size=chunk_size,
-        precision=precision,
-        fast=fast,
         algorithm=algorithm,
+        execution=execution,
+        **knobs,
     )
-    checkpoint = None
-    if checkpoint_dir is not None:
-        checkpoint = CheckpointConfig(
-            directory=checkpoint_dir, every=checkpoint_every, resume=resume
-        )
     history = trainer.run(config.num_rounds, checkpoint=checkpoint)
     if phase_timings is not None:
         phase_timings.update(trainer.phase_timings)

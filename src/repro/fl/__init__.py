@@ -16,6 +16,9 @@ Public symbols and their paper correspondence:
   ``backend``: ``"vectorized"`` (default) stacks every participant's
   round into batched model kernels, ``"loop"`` is the per-client
   reference; both produce bit-identical histories.
+* :class:`ExecutionSpec` — the trainer's execution knobs (engine, stack
+  width, precision, fast tier) as one frozen object that states which of
+  them enter cache keys.
 * :class:`TrainingHistory` / :class:`RoundRecord` /
   :func:`average_histories` — per-round records with the time-to-target
   queries behind Tables II/III and the seed-averaged curves of Fig. 4.
@@ -60,6 +63,7 @@ from repro.fl.audit import (
 )
 from repro.fl.checkpoint import CheckpointConfig, CheckpointManager
 from repro.fl.client import FLClient
+from repro.fl.execution import ExecutionSpec
 from repro.fl.history import RoundRecord, TrainingHistory, average_histories
 from repro.fl.participation import (
     BernoulliParticipation,
@@ -79,6 +83,7 @@ __all__ = [
     "FLClient",
     "FLServer",
     "FederatedTrainer",
+    "ExecutionSpec",
     "TrainingHistory",
     "RoundRecord",
     "average_histories",

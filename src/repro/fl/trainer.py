@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -47,6 +48,7 @@ from repro.fl.checkpoint import (
     CheckpointManager,
 )
 from repro.fl.client import FLClient
+from repro.fl.execution import DEFAULT_EXECUTION, ExecutionSpec
 from repro.fl.history import RoundRecord, TrainingHistory
 from repro.fl.participation import ParticipationModel
 from repro.fl.server import FLServer
@@ -61,12 +63,6 @@ from repro.utils.rng import RngFactory
 
 # (participant_mask, round_index) -> seconds the round takes.
 RoundTimer = Callable[[np.ndarray, int], float]
-
-#: Supported local-SGD execution strategies.
-BACKENDS = ("vectorized", "loop")
-
-#: Working precisions the trainer accepts (``--precision`` values).
-PRECISIONS = ("float64", "float32")
 
 #: Default participants-per-stack for streaming federations (eager
 #: federations default to the unbounded full-width stack).
@@ -112,28 +108,16 @@ class FederatedTrainer:
             rounds (evaluations are the expensive part of a simulated run).
         rng_factory: Source of all client SGD randomness.
         initial_params: Override for ``w^0`` (defaults to the model's init).
-        backend: ``"vectorized"`` (default) stacks all participants' local
-            SGD into batched model kernels; ``"loop"`` runs the reference
-            per-client loop. Histories are bit-identical either way.
-        chunk_size: Maximum participants per vectorized stack. ``None``
-            (default) stacks the whole active cohort at once for eager
-            federations and uses :data:`DEFAULT_CHUNK_SIZE` for streaming
-            ones (:data:`FAST_CHUNK_SIZE` on the fast tier). Histories
-            are bit-identical for every chunking — the knob only bounds
-            peak memory (gathered shards + kernel workspace scale with the
-            chunk, not the fleet).
-        precision: Working dtype of the local-SGD kernels. ``"float64"``
-            (default) is the bit-exact path; ``"float32"`` runs the
-            stacked GEMMs in single precision (validated by statistical
-            equivalence, not digest equality — see the fast-tier docs).
-        fast: Opt into the fast tier: dtype-cast shard rows persist
-            across rounds in a trainer-level LRU, and large-fleet
-            evaluation switches to the deterministic sub-sampled estimator
-            of :func:`repro.models.metrics.subsampled_global_loss` (scored
-            in the working dtype, so a float32 run's panel pass rides the
-            float32 row cache). Implies nothing about ``precision`` —
-            ``fast`` + ``float64`` is valid and bit-identical to the exact
-            path's training (only the evaluation differs).
+        execution: How rounds execute — an
+            :class:`~repro.fl.execution.ExecutionSpec`; ``None`` is the
+            exact default. Its fields are also accepted as keywords
+            (``backend="loop"``), which override it. A ``None`` chunk
+            size stacks the whole cohort for eager federations and uses
+            :data:`DEFAULT_CHUNK_SIZE` for streaming ones
+            (:data:`FAST_CHUNK_SIZE` on the fast tier). The fast tier
+            caches dtype-cast shard rows in a trainer-level LRU and
+            scores large fleets with
+            :func:`repro.models.metrics.subsampled_global_loss`.
         algorithm: Which local-update rule trains each round — an
             :class:`~repro.algorithms.AlgorithmSpec`, a CLI string
             (``"fedprox:mu=0.05"``), or ``None`` for the plain-FedAvg
@@ -158,11 +142,9 @@ class FederatedTrainer:
         eval_every: int = 10,
         rng_factory: Optional[RngFactory] = None,
         initial_params: Optional[np.ndarray] = None,
-        backend: str = "vectorized",
-        chunk_size: Optional[int] = None,
-        precision: str = "float64",
-        fast: bool = False,
         algorithm: Optional[AlgorithmSpec] = None,
+        execution: Optional[ExecutionSpec] = None,
+        **knobs,
     ):
         if participation.num_clients != federated.num_clients:
             raise ValueError(
@@ -173,23 +155,15 @@ class FederatedTrainer:
             raise ValueError(f"local_steps must be >= 1, got {local_steps}")
         if eval_every < 1:
             raise ValueError(f"eval_every must be >= 1, got {eval_every}")
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; choose from {BACKENDS}"
-            )
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        if precision not in PRECISIONS:
-            raise ValueError(
-                f"unknown precision {precision!r}; choose from {PRECISIONS}"
-            )
-        self.backend = backend
-        self.dtype = np.dtype(precision)
-        self.fast = bool(fast)
+        execution = replace(execution or DEFAULT_EXECUTION, **knobs)
+        self.backend = execution.backend
+        self.dtype = np.dtype(execution.precision)
+        self.fast = execution.fast
         self.streaming = bool(getattr(federated, "streaming", False))
+        chunk_size = execution.chunk_size
         if chunk_size is None and self.streaming:
             chunk_size = FAST_CHUNK_SIZE if self.fast else DEFAULT_CHUNK_SIZE
-        self.chunk_size = None if chunk_size is None else int(chunk_size)
+        self.chunk_size = chunk_size
         # Fast-tier row cache (see the class docstring); empty and
         # untouched on the exact path.
         self._row_cache: "OrderedDict[int, Tuple[np.ndarray, np.ndarray]]"

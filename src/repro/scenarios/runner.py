@@ -44,6 +44,7 @@ from repro.experiments.setup import (
     calibrate_value_scale,
     prepare_setup,
 )
+from repro.fl.execution import ExecutionSpec
 from repro.game import (
     ClientPopulation,
     PricingOutcome,
@@ -444,21 +445,11 @@ class ScenarioRunner:
         if spec.train:
             from repro.experiments.runner import run_pricing_comparison
 
-            orchestrator = self.orchestrator
-            if orchestrator is None and spec.fast:
-                # A fast training scenario runs its train jobs on the fast
-                # tier by default; an explicit orchestrator (CLI --fast /
-                # --precision) always wins.
-                from repro.experiments.orchestrator import (
-                    ExperimentOrchestrator,
-                )
-
-                orchestrator = ExperimentOrchestrator(jobs=1, fast=True)
             comparison = run_pricing_comparison(
                 concrete.prepared,
                 repeats=repeats,
                 schemes=list(mechanisms),
-                orchestrator=orchestrator,
+                orchestrator=self.training_orchestrator(spec),
                 participation=spec.participation,
                 exclude_zero=True,
                 algorithm=spec.algorithm,
@@ -489,6 +480,16 @@ class ScenarioRunner:
                 )
         _fill_metrics(concrete, cells)
         return cells
+
+    def training_orchestrator(self, spec: ScenarioSpec):
+        """The orchestrator ``spec``'s train jobs run through (``None`` =
+        serial, uncached): a fast scenario trains on the fast tier unless
+        an explicit orchestrator brings its own execution spec."""
+        if self.orchestrator is None and spec.fast:
+            from repro.experiments.orchestrator import ExperimentOrchestrator
+
+            return ExperimentOrchestrator(execution=ExecutionSpec(fast=True))
+        return self.orchestrator
 
     def compare(
         self,

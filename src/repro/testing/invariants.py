@@ -44,6 +44,7 @@ import numpy as np
 from repro.algorithms import AlgorithmSpec
 from repro.fl.aggregation import UnbiasedDeltaAggregator
 from repro.fl.checkpoint import CheckpointConfig
+from repro.fl.execution import DEFAULT_EXECUTION, ExecutionSpec
 from repro.fl.participation import ParticipationSpec
 from repro.fl.trainer import FederatedTrainer
 from repro.game.best_response import best_response_vector, surrogate_utility
@@ -202,25 +203,22 @@ class InvariantContext:
 
     def run_training(
         self,
+        execution: ExecutionSpec = DEFAULT_EXECUTION,
         *,
-        backend: str = "vectorized",
-        chunk_size: Optional[int] = None,
         eager: bool = False,
         checkpoint: Optional[CheckpointConfig] = None,
         interrupt_at: Optional[int] = None,
-        precision: str = "float64",
-        fast: bool = False,
         algorithm: Optional[AlgorithmSpec] = None,
     ):
         """One deterministic tiny training run; returns its history.
 
         Every variant reuses the same seed-derived RNG streams, so any
-        two calls differing only in ``backend``/``chunk_size``/``eager``
-        or in checkpoint interruption must produce bit-identical
-        histories — including under any fixed ``algorithm``, whose
-        gradient terms consume no RNG draws. ``precision``/``fast``
-        select the fast tier, which is held only to statistical
-        equivalence, never bit identity.
+        two calls differing only in knobs the ``execution`` spec declares
+        result-neutral, in ``eager`` storage, or in checkpoint
+        interruption must produce bit-identical histories — including
+        under any fixed ``algorithm``, whose gradient terms consume no
+        RNG draws. The spec's result-changing knobs (the fast tier) are
+        held only to statistical equivalence, never bit identity.
         """
         _, rounds, local_steps, batch_size = TRAIN_SHAPE
         federated, q = self._training_inputs()
@@ -242,11 +240,8 @@ class InvariantContext:
             batch_size=batch_size,
             eval_every=2,
             rng_factory=factory,
-            backend=backend,
-            chunk_size=chunk_size,
-            precision=precision,
-            fast=fast,
             algorithm=algorithm,
+            execution=execution,
         )
         if interrupt_at is not None:
             base = trainer.round_timer
@@ -739,9 +734,9 @@ def check_backend_identity(
 ) -> Optional[List[Violation]]:
     if not ctx.train:
         return None
-    reference = ctx.run_training(backend="vectorized")
+    reference = ctx.run_training()
     for backend, chunk in (("loop", None), ("vectorized", 2)):
-        other = ctx.run_training(backend=backend, chunk_size=chunk)
+        other = ctx.run_training(ExecutionSpec(backend=backend, chunk_size=chunk))
         if other.records != reference.records:
             return [
                 _violation(
@@ -829,7 +824,8 @@ def check_algorithm_backend_identity(
         reference = ctx.run_training(algorithm=spec)
         for backend, chunk in (("loop", None), ("vectorized", 2)):
             other = ctx.run_training(
-                backend=backend, chunk_size=chunk, algorithm=spec
+                ExecutionSpec(backend=backend, chunk_size=chunk),
+                algorithm=spec,
             )
             if other.records != reference.records:
                 violations.append(
@@ -966,7 +962,7 @@ def check_fast_tier_equivalence(
         )
     if ctx.train:
         exact_run = ctx.run_training()
-        fast_run = ctx.run_training(precision="float32", fast=True)
+        fast_run = ctx.run_training(ExecutionSpec(precision="float32", fast=True))
         exact_loss = exact_run.final_global_loss()
         fast_loss = fast_run.final_global_loss()
         band = FAST_LOSS_RTOL * max(1.0, abs(exact_loss))

@@ -241,6 +241,40 @@ class TestRunScenario:
             cold.to_doc()
         )
 
+    def test_runtime_training_knobs_fork_the_run_key(self, tmp_path):
+        """A store warmed under one orchestrator's algorithm or execution
+        spec never serves a run under another (regression: the whole-run
+        key once ignored both, so a FedProx table was served to FedAvg)."""
+        from repro.experiments.orchestrator import (
+            ExperimentOrchestrator,
+            ResultStore,
+        )
+        from repro.fl import ExecutionSpec
+
+        store = ResultStore(tmp_path)
+        request = api.ScenarioRunRequest(
+            scenario="paper-default", mechanisms=("proposed",)
+        )
+
+        def run(**knobs):
+            orchestrator = ExperimentOrchestrator(store=store, **knobs)
+            return api.run_scenario(
+                request, api.ApiRuntime(scale="ci", orchestrator=orchestrator)
+            )
+
+        fedprox = run(algorithm="fedprox:mu=0.5")
+        fedavg = run()
+        float32 = run(execution=ExecutionSpec(precision="float32"))
+        assert not fedavg.cached and not float32.cached
+        assert run().cached
+        uncached = api.run_scenario(request, api.ApiRuntime(scale="ci"))
+        results = [
+            schemas.result_bytes(response.to_doc())
+            for response in (fedprox, fedavg, float32, uncached)
+        ]
+        assert results[1] == results[3]
+        assert len(set(results[:3])) == 3
+
     def test_unknown_mechanisms_map_to_404(self, runtime):
         with pytest.raises(api.ApiError, match="unknown mechanism") as info:
             api.run_scenario(

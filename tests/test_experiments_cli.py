@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.experiments.cli import main
+from repro.fl import CheckpointConfig
 
 
 @pytest.fixture(autouse=True)
@@ -118,6 +119,37 @@ class TestBackendFlags:
         assert parser.parse_args(["bench"]).target == "orchestrator"
         assert parser.parse_args(["bench", "trainer"]).target == "trainer"
 
+    def test_bench_orchestrators_get_the_execution_flags(
+        self, monkeypatch, capsys
+    ):
+        """``bench`` times the training the flags ask for: its serial,
+        cold and warm orchestrators all carry the flags' spec and
+        algorithm."""
+        from repro.experiments import cli
+        from repro.fl import ExecutionSpec
+
+        built = []
+
+        class Recording(cli.ExperimentOrchestrator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(cli, "ExperimentOrchestrator", Recording)
+        code = main(
+            ["--jobs", "2", "--chunk-size", "4", "--precision", "float32",
+             "--fast", "--algorithm", "fedprox:mu=0.5", "bench",
+             "--repeats", "1"]
+        )
+        assert code == 0
+        assert "(bit-identical): True" in capsys.readouterr().out
+        assert [orchestrator.jobs for orchestrator in built] == [1, 2, 2]
+        for orchestrator in built:
+            assert orchestrator.execution == ExecutionSpec(
+                chunk_size=4, precision="float32", fast=True
+            )
+            assert orchestrator.algorithm.canonical() == "fedprox:mu=0.5"
+
     def test_bench_trainer_smoke(self, tmp_path, capsys):
         code = main(
             ["--scale", "ci", "--out", str(tmp_path), "bench", "trainer"]
@@ -216,26 +248,26 @@ class TestFaultToleranceFlags:
         assert args.max_retries == 4
 
     def test_defaults_build_no_orchestrator(self):
-        from repro.experiments.cli import _build_parser, _orchestrator
+        from repro.experiments.cli import _orchestrator, _parse_args
 
-        args = _build_parser().parse_args(["equilibrium"])
+        args = _parse_args(["equilibrium"])
         assert _orchestrator(args) is None
 
     def test_checkpoint_dir_builds_checkpointing_orchestrator(
         self, tmp_path
     ):
-        from repro.experiments.cli import _build_parser, _orchestrator
+        from repro.experiments.cli import _orchestrator, _parse_args
 
-        args = _build_parser().parse_args(
+        args = _parse_args(
             ["--checkpoint-dir", str(tmp_path), "--checkpoint-every", "3",
              "--resume", "--job-timeout", "60", "--max-retries", "5",
              "equilibrium"]
         )
         orchestrator = _orchestrator(args)
         assert orchestrator is not None
-        assert orchestrator.checkpoint_dir == str(tmp_path)
-        assert orchestrator.checkpoint_every == 3
-        assert orchestrator.resume
+        assert orchestrator.checkpoint == CheckpointConfig(
+            tmp_path, every=3, resume=True
+        )
         assert orchestrator.job_timeout == 60.0
         assert orchestrator.max_retries == 5
 

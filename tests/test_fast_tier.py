@@ -25,7 +25,8 @@ from repro.experiments.orchestrator import ExperimentOrchestrator, TrainJob
 from repro.experiments.runner import default_schemes, run_pricing_comparison
 from repro.experiments.setup import prepare_setup
 from repro.fl import BernoulliParticipation, CheckpointConfig, FederatedTrainer
-from repro.fl.trainer import FAST_CHUNK_SIZE, PRECISIONS
+from repro.fl.execution import PRECISIONS, ExecutionSpec
+from repro.fl.trainer import FAST_CHUNK_SIZE
 from repro.game import ServerProblem, solve_stage1_kkt
 from repro.game.client_model import sample_population
 from repro.game.pricing import UniformPricing, WeightedPricing
@@ -361,13 +362,17 @@ class TestCacheKeys:
 
     def test_default_key_is_unchanged(self):
         explicit = TrainJob(
-            q=(0.5, 0.25), seed=3, precision="float64", fast=False
+            q=(0.5, 0.25),
+            seed=3,
+            execution=ExecutionSpec(precision="float64", fast=False),
         )
         assert explicit.key_fields() == {"q": [0.5, 0.25], "seed": 3}
 
     def test_fast_tier_jobs_get_their_own_keys(self):
         keys = [
-            TrainJob(q=(0.5, 0.25), seed=3, **knobs).key_fields()
+            TrainJob(
+                q=(0.5, 0.25), seed=3, execution=ExecutionSpec(**knobs)
+            ).key_fields()
             for knobs in (
                 {},
                 {"precision": "float32"},
@@ -384,7 +389,9 @@ class TestCacheKeys:
         prepared = prepare_setup(config, scale=SCALES["ci"], seed=0)
 
         def store_misses(**knobs):
-            orchestrator = ExperimentOrchestrator(cache_dir=tmp_path, **knobs)
+            orchestrator = ExperimentOrchestrator(
+                cache_dir=tmp_path, execution=ExecutionSpec(**knobs)
+            )
             run_pricing_comparison(
                 prepared, repeats=1, orchestrator=orchestrator
             )

@@ -24,7 +24,7 @@ from repro.experiments.orchestrator import (
 )
 from repro.experiments.runner import run_history
 from repro.experiments.setup import prepare_setup
-from repro.fl import BernoulliParticipation, FederatedTrainer
+from repro.fl import BernoulliParticipation, ExecutionSpec, FederatedTrainer
 from repro.fl.client import FLClient
 from repro.models import MultinomialLogisticRegression
 from repro.models.linear import RidgeRegression
@@ -187,11 +187,11 @@ class TestEndToEndContract:
         assert loop.records == vectorized.records
 
     def test_comparison_backend_equivalence(self, prepared):
-        loop = ExperimentOrchestrator(backend="loop").run_comparison(
-            prepared, repeats=1
-        )
+        loop = ExperimentOrchestrator(
+            execution=ExecutionSpec(backend="loop")
+        ).run_comparison(prepared, repeats=1)
         vectorized = ExperimentOrchestrator(
-            backend="vectorized"
+            execution=ExecutionSpec(backend="vectorized")
         ).run_comparison(prepared, repeats=1)
         assert set(loop) == set(vectorized)
         for name in loop:
@@ -203,8 +203,10 @@ class TestEndToEndContract:
 
     def test_cache_keys_unaffected_by_backend(self, prepared):
         q = tuple(float(v) for v in np.full(prepared.config.num_clients, 0.5))
-        loop_spec = TrainJob(q=q, seed=0, backend="loop")
-        vec_spec = TrainJob(q=q, seed=0, backend="vectorized")
+        loop_spec = TrainJob(
+            q=q, seed=0, execution=ExecutionSpec(backend="loop")
+        )
+        vec_spec = TrainJob(q=q, seed=0)
         assert job_key(prepared, loop_spec) == job_key(prepared, vec_spec)
         doc = job_key_doc(prepared, vec_spec)
         assert "backend" not in str(doc)
@@ -213,20 +215,15 @@ class TestEndToEndContract:
         self, prepared, tmp_path
     ):
         q = np.full(prepared.config.num_clients, 0.4)
-        writer = ExperimentOrchestrator(
-            cache_dir=tmp_path, backend="loop"
-        )
+        loop = ExecutionSpec(backend="loop")
+        writer = ExperimentOrchestrator(cache_dir=tmp_path, execution=loop)
         spec = TrainJob(
-            q=tuple(float(v) for v in q), seed=0, backend="loop"
+            q=tuple(float(v) for v in q), seed=0, execution=loop
         )
         first = writer._run_one(prepared, spec)
-        reader = ExperimentOrchestrator(
-            cache_dir=tmp_path, backend="vectorized"
-        )
+        reader = ExperimentOrchestrator(cache_dir=tmp_path)
         hit = reader._run_one(
-            prepared,
-            TrainJob(q=tuple(float(v) for v in q), seed=0,
-                     backend="vectorized"),
+            prepared, TrainJob(q=tuple(float(v) for v in q), seed=0)
         )
         assert reader.store.hits == 1 and reader.store.misses == 0
         assert first.records == hit.records

@@ -277,13 +277,13 @@ class TestRunHistoryCheckpointing:
         # resuming replays only the tail rounds, bit-identically.
         checkpointed = run_history(
             prepared, q, seed=0,
-            checkpoint_dir=str(tmp_path), checkpoint_every=7,
+            checkpoint=CheckpointConfig(tmp_path, every=7),
         )
         assert checkpointed.records == reference.records
         assert list(Path(tmp_path).glob("round-*.json"))
         resumed = run_history(
             prepared, q, seed=0,
-            checkpoint_dir=str(tmp_path), checkpoint_every=7, resume=True,
+            checkpoint=CheckpointConfig(tmp_path, every=7, resume=True),
         )
         assert resumed.records == reference.records
 
@@ -292,11 +292,11 @@ class TestRunHistoryCheckpointing:
         reference = run_history(prepared, q, seed=0)
         run_history(
             prepared, q, seed=0, chunk_size=3,
-            checkpoint_dir=str(tmp_path), checkpoint_every=7,
+            checkpoint=CheckpointConfig(tmp_path, every=7),
         )
         resumed = run_history(
             prepared, q, seed=0, chunk_size=2, backend="loop",
-            checkpoint_dir=str(tmp_path), checkpoint_every=7, resume=True,
+            checkpoint=CheckpointConfig(tmp_path, every=7, resume=True),
         )
         assert resumed.records == reference.records
 

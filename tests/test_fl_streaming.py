@@ -24,7 +24,7 @@ from repro.datasets import streaming_synthetic_federated
 from repro.experiments.configs import SCALES, SETUPS, apply_scale
 from repro.experiments.orchestrator import TrainJob, job_key
 from repro.experiments.setup import prepare_setup
-from repro.fl import BernoulliParticipation, FederatedTrainer
+from repro.fl import BernoulliParticipation, ExecutionSpec, FederatedTrainer
 from repro.models import MultinomialLogisticRegression
 from repro.utils.rng import RngFactory
 
@@ -147,14 +147,19 @@ class TestChunkedBitIdentity:
 class TestChunkKnobNeverForksTheCache:
     def test_chunk_size_excluded_from_job_identity(self):
         base = TrainJob(q=(0.5, 0.5), seed=0)
-        chunked = TrainJob(q=(0.5, 0.5), seed=0, chunk_size=8)
+        chunked = TrainJob(
+            q=(0.5, 0.5), seed=0, execution=ExecutionSpec(chunk_size=8)
+        )
         assert base.key_fields() == chunked.key_fields()
         assert "chunk_size" not in base.key_fields()
 
     def test_chunk_size_keeps_cache_keys(self, ci_prepared):
         base = job_key(ci_prepared, TrainJob(q=(0.5,) * 8, seed=1))
         chunked = job_key(
-            ci_prepared, TrainJob(q=(0.5,) * 8, seed=1, chunk_size=4)
+            ci_prepared,
+            TrainJob(
+                q=(0.5,) * 8, seed=1, execution=ExecutionSpec(chunk_size=4)
+            ),
         )
         assert base == chunked
 

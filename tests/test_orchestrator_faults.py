@@ -41,6 +41,7 @@ from repro.experiments.orchestrator import (
     job_key,
 )
 from repro.faults import FaultPlan
+from repro.fl import CheckpointConfig
 from repro.game import UniformPricing
 
 
@@ -222,8 +223,8 @@ class TestCheckpointedJobs:
     def test_checkpoint_knobs_stay_out_of_cache_keys(self, prepared):
         plain = TrainJob(q=(0.5, 0.5), seed=0)
         knobbed = TrainJob(
-            q=(0.5, 0.5), seed=0, checkpoint_dir="/tmp/ck",
-            checkpoint_every=3, resume=True,
+            q=(0.5, 0.5), seed=0,
+            checkpoint=CheckpointConfig("/tmp/ck", every=3, resume=True),
         )
         assert plain.key_fields() == knobbed.key_fields()
         assert job_key(prepared, plain) == job_key(prepared, knobbed)
@@ -232,8 +233,8 @@ class TestCheckpointedJobs:
         plain = run_pricing_comparison(
             prepared, repeats=1, schemes=[UniformPricing()]
         )
-        orchestrator = ExperimentOrchestrator(jobs=2).with_checkpointing(
-            tmp_path / "ckpt", every=7
+        orchestrator = ExperimentOrchestrator(
+            jobs=2, checkpoint=CheckpointConfig(tmp_path / "ckpt", every=7)
         )
         checkpointed = run_pricing_comparison(
             prepared, repeats=1, schemes=[UniformPricing()],
@@ -246,10 +247,10 @@ class TestCheckpointedJobs:
         subdirs = list(Path(tmp_path / "ckpt").glob("*/round-*.json"))
         assert subdirs
 
-    def test_with_checkpointing_validates(self, tmp_path):
+    def test_checkpoint_config_validates(self, tmp_path):
         with pytest.raises(ValueError, match="every"):
-            ExperimentOrchestrator(jobs=1).with_checkpointing(
-                tmp_path, every=0
+            ExperimentOrchestrator(
+                jobs=1, checkpoint=CheckpointConfig(tmp_path, every=0)
             )
 
     def test_orchestrator_validates_fault_knobs(self):

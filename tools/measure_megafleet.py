@@ -32,36 +32,19 @@ import sys
 import time
 from pathlib import Path
 
+from repro.experiments.cli import (
+    add_execution_options,
+    execution_argv,
+    execution_from_args,
+)
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", default="ci")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--scenario", default="megafleet-train")
-    parser.add_argument(
-        "--backend",
-        choices=("vectorized", "loop"),
-        default="vectorized",
-        help="local-SGD engine for train scenarios",
-    )
-    parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        help="memory-bounded stack width (default: trainer's choice)",
-    )
-    parser.add_argument(
-        "--precision",
-        choices=("float64", "float32"),
-        default="float64",
-        help="kernel dtype for train scenarios",
-    )
-    parser.add_argument(
-        "--fast",
-        action="store_true",
-        help="run on the fast tier (fused float32 rounds, sub-sampled "
-        "evaluation, approximate equilibrium solvers)",
-    )
+    add_execution_options(parser)
     parser.add_argument(
         "--algorithm",
         default=None,
@@ -70,6 +53,7 @@ def main(argv=None) -> int:
         "fedprox/feddyn/server_momentum; overrides the scenario's own)",
     )
     args = parser.parse_args(argv)
+    execution = execution_from_args(args, parser)
 
     from repro.algorithms import coerce_algorithm
     from repro.experiments.orchestrator import ExperimentOrchestrator
@@ -79,7 +63,7 @@ def main(argv=None) -> int:
     from repro.utils.serialization import save_json
 
     spec = get_scenario(args.scenario)
-    fast = args.fast or spec.fast
+    fast = execution.fast or spec.fast
     # The flag overrides the scenario's own rule (by rewriting the spec
     # the runner sees); otherwise the scenario's own (possibly None =
     # plain FedAvg) applies.
@@ -97,10 +81,7 @@ def main(argv=None) -> int:
     if spec.train:
         orchestrator = ExperimentOrchestrator(
             jobs=1,
-            backend=args.backend,
-            chunk_size=args.chunk_size,
-            precision=args.precision,
-            fast=fast,
+            execution=dataclasses.replace(execution, fast=fast),
             algorithm=algorithm,
         )
     runner = ScenarioRunner(
@@ -113,30 +94,21 @@ def main(argv=None) -> int:
     peak_rss_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     bad = nonfinite_metrics(cells)
 
-    command = (
-        "PYTHONPATH=src python tools/measure_megafleet.py "
-        f"--scale {args.scale} --seed {args.seed} "
-        f"--scenario {args.scenario}"
-    )
-    if args.backend != "vectorized":
-        command += f" --backend {args.backend}"
-    if args.chunk_size is not None:
-        command += f" --chunk-size {args.chunk_size}"
-    if args.precision != "float64":
-        command += f" --precision {args.precision}"
-    if args.fast:
-        command += " --fast"
-    if args.algorithm is not None:
-        command += f" --algorithm {algorithm.canonical()}"
+    command = " ".join([
+        "PYTHONPATH=src python tools/measure_megafleet.py",
+        f"--scale {args.scale} --seed {args.seed} --scenario {args.scenario}",
+        *execution_argv(execution),
+        *(["--algorithm", algorithm.canonical()] if args.algorithm else []),
+    ])
     config = runner.prepare(spec).config
     payload = {
         "command": command,
         "scenario": spec.name,
         "scale": args.scale,
         "seed": args.seed,
-        "backend": args.backend,
-        "chunk_size": args.chunk_size,
-        "dtype": args.precision,
+        "backend": execution.backend,
+        "chunk_size": execution.chunk_size,
+        "dtype": execution.precision,
         "fast": fast,
         "algorithm": algorithm.canonical(),
         "num_clients": config.num_clients,
@@ -154,7 +126,7 @@ def main(argv=None) -> int:
         ],
     }
     stem = spec.name.replace("-", "_")
-    suffix = "_fast" if args.fast else ""
+    suffix = "_fast" if execution.fast else ""
     if args.algorithm is not None and not algorithm.is_default:
         # Explicit-flag runs archive beside the scenario's own baseline,
         # keyed by kind, so baselines are never overwritten.
