@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -431,18 +431,24 @@ class ApiRuntime:
             }
         return content_address(key_doc), key_doc
 
-    def cache_get(self, key: str) -> Optional[dict]:
-        """In-memory memo first, then the store; ``None`` on miss."""
+    def cache_get(self, key: str, decode: Callable[[dict], Any]) -> Any:
+        """``decode`` of the cached document for ``key``: the in-memory
+        memo first, then the store; ``None`` on a miss.
+
+        A document that ``decode`` rejects is a miss, so it is recomputed;
+        in the store it is also a logged, counted corrupt entry (see
+        :meth:`~repro.experiments.orchestrator.ResultStore.get`).
+        """
+        from repro.experiments.orchestrator import DECODE_ERRORS
+
         with self._lock:
-            if key in self._memo:
-                return self._memo[key]
-        if self.store is None:
+            doc = self._memo.get(key)
+        if doc is None:
+            return None if self.store is None else self.store.get(key, decode)
+        try:
+            return decode(doc)
+        except DECODE_ERRORS:
             return None
-        entry = self.store.get(key)
-        if entry is None:
-            return None
-        payload = entry.get("payload")
-        return payload if isinstance(payload, dict) else None
 
     def cache_put(self, key: str, key_doc: dict, kind: str, doc: dict) -> None:
         """Memoize in memory and (when a store exists) on disk."""
@@ -520,15 +526,12 @@ def _solve_outcome(
         ref = f"scenario/{scenario}" if scenario else f"setup/{setup}"
         spec = _scheme_spec(scheme, None)
         key, key_doc = runtime.solve_key(prepared, fingerprint, spec, ref)
-        doc = runtime.cache_get(key)
-        outcome = None
-        if doc is not None:
-            try:
-                outcome = outcome_from_doc(doc, problem)
-            except (KeyError, TypeError, ValueError):
-                outcome = None  # undecodable entry: treat as a miss
-    if outcome is not None:
+        cached = runtime.cache_get(
+            key, lambda doc: (outcome_from_doc(doc, problem), doc)
+        )
+    if cached is not None:
         trace.mark_cache(True)
+        outcome, doc = cached
         return outcome, fingerprint, True, doc
     trace.mark_cache(False)
     with trace.stage("solve"):
@@ -701,23 +704,17 @@ def run_scenario(
             if spec.algorithm is None and orchestrator.algorithm is not None:
                 key_doc["algorithm"] = orchestrator.algorithm.to_doc()
         key = content_address(key_doc)
-        doc = runtime.cache_get(key)
-        cells = None
-        if doc is not None:
-            try:
-                cells = schemas.scenario_cells_from_doc(
-                    schemas.envelope(
-                        "scenario-run",
-                        doc,
-                        population_fingerprint=fingerprint,
-                    )
-                )
-            except (KeyError, TypeError, ValueError, schemas.SchemaError):
-                cells = None  # undecodable entry: treat as a miss
-                doc = None
-    if cells is not None:
+
+        def decode(doc: dict) -> Tuple[list, dict]:
+            envelope = schemas.envelope(
+                "scenario-run", doc, population_fingerprint=fingerprint
+            )
+            return schemas.scenario_cells_from_doc(envelope), doc
+
+        cached = runtime.cache_get(key, decode)
+    if cached is not None:
         trace.mark_cache(True)
-        result = doc
+        cells, result = cached
     else:
         trace.mark_cache(False)
         if request.mechanisms is not None:
@@ -740,7 +737,7 @@ def run_scenario(
     return ScenarioRunResponse(
         cells=cells,
         population_fingerprint=fingerprint,
-        cached=doc is not None,
+        cached=cached is not None,
         trace=trace,
         result=result,
     )

@@ -18,28 +18,21 @@ Verbs and their paper correspondence:
   non-zero on any non-finite metric.
 * ``cache {stats,clear}`` — inspect or empty the content-addressed result
   store (requires ``--cache-dir``).
-* ``bench [orchestrator]`` — serial vs parallel wall-clock on the Fig.-4
-  grid, plus a warm-cache re-run, verifying the orchestrator's determinism
-  contract.
-* ``bench trainer`` — loop vs vectorized local-SGD engine wall-clock on
-  the Fig.-4 workload, verifying the backends' bit-identical histories and
-  archiving ``benchmarks/results/bench/bench_trainer.json``.
 * ``serve`` — the persistent pricing server (:mod:`repro.service`):
   scenario populations load once and stay warm, the ``--cache-dir`` store
   becomes a shared cache tier, and every response carries the
   observability contract's trace.
-* ``bench serve`` — requests/s and per-stage latency percentiles of the
-  service under a mixed request batch, archiving
-  ``benchmarks/results/bench/bench_serve.json``.
 
 Parallelism and caching apply to every experiment verb (``table``, ``fig``,
 ``equilibrium``): ``--jobs N`` fans independent equilibrium/training jobs
 across ``N`` worker processes and ``--cache-dir DIR`` memoizes each job on
-disk (see :mod:`repro.experiments.orchestrator`). ``bench`` honors
-``--jobs`` but always measures against a fresh private store. Results are
+disk (see :mod:`repro.experiments.orchestrator`). Results are
 bit-identical to a serial, uncached run for the same ``--seed`` — and to
 either ``--backend`` (vectorized is the default; ``loop`` is the reference
 per-client engine).
+
+No verb measures performance: the benchmark is ``python3 perf/run.py``
+(workloads, metrics and the comparison recipe are in ``perf/README.md``).
 
 Examples::
 
@@ -47,8 +40,6 @@ Examples::
     python -m repro.experiments fig --id 4 --setup setup2 --scale bench --out results/
     python -m repro.experiments --jobs 4 --cache-dir ~/.repro-cache fig --id 4
     python -m repro.experiments --cache-dir ~/.repro-cache cache stats
-    python -m repro.experiments --jobs 4 bench
-    python -m repro.experiments --scale bench bench trainer
 
 Artifacts are printed to stdout and, with ``--out``, archived as JSON/CSV.
 """
@@ -56,10 +47,7 @@ Artifacts are printed to stdout and, with ``--out``, archived as JSON/CSV.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
-import tempfile
-import time
 from dataclasses import fields
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -319,26 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--port", type=int, default=8734,
         help="port to bind (default: 8734; 0 picks an ephemeral port)",
-    )
-
-    bench = add_verb(
-        "bench",
-        help="benchmark the orchestrator, the trainer backends, the "
-        "memory-bounded training pipeline, or the pricing service",
-    )
-    bench.add_argument(
-        "target", nargs="?",
-        choices=("orchestrator", "trainer", "memory", "serve"),
-        default="orchestrator",
-        help="orchestrator: serial vs parallel wall-clock on the Fig.-4 "
-        "grid; trainer: loop vs vectorized local-SGD engines on the "
-        "Fig.-4 workload; memory: eager vs streaming peak RSS on a "
-        "mid-sized fleet (isolated subprocesses); serve: requests/s and "
-        "per-stage latency of the pricing service",
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=None,
-        help="independent runs per scheme (default: scale profile)",
     )
 
     fuzz = add_verb(
@@ -881,673 +849,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-#: The ``bench serve`` mixed request batch: pricing across mechanisms on
-#: warm scenario economies, a setup-pipeline solve, an equilibrium, and
-#: the cheap registry/health reads a dashboard would poll.
-_SERVE_BENCH_BATCH = (
-    ("POST", "/v1/price", {"scenario": "paper-default",
-                           "mechanism": "proposed"}),
-    ("POST", "/v1/price", {"scenario": "paper-default",
-                           "mechanism": "uniform"}),
-    ("POST", "/v1/price", {"scenario": "high-value",
-                           "mechanism": "fixed-subset"}),
-    ("POST", "/v1/price", {"scenario": "budget-crunch",
-                           "mechanism": "random"}),
-    ("POST", "/v1/price", {"setup": "setup1", "mechanism": "proposed"}),
-    ("POST", "/v1/equilibrium", {"scenario": "homogeneous-cheap"}),
-    ("GET", "/v1/scenarios", None),
-    ("GET", "/v1/health", None),
-)
-
-#: Batch repetitions per client thread at each scale.
-_SERVE_BENCH_ROUNDS = {"ci": 4, "bench": 25, "paper": 60}
-
-
-def _cmd_bench_serve(args) -> int:
-    """Benchmark the pricing service: requests/s + per-stage latency.
-
-    Boots an in-process server on an ephemeral port, replays the mixed
-    request batch once to warm the economies and the cache (and verifies
-    a warm request really skips the ``solve`` stage), then measures
-    sustained throughput from concurrent keep-alive clients. Requests/s
-    and the per-endpoint per-stage latency percentiles from
-    ``GET /v1/metrics`` are archived (default:
-    ``benchmarks/results/bench/bench_serve.json`` at the bench scale,
-    ``bench_serve_<scale>.json`` otherwise; ``--out`` overrides the
-    directory).
-    """
-    import http.client
-    import json
-    import threading
-
-    from repro import api
-    from repro.observability import check_metrics_snapshot
-    from repro.service import ServiceApp, make_server
-
-    runtime = api.ApiRuntime(
-        scale=args.scale, seed=args.seed, cache_dir=args.cache_dir
-    )
-    server = make_server("127.0.0.1", 0, ServiceApp(runtime))
-    port = server.server_address[1]
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-
-    def call(connection, method, path, body):
-        payload = None if body is None else json.dumps(body).encode()
-        headers = {"Content-Type": "application/json"} if payload else {}
-        connection.request(method, path, body=payload, headers=headers)
-        response = connection.getresponse()
-        data = response.read()
-        if response.status != 200:
-            raise RuntimeError(
-                f"bench serve: {method} {path} -> {response.status}: "
-                f"{data[:200]!r}"
-            )
-        return json.loads(data)
-
-    try:
-        warm = http.client.HTTPConnection("127.0.0.1", port)
-        for method, path, body in _SERVE_BENCH_BATCH:
-            call(warm, method, path, body)
-        probe = call(warm, *_SERVE_BENCH_BATCH[0])
-        warm.close()
-        trace = probe["trace"]
-        solve_skipped = (
-            trace["cache"] == "hit" and "solve" not in trace["stages"]
-        )
-        if not solve_skipped:
-            print(
-                "bench serve: warm request did not skip the solve stage",
-                file=sys.stderr,
-            )
-
-        clients = 4
-        rounds = args.repeats or _SERVE_BENCH_ROUNDS[runtime.scale.name]
-        errors = []
-
-        def worker() -> None:
-            connection = http.client.HTTPConnection("127.0.0.1", port)
-            try:
-                for _ in range(rounds):
-                    for method, path, body in _SERVE_BENCH_BATCH:
-                        call(connection, method, path, body)
-            except Exception as error:  # surfaced after the join
-                errors.append(error)
-            finally:
-                connection.close()
-
-        threads = [
-            threading.Thread(target=worker) for _ in range(clients)
-        ]
-        start = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        wall_s = time.perf_counter() - start
-        if errors:
-            raise errors[0]
-        total_requests = clients * rounds * len(_SERVE_BENCH_BATCH)
-        requests_per_s = total_requests / wall_s if wall_s > 0 else 0.0
-
-        tail = http.client.HTTPConnection("127.0.0.1", port)
-        snapshot = call(tail, "GET", "/v1/metrics", None)["result"]
-        tail.close()
-        check_metrics_snapshot(snapshot)
-    finally:
-        server.shutdown()
-        server.server_close()
-
-    rows = [
-        [endpoint, stage, quantiles["count"],
-         quantiles["p50"] * 1e3, quantiles["p90"] * 1e3,
-         quantiles["p99"] * 1e3]
-        for endpoint in sorted(snapshot["latency"])
-        for stage, quantiles in sorted(snapshot["latency"][endpoint].items())
-    ]
-    print(
-        render_table(
-            ["endpoint", "stage", "count", "p50 ms", "p90 ms", "p99 ms"],
-            rows,
-            title=(
-                f"Pricing service ({clients} clients x {rounds} rounds x "
-                f"{len(_SERVE_BENCH_BATCH)} requests, scale "
-                f"{runtime.scale.name})"
-            ),
-            float_format=",.3f",
-        )
-    )
-    print(
-        f"throughput: {requests_per_s:,.1f} requests/s "
-        f"({total_requests} requests in {wall_s:,.3f} s)"
-    )
-    print(f"cache: {snapshot['cache']}")
-    print(f"warm requests skip the solve stage: {solve_skipped}")
-    if args.out:
-        out_dir, filename = args.out, "bench_serve.json"
-    else:
-        out_dir = Path("benchmarks") / "results" / "bench"
-        filename = (
-            "bench_serve.json"
-            if runtime.scale.name == "bench"
-            else f"bench_serve_{runtime.scale.name}.json"
-        )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_json(
-        {
-            "scale": runtime.scale.name,
-            "seed": args.seed,
-            "clients": clients,
-            "rounds": rounds,
-            "batch_size": len(_SERVE_BENCH_BATCH),
-            "total_requests": total_requests,
-            "wall_s": wall_s,
-            "requests_per_s": requests_per_s,
-            "requests": snapshot["requests"],
-            "cache": snapshot["cache"],
-            "latency": snapshot["latency"],
-            "solve_skipped_when_warm": solve_skipped,
-        },
-        out_dir / filename,
-    )
-    return 0 if solve_skipped else 1
-
-
-def _cmd_bench_trainer(args) -> int:
-    """Benchmark the trainer backends on the Fig.-4 workload.
-
-    Solves the proposed scheme's equilibrium once, then times full cold
-    training runs at the equilibrium participation vector under each
-    backend (order alternated across ``--repeats`` repetitions, best time
-    kept), verifies every history is bit-identical, and archives
-    wall-times + speedup as JSON (default:
-    ``benchmarks/results/bench/bench_trainer.json`` at the bench scale —
-    the artifact the README perf table tracks — and
-    ``bench_trainer_<scale>.json`` otherwise, so other scales never
-    clobber it). This measures pure vectorization on one core, not
-    parallelism.
-    """
-    import numpy as np
-
-    from repro.algorithms import coerce_algorithm
-    from repro.experiments.runner import run_history
-    from repro.game import OptimalPricing
-
-    prepared = _prepared(args)
-    algorithm = coerce_algorithm(args.algorithm)
-    solve_start = time.perf_counter()
-    q = OptimalPricing().apply(prepared.problem).q
-    solve_s = time.perf_counter() - solve_start
-    # Knobs that enter cache keys are exactly those that change results.
-    exact_mode = not args.execution.key_fields()
-
-    # Shared hosts throttle under sustained load, which would bias
-    # whichever backend happens to run second. Alternate the order across
-    # repetitions and take each backend's best time (the timeit
-    # estimator): the minimum is the least-interfered measurement of the
-    # same deterministic computation.
-    repeats = args.repeats or 2
-    times = {"loop": [], "vectorized": []}
-    phases = {"loop": [], "vectorized": []}
-    histories = {}
-    for repetition in range(repeats):
-        order = ("loop", "vectorized")
-        if repetition % 2:
-            order = ("vectorized", "loop")
-        for backend in order:
-            timings: dict = {}
-            start = time.perf_counter()
-            history = run_history(
-                prepared,
-                q,
-                seed=args.seed,
-                algorithm=algorithm,
-                execution=args.execution,
-                backend=backend,
-                phase_timings=timings,
-            )
-            times[backend].append(time.perf_counter() - start)
-            phases[backend].append(timings)
-            previous = histories.setdefault(backend, history)
-            if previous.records != history.records:
-                raise AssertionError(
-                    f"{backend} backend is not deterministic across reps"
-                )
-
-    loop_s = min(times["loop"])
-    vectorized_s = min(times["vectorized"])
-    # Per-phase breakdown of each backend's best repetition; whatever the
-    # wall-clock spends outside local SGD + aggregation ("train") and
-    # metric passes ("eval") is setup overhead ("other").
-    best_phases = {}
-    for backend in ("loop", "vectorized"):
-        best = int(np.argmin(times[backend]))
-        wall = times[backend][best]
-        timing = phases[backend][best]
-        best_phases[backend] = {
-            "train_s": timing.get("train_s", 0.0),
-            "eval_s": timing.get("eval_s", 0.0),
-            "other_s": max(
-                wall - timing.get("train_s", 0.0) - timing.get("eval_s", 0.0),
-                0.0,
-            ),
-        }
-    identical = (
-        histories["loop"].records == histories["vectorized"].records
-    )
-    rounds = prepared.config.num_rounds
-    speedup = loop_s / vectorized_s if vectorized_s > 0 else float("inf")
-    rows = [
-        [
-            "loop",
-            algorithm.canonical(),
-            loop_s,
-            best_phases["loop"]["train_s"],
-            best_phases["loop"]["eval_s"],
-            rounds / loop_s,
-            1.0,
-        ],
-        [
-            "vectorized",
-            algorithm.canonical(),
-            vectorized_s,
-            best_phases["vectorized"]["train_s"],
-            best_phases["vectorized"]["eval_s"],
-            rounds / vectorized_s,
-            speedup,
-        ],
-    ]
-    print(
-        render_table(
-            [
-                "backend",
-                "algorithm",
-                "wall-clock s",
-                "train s",
-                "eval s",
-                "rounds/s",
-                "speedup vs loop",
-            ],
-            rows,
-            title=(
-                f"Fig.-4 workload ({args.setup}, scale "
-                f"{prepared.scale.name}: {prepared.config.num_clients} "
-                f"clients x {rounds} rounds x "
-                f"{prepared.config.local_steps} local steps)"
-            ),
-            float_format=",.3f",
-        )
-    )
-    print(f"equilibrium solve: {solve_s:,.3f} s")
-    if exact_mode:
-        print(f"loop == vectorized (bit-identical histories): {identical}")
-    else:
-        # The fast tier trades the cross-backend bit-identity contract for
-        # throughput (summation order differs between engines at reduced
-        # precision), so report the divergence instead of asserting it away.
-        deviation = abs(
-            histories["loop"].final_global_loss()
-            - histories["vectorized"].final_global_loss()
-        )
-        print(
-            f"fast tier ({args.execution.precision}): |final loss delta| "
-            f"between backends = {deviation:.3e}"
-        )
-    if args.out:
-        out_dir, filename = args.out, "bench_trainer.json"
-    else:
-        # The default archive location is the bench-scale artifact the
-        # README perf table tracks; other scales get a suffixed filename
-        # so a ci/paper run never clobbers it.
-        out_dir = Path("benchmarks") / "results" / "bench"
-        filename = (
-            "bench_trainer.json"
-            if prepared.scale.name == "bench"
-            else f"bench_trainer_{prepared.scale.name}.json"
-        )
-        if not exact_mode:
-            # Fast-tier measurements live beside — never instead of — the
-            # exact-path artifact the README perf table tracks.
-            filename = filename.replace(".json", "_fast.json")
-        if not algorithm.is_default:
-            # Same rule for non-default algorithms: their kernel overhead
-            # is archived beside the FedAvg baseline, keyed by kind.
-            filename = filename.replace(".json", f"_{algorithm.kind}.json")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_json(
-        {
-            "setup": args.setup,
-            "scale": prepared.scale.name,
-            "seed": args.seed,
-            "repeats": repeats,
-            "num_clients": prepared.config.num_clients,
-            "num_rounds": rounds,
-            "local_steps": prepared.config.local_steps,
-            "batch_size": prepared.config.batch_size,
-            "mean_participants": float(np.clip(q, 0.0, 1.0).sum()),
-            "precision": args.execution.precision,
-            "fast": args.execution.fast,
-            "algorithm": algorithm.canonical(),
-            "solve_s": solve_s,
-            "loop_s": loop_s,
-            "vectorized_s": vectorized_s,
-            "loop_s_all": times["loop"],
-            "vectorized_s_all": times["vectorized"],
-            "loop_phases": best_phases["loop"],
-            "vectorized_phases": best_phases["vectorized"],
-            "loop_rounds_per_s": rounds / loop_s,
-            "vectorized_rounds_per_s": rounds / vectorized_s,
-            "speedup": speedup,
-            "identical": identical,
-        },
-        out_dir / filename,
-    )
-    return 0 if identical or not exact_mode else 1
-
-
-#: Fleet shape of the ``bench memory`` measurement per scale profile:
-#: (num_clients, samples_per_client, rounds, local_steps).
-_MEMORY_BENCH_FLEETS = {
-    "ci": (300, 60, 4, 4),
-    "bench": (1_200, 60, 6, 5),
-    "paper": (4_000, 60, 6, 5),
-}
-
-
-def _bench_memory_worker(mode: str, profile: tuple, seed: int, queue) -> None:
-    """Run one storage mode's training in a clean process and report
-    ``(wall seconds, tracemalloc peak, ru_maxrss KiB, history digest)``.
-
-    Runs under the ``spawn`` start method so each mode's ``ru_maxrss`` is
-    its own process's true peak RSS, not a copy-on-write echo of the
-    parent's.
-    """
-    import resource
-    import tracemalloc
-
-    import numpy as np
-
-    from repro.datasets import streaming_synthetic_federated
-    from repro.fl import BernoulliParticipation, FederatedTrainer
-    from repro.models import MultinomialLogisticRegression
-    from repro.utils.rng import RngFactory
-    from repro.utils.serialization import content_address, history_to_doc
-
-    num_clients, per_client, rounds, local_steps = profile
-    federated = streaming_synthetic_federated(
-        num_clients,
-        total_samples=num_clients * per_client,
-        seed=seed,
-        test_clients=64,
-        max_size=4 * per_client,
-    )
-    if mode == "eager":
-        federated = federated.materialize()
-    model = MultinomialLogisticRegression(
-        num_features=federated.num_features,
-        num_classes=federated.num_classes,
-        l2=1e-2,
-    )
-    q = np.full(num_clients, 0.3)
-    factory = RngFactory(seed)
-    trainer = FederatedTrainer(
-        model,
-        federated,
-        BernoulliParticipation(q, rng=factory.make("participation")),
-        local_steps=local_steps,
-        batch_size=24,
-        eval_every=2,
-        rng_factory=factory,
-    )
-    tracemalloc.start()
-    start = time.perf_counter()
-    history = trainer.run(rounds)
-    wall_s = time.perf_counter() - start
-    _, traced_peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    queue.put(
-        (
-            mode,
-            wall_s,
-            int(traced_peak),
-            int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss),
-            content_address(history_to_doc(history)),
-        )
-    )
-
-
-def _cmd_bench_memory(args) -> int:
-    """Benchmark eager vs streaming peak memory on a mid-sized fleet.
-
-    Each storage mode trains the *same* federation (the streaming build
-    and its materialized eager twin) at the same participation vector in
-    its own spawned subprocess, so ``ru_maxrss`` is a faithful per-mode
-    peak-RSS reading. Exits non-zero unless the two modes' histories are
-    bit-identical; archives the comparison as
-    ``benchmarks/results/bench/bench_memory.json`` (the ``--out``/scale
-    conventions match ``bench trainer``).
-    """
-    import multiprocessing
-
-    prepared_scale = resolve_scale(args.scale)
-    profile = _MEMORY_BENCH_FLEETS[prepared_scale.name]
-    context = multiprocessing.get_context("spawn")
-    results = {}
-    for mode in ("eager", "streaming"):
-        queue = context.Queue()
-        process = context.Process(
-            target=_bench_memory_worker,
-            args=(mode, profile, args.seed, queue),
-        )
-        process.start()
-        deadline = time.monotonic() + 1_800
-        result = None
-        while result is None:
-            try:
-                # Short poll so a crashed worker fails the bench within
-                # seconds instead of consuming the whole time budget.
-                result = queue.get(timeout=2)
-            except Exception:
-                if not process.is_alive():
-                    # The result may still be in flight through the queue
-                    # feeder; give it one grace read before declaring the
-                    # worker dead.
-                    try:
-                        result = queue.get(timeout=2)
-                        continue
-                    except Exception:
-                        pass
-                    process.join(5)
-                    raise RuntimeError(
-                        f"bench memory: the {mode} worker died without "
-                        f"reporting (exit code {process.exitcode})"
-                    )
-                if time.monotonic() > deadline:
-                    process.terminate()
-                    process.join(5)
-                    raise RuntimeError(
-                        f"bench memory: the {mode} worker exceeded the "
-                        "30-minute budget and was terminated"
-                    )
-        mode_name, wall_s, traced, rss_kb, digest = result
-        process.join()
-        results[mode_name] = {
-            "wall_s": wall_s,
-            "traced_peak_bytes": traced,
-            "peak_rss_kib": rss_kb,
-            "history_digest": digest,
-        }
-    identical = (
-        results["eager"]["history_digest"]
-        == results["streaming"]["history_digest"]
-    )
-    rss_ratio = (
-        results["eager"]["peak_rss_kib"]
-        / max(results["streaming"]["peak_rss_kib"], 1)
-    )
-    traced_ratio = (
-        results["eager"]["traced_peak_bytes"]
-        / max(results["streaming"]["traced_peak_bytes"], 1)
-    )
-    num_clients, per_client, rounds, local_steps = profile
-    rows = [
-        [
-            mode,
-            entry["peak_rss_kib"] / 1024.0,
-            entry["traced_peak_bytes"] / 1e6,
-            entry["wall_s"],
-        ]
-        for mode, entry in results.items()
-    ]
-    print(
-        render_table(
-            ["mode", "peak RSS MiB", "traced peak MB", "wall-clock s"],
-            rows,
-            title=(
-                f"Memory-bounded training ({num_clients} clients x "
-                f"{per_client} samples, {rounds} rounds, scale "
-                f"{prepared_scale.name})"
-            ),
-            float_format=",.2f",
-        )
-    )
-    print(
-        f"eager/streaming peak RSS ratio: {rss_ratio:.2f}x "
-        f"(traced allocations: {traced_ratio:.2f}x)"
-    )
-    print(f"eager == streaming (bit-identical histories): {identical}")
-    if args.out:
-        out_dir, filename = args.out, "bench_memory.json"
-    else:
-        out_dir = Path("benchmarks") / "results" / "bench"
-        filename = (
-            "bench_memory.json"
-            if prepared_scale.name == "bench"
-            else f"bench_memory_{prepared_scale.name}.json"
-        )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_json(
-        {
-            "scale": prepared_scale.name,
-            "seed": args.seed,
-            "num_clients": num_clients,
-            "samples_per_client": per_client,
-            "num_rounds": rounds,
-            "local_steps": local_steps,
-            "eager": results["eager"],
-            "streaming": results["streaming"],
-            "peak_rss_ratio": rss_ratio,
-            "traced_peak_ratio": traced_ratio,
-            "identical": identical,
-        },
-        out_dir / filename,
-    )
-    return 0 if identical else 1
-
-
-def _cmd_bench(args) -> int:
-    """Benchmark the orchestrator on the Fig.-4 grid (3 schemes x repeats).
-
-    Times a serial uncached run, a parallel cold-cache run with ``--jobs``
-    workers, and a warm-cache re-run, then verifies the three produced
-    bit-identical training histories. Parallel speedup requires the
-    hardware to actually have spare cores (reported in the output);
-    cache speedup does not.
-    """
-    import os as _os
-    import shutil
-
-    import numpy as np
-
-    prepared = _prepared(args)
-    repeats = args.repeats or max(1, prepared.config.repeats // 2)
-    # Always a fresh private store: measuring a "cold cache" through a
-    # user-populated --cache-dir would silently time cache hits instead.
-    if args.cache_dir is not None:
-        print(
-            "bench: ignoring --cache-dir (a cold-cache measurement needs "
-            "an empty private store)"
-        )
-    cache_dir = Path(tempfile.mkdtemp(prefix="repro-bench-cache-"))
-    # Every mode times the training the flags ask for.
-    bench_orchestrator = functools.partial(
-        ExperimentOrchestrator, execution=args.execution, algorithm=args.algorithm
-    )
-    try:
-        serial_orch = bench_orchestrator(jobs=1)
-        start = time.perf_counter()
-        serial, _ = fig4_grid(
-            prepared, repeats=repeats, orchestrator=serial_orch
-        )
-        serial_s = time.perf_counter() - start
-
-        cold_orch = bench_orchestrator(jobs=args.jobs, cache_dir=cache_dir)
-        start = time.perf_counter()
-        parallel, _ = fig4_grid(
-            prepared, repeats=repeats, orchestrator=cold_orch
-        )
-        parallel_s = time.perf_counter() - start
-
-        warm_orch = bench_orchestrator(jobs=args.jobs, cache_dir=cache_dir)
-        start = time.perf_counter()
-        warm, _ = fig4_grid(prepared, repeats=repeats, orchestrator=warm_orch)
-        warm_s = time.perf_counter() - start
-
-        stats = warm_orch.store.stats()
-    finally:
-        shutil.rmtree(cache_dir, ignore_errors=True)
-
-    identical = all(
-        np.array_equal(serial[name].outcome.q, parallel[name].outcome.q)
-        and np.array_equal(serial[name].outcome.q, warm[name].outcome.q)
-        and len(serial[name].histories)
-        == len(parallel[name].histories)
-        == len(warm[name].histories)
-        and all(
-            a.records == b.records == c.records
-            for a, b, c in zip(
-                serial[name].histories,
-                parallel[name].histories,
-                warm[name].histories,
-            )
-        )
-        for name in serial
-    )
-    rows = [
-        ["serial (jobs=1, no cache)", serial_s, 1.0],
-        [f"parallel (jobs={args.jobs}, cold cache)", parallel_s,
-         serial_s / parallel_s if parallel_s > 0 else float("inf")],
-        [f"warm cache (jobs={args.jobs})", warm_s,
-         serial_s / warm_s if warm_s > 0 else float("inf")],
-    ]
-    print(
-        render_table(
-            ["mode", "wall-clock s", "speedup vs serial"],
-            rows,
-            title=(
-                f"Fig.-4 grid ({args.setup}, {len(serial)} schemes x "
-                f"{repeats} seeds, {_os.cpu_count()} CPU core(s) available)"
-            ),
-            float_format=",.3f",
-        )
-    )
-    print(f"parallel == serial == warm-cache (bit-identical): {identical}")
-    print(render_cache_stats(stats))
-    if args.out:
-        save_json(
-            {
-                "serial_s": serial_s,
-                "parallel_s": parallel_s,
-                "warm_s": warm_s,
-                "jobs": args.jobs,
-                "repeats": repeats,
-                "cpu_count": _os.cpu_count(),
-                "identical": identical,
-            },
-            args.out / f"bench_orchestrator_{args.setup}.json",
-        )
-    return 0 if identical else 1
-
-
 def _nan(array):
     import numpy as np
 
@@ -1584,14 +885,6 @@ def _dispatch(args) -> int:
         return _cmd_fuzz(args)
     if args.command == "serve":
         return _cmd_serve(args)
-    if args.command == "bench":
-        if args.target == "trainer":
-            return _cmd_bench_trainer(args)
-        if args.target == "memory":
-            return _cmd_bench_memory(args)
-        if args.target == "serve":
-            return _cmd_bench_serve(args)
-        return _cmd_bench(args)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

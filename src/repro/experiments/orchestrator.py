@@ -279,6 +279,11 @@ def job_key(
 # Result store ---------------------------------------------------------------
 
 
+#: What a payload decoder raises on a document of the wrong shape
+#: (``json.JSONDecodeError`` and ``schemas.SchemaError`` are ValueErrors).
+DECODE_ERRORS = (KeyError, IndexError, TypeError, ValueError)
+
+
 class ResultStoreError(OSError):
     """A result-store write failed in a way the user must act on.
 
@@ -311,11 +316,14 @@ class ResultStore:
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}{self._SUFFIX}"
 
-    def get(self, key: str) -> Optional[dict]:
-        """Return the stored document for ``key``, or ``None`` on miss.
+    def get(self, key: str, decode: Callable[[dict], Any]) -> Any:
+        """Return ``decode`` of the payload stored under ``key``, or
+        ``None`` on miss.
 
-        Truncated, unparsable, or structurally wrong files are logged,
-        counted in :attr:`corrupt`, and reported as misses.
+        Truncated, unparsable, or structurally wrong files, and payloads
+        that ``decode`` rejects (valid JSON of the wrong shape, e.g. an
+        entry rewritten by hand), are logged, counted in :attr:`corrupt`,
+        and reported as misses: only a usable result counts as a hit.
         """
         path = self._path(key)
         try:
@@ -326,11 +334,11 @@ class ResultStore:
                 or "kind" not in doc
             ):
                 raise ValueError("missing payload/kind fields")
+            result = decode(doc["payload"])
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (OSError, ValueError) as error:
-            # json.JSONDecodeError subclasses ValueError.
+        except (OSError,) + DECODE_ERRORS as error:
             logger.warning(
                 "result store: discarding corrupt entry %s (%s); "
                 "the job will be recomputed",
@@ -341,7 +349,7 @@ class ResultStore:
             self.misses += 1
             return None
         self.hits += 1
-        return doc
+        return result
 
     def put(self, key: str, key_doc: dict, kind: str, payload: dict) -> Path:
         """Atomically persist one job result under ``key``.
@@ -1083,32 +1091,17 @@ class ExperimentOrchestrator:
         """Return ``(key, decoded result or None)`` for ``spec``.
 
         ``memo`` (a per-graph in-memory ``{key: decoded}`` map) is checked
-        before the store. A stored entry whose payload fails to decode
-        (valid JSON but wrong shape — e.g. partially rewritten by hand) is
-        treated exactly like a parse failure: logged, counted as corrupt,
-        reported as a miss.
+        before the store; the store decodes its entry itself, so a payload
+        that fails to decode is a corrupt miss (see :meth:`ResultStore.get`).
         """
         key = job_key(prepared, spec, setup_doc=setup_doc)
         if memo is not None and key in memo:
             return key, memo[key]
         if self.store is None:
             return key, None
-        entry = self.store.get(key)
-        if entry is None:
-            return key, None
-        try:
-            return key, self._decode(prepared, spec, entry["payload"])
-        except (KeyError, IndexError, TypeError, ValueError) as error:
-            logger.warning(
-                "result store: discarding undecodable entry for key %s "
-                "(%s); the job will be recomputed",
-                key,
-                error,
-            )
-            self.store.corrupt += 1
-            self.store.hits -= 1
-            self.store.misses += 1
-            return key, None
+        return key, self.store.get(
+            key, lambda payload: self._decode(prepared, spec, payload)
+        )
 
     def _persist(
         self,

@@ -69,7 +69,6 @@ def run_history(
     algorithm=None,
     execution: Optional[ExecutionSpec] = None,
     checkpoint: Optional[CheckpointConfig] = None,
-    phase_timings: Optional[dict] = None,
     **knobs,
 ) -> TrainingHistory:
     """One FL training run at participation vector ``q`` on the testbed.
@@ -97,8 +96,6 @@ def run_history(
     states which knobs change results. ``checkpoint`` (a
     :class:`~repro.fl.CheckpointConfig`) saves resumable snapshots and,
     with ``resume``, continues a killed run bit-identically.
-    ``phase_timings``, when a dict, receives the trainer's per-phase
-    wall-clock breakdown (``train_s`` / ``eval_s``).
 
     ``algorithm`` selects the local-update rule (an
     :class:`~repro.algorithms.AlgorithmSpec`, its string/dict form, or
@@ -145,10 +142,7 @@ def run_history(
         execution=execution,
         **knobs,
     )
-    history = trainer.run(config.num_rounds, checkpoint=checkpoint)
-    if phase_timings is not None:
-        phase_timings.update(trainer.phase_timings)
-    return history
+    return trainer.run(config.num_rounds, checkpoint=checkpoint)
 
 
 @dataclass

@@ -31,7 +31,6 @@ chunk gather and are never all resident at once.
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Tuple
@@ -77,8 +76,9 @@ FAST_EVAL_SAMPLE = 256
 FAST_ROW_CACHE_CLIENTS = 4096
 
 #: Default participants-per-stack for streaming federations on the fast
-#: tier: the width minimizing per-client kernel cost in the stack-size
-#: kernel sweep, pinned in code so no run depends on a benchmark artifact.
+#: tier: the width that minimized per-client kernel cost in a stack-size
+#: sweep of the batched kernel, pinned in code so no run depends on a
+#: benchmark artifact.
 FAST_CHUNK_SIZE = 32
 
 
@@ -172,8 +172,6 @@ class FederatedTrainer:
         #: Diagnostics of the most recent sub-sampled evaluation (None on
         #: the exact path).
         self.last_subsampled_loss = None
-        #: Cumulative wall-clock seconds by phase, for the bench breakdown.
-        self.phase_timings: Dict[str, float] = {"train_s": 0.0, "eval_s": 0.0}
         self.model = model
         self.federated = federated
         self.participation = participation
@@ -441,9 +439,7 @@ class FederatedTrainer:
                 resumed, num_rounds
             )
         else:
-            eval_started = time.perf_counter()
             initial_metrics = self._evaluate(self.server.params)
-            self.phase_timings["eval_s"] += time.perf_counter() - eval_started
             history.append(
                 RoundRecord(
                     round_index=-1,
@@ -458,7 +454,6 @@ class FederatedTrainer:
             step_size = float(self.schedule(round_index))
             mask = self.participation.sample_round(round_index)
             global_params = self.server.params
-            train_started = time.perf_counter()
             local_params = self._local_updates(
                 global_params, step_size, mask
             )
@@ -474,18 +469,11 @@ class FederatedTrainer:
                 )
                 if adjusted is not None:
                     self.server.restore(adjusted, self.server.round_index)
-            self.phase_timings["train_s"] += (
-                time.perf_counter() - train_started
-            )
             sim_time += float(self.round_timer(mask, round_index))
 
             is_last = round_index == num_rounds - 1
             if round_index % self.eval_every == 0 or is_last:
-                eval_started = time.perf_counter()
                 metrics = self._evaluate(self.server.params)
-                self.phase_timings["eval_s"] += (
-                    time.perf_counter() - eval_started
-                )
             else:
                 metrics = {}
             history.append(

@@ -89,6 +89,8 @@ def make_server(
     """Build (but do not start) a pricing server.
 
     ``port=0`` binds an ephemeral port — read the realized one back from
-    ``server.server_address[1]`` (tests and ``bench serve`` do this).
+    ``server.server_address[1]`` (the tests do this; the ``serve`` verb
+    prints it on its ready line, which the benchmark's ``serve-mixed``
+    workload in ``perf/`` reads).
     """
     return PricingServer((host, port), app or ServiceApp())

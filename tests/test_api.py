@@ -192,7 +192,7 @@ class TestWarmCache:
         assert response.cached is True
         assert "solve" not in response.trace.stages
 
-    def test_undecodable_store_entry_is_a_miss(self, tmp_path):
+    def test_undecodable_store_entry_is_a_miss(self, tmp_path, caplog):
         runtime = api.ApiRuntime(scale="ci", seed=0, cache_dir=tmp_path)
         request = api.PriceRequest(scenario=SCENARIO, mechanism="uniform")
         cold = api.price(request, runtime)
@@ -209,6 +209,24 @@ class TestWarmCache:
         again = api.price(request, runtime)
         assert again.cached is False
         assert again.result == cold.result
+        # A fresh runtime has no memo: the store alone must count the
+        # undecodable entry as a logged corrupt miss, never as a hit.
+        runtime.store.put(key, key_doc, spec.kind, {"garbage": True})
+        fresh = api.ApiRuntime(scale="ci", seed=0, cache_dir=tmp_path)
+        with caplog.at_level("WARNING"):
+            third = api.price(request, fresh)
+        assert third.cached is False
+        assert third.result == cold.result
+        stats = fresh.store.stats()
+        assert (
+            stats["session_hits"],
+            stats["session_misses"],
+            stats["session_corrupt"],
+        ) == (0, 1, 1)
+        assert any(
+            "discarding corrupt entry" in record.getMessage()
+            for record in caplog.records
+        )
 
 
 class TestRunScenario:

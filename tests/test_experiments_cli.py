@@ -77,6 +77,19 @@ class TestFigCommand:
         assert "final loss" in out
         assert (tmp_path / "fig4_setup1_summary.json").exists()
 
+    def test_fig4_stdout_is_independent_of_jobs(self, capsys, tmp_path):
+        """A process pool changes where jobs run, never what they print."""
+        outputs = []
+        for jobs in ("1", "2"):
+            code = main(
+                ["--jobs", jobs, "--out", str(tmp_path), "fig", "--id", "4",
+                 "--repeats", "1"]
+            )
+            assert code == 0
+            outputs.append(capsys.readouterr().out)
+        assert "final loss" in outputs[0]
+        assert outputs[0] == outputs[1]
+
     def test_fig7_budget_sweep(self, capsys, tmp_path):
         code = main(
             ["--out", str(tmp_path), "fig", "--id", "7", "--repeats", "1"]
@@ -112,57 +125,30 @@ class TestBackendFlags:
         args = parser.parse_args(["equilibrium"])
         assert args.backend == "vectorized"
 
-    def test_bench_targets_parse(self):
-        from repro.experiments.cli import _build_parser
-
-        parser = _build_parser()
-        assert parser.parse_args(["bench"]).target == "orchestrator"
-        assert parser.parse_args(["bench", "trainer"]).target == "trainer"
-
-    def test_bench_orchestrators_get_the_execution_flags(
-        self, monkeypatch, capsys
-    ):
-        """``bench`` times the training the flags ask for: its serial,
-        cold and warm orchestrators all carry the flags' spec and
-        algorithm."""
-        from repro.experiments import cli
+    def test_execution_flags_reach_the_orchestrator(self):
+        """The global execution and algorithm flags build one orchestrator
+        that carries them, whatever verb follows."""
+        from repro.experiments.cli import _orchestrator, _parse_args
         from repro.fl import ExecutionSpec
 
-        built = []
-
-        class Recording(cli.ExperimentOrchestrator):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                built.append(self)
-
-        monkeypatch.setattr(cli, "ExperimentOrchestrator", Recording)
-        code = main(
+        args = _parse_args(
             ["--jobs", "2", "--chunk-size", "4", "--precision", "float32",
-             "--fast", "--algorithm", "fedprox:mu=0.5", "bench",
-             "--repeats", "1"]
+             "--fast", "--algorithm", "fedprox:mu=0.5", "fig", "--id", "4"]
         )
-        assert code == 0
-        assert "(bit-identical): True" in capsys.readouterr().out
-        assert [orchestrator.jobs for orchestrator in built] == [1, 2, 2]
-        for orchestrator in built:
-            assert orchestrator.execution == ExecutionSpec(
-                chunk_size=4, precision="float32", fast=True
-            )
-            assert orchestrator.algorithm.canonical() == "fedprox:mu=0.5"
+        orchestrator = _orchestrator(args)
+        assert orchestrator is not None
+        assert orchestrator.jobs == 2
+        assert orchestrator.execution == ExecutionSpec(
+            chunk_size=4, precision="float32", fast=True
+        )
+        assert orchestrator.algorithm.canonical() == "fedprox:mu=0.5"
 
-    def test_bench_trainer_smoke(self, tmp_path, capsys):
-        code = main(
-            ["--scale", "ci", "--out", str(tmp_path), "bench", "trainer"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "bit-identical histories): True" in out
-        payload = json.loads((tmp_path / "bench_trainer.json").read_text())
-        assert payload["identical"] is True
-        assert payload["scale"] == "ci"
-        assert set(payload) >= {
-            "loop_s", "vectorized_s", "speedup", "mean_participants"
-        }
+    def test_bench_verb_is_gone(self, capsys):
+        """Performance is measured by perf/, not by a CLI verb."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 class TestBrokenPipeHandling:

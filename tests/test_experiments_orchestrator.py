@@ -30,6 +30,7 @@ from repro.experiments.orchestrator import (
     job_key_doc,
 )
 from repro.experiments.runner import Q_MIN, run_history
+from repro.fl.execution import DEFAULT_EXECUTION, ExecutionSpec
 from repro.game import OptimalPricing, UniformPricing
 from repro.utils.serialization import (
     content_address,
@@ -123,15 +124,13 @@ class TestResultStore:
     def test_miss_then_hit(self, prepared, store):
         spec = _train_spec(prepared)
         key = job_key(prepared, spec)
-        assert store.get(key) is None
+        assert store.get(key, history_from_doc) is None
         assert store.misses == 1
         history = run_history(prepared, np.asarray(spec.q), seed=spec.seed)
         store.put(key, job_key_doc(prepared, spec), spec.kind,
                   history_to_doc(history))
-        entry = store.get(key)
-        assert entry is not None and store.hits == 1
-        decoded = history_from_doc(entry["payload"])
-        assert decoded.records == history.records
+        decoded = store.get(key, history_from_doc)
+        assert decoded.records == history.records and store.hits == 1
 
     def test_stats_and_clear(self, prepared, store):
         spec = _train_spec(prepared)
@@ -163,7 +162,8 @@ class TestResultStore:
         stats = store.stats()
         assert stats["entries"] == 1
         assert stats["orphaned_tmp"] == 1
-        assert store.get(key) is not None  # orphan never shadows an entry
+        # The orphan never shadows an entry.
+        assert store.get(key, history_from_doc) is not None
         assert store.clear() == 1
         assert not orphan.exists()
         assert store.stats()["orphaned_tmp"] == 0
@@ -187,7 +187,7 @@ class TestResultStore:
             path.write_bytes(b"\x00\xff not json at all")
         else:
             path.write_text('{"unexpected": true}')
-        assert store.get(key) is None
+        assert store.get(key, history_from_doc) is None
         assert store.corrupt == 1
 
     def test_corrupt_entry_recomputes_not_crashes(self, prepared, tmp_path):
@@ -214,20 +214,37 @@ class TestResultStore:
 
 
 class TestSerialParallelEquivalence:
-    def test_comparison_bit_identical(self, prepared, tmp_path):
-        serial = run_pricing_comparison(prepared, repeats=2)
-        orchestrator = ExperimentOrchestrator(
-            jobs=2, cache_dir=tmp_path / "cache"
+    @pytest.mark.parametrize(
+        "execution",
+        [
+            ExecutionSpec(),
+            ExecutionSpec(chunk_size=4, precision="float32", fast=True),
+        ],
+        ids=["exact", "fast"],
+    )
+    def test_comparison_bit_identical(self, prepared, tmp_path, execution):
+        """Serial, parallel cold-cache and warm-cache runs agree to the bit
+        under the same execution spec, and the warm pass recomputes
+        nothing."""
+
+        def orchestrator(jobs, cache_dir=None):
+            return ExperimentOrchestrator(
+                jobs=jobs, cache_dir=cache_dir, execution=execution
+            )
+
+        serial = run_pricing_comparison(
+            prepared, repeats=2, orchestrator=orchestrator(1)
         )
         parallel = run_pricing_comparison(
-            prepared, repeats=2, orchestrator=orchestrator
-        )
-        warm = run_pricing_comparison(
             prepared, repeats=2,
-            orchestrator=ExperimentOrchestrator(
-                jobs=2, cache_dir=tmp_path / "cache"
-            ),
+            orchestrator=orchestrator(2, tmp_path / "cache"),
         )
+        warm_orchestrator = orchestrator(2, tmp_path / "cache")
+        warm = run_pricing_comparison(
+            prepared, repeats=2, orchestrator=warm_orchestrator
+        )
+        assert warm_orchestrator.store.hits > 0
+        assert warm_orchestrator.store.misses == 0
         assert set(serial) == set(parallel) == set(warm)
         for name in serial:
             for variant in (parallel, warm):
@@ -239,6 +256,13 @@ class TestSerialParallelEquivalence:
                 )
                 assert [h.records for h in serial[name].histories] == [
                     h.records for h in variant[name].histories
+                ]
+        if execution != DEFAULT_EXECUTION:
+            # The fast case must really train on the fast tier.
+            exact = run_pricing_comparison(prepared, repeats=2)
+            for name in serial:
+                assert [h.records for h in serial[name].histories] != [
+                    h.records for h in exact[name].histories
                 ]
 
     def test_sweep_matches_serial(self, prepared, tmp_path):

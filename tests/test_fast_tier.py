@@ -131,12 +131,6 @@ class TestFastTierTolerance:
         second = make_trainer(precision="float32", fast=True).run(NUM_ROUNDS)
         assert first.digest() == second.digest()
 
-    def test_phase_timings_accumulate(self):
-        trainer = make_trainer(precision="float32", fast=True)
-        trainer.run(NUM_ROUNDS)
-        assert trainer.phase_timings["train_s"] > 0.0
-        assert trainer.phase_timings["eval_s"] > 0.0
-
 
 class TestCheckpointPrecision:
     def _config(self, tmp_path):
@@ -333,25 +327,16 @@ class TestKernelSelection:
         assert participants(fast=True) == participants(fast=False)
 
     def test_runtime_never_reads_benchmark_artifacts(self):
-        """No module under ``src/repro`` names a path in the ``benchmarks/``
-        tree, except a bench verb's ``out_dir`` (written, never read)."""
+        """No module under ``src/repro`` names a path in the
+        ``benchmarks/`` tree: the runtime neither reads nor writes it."""
         offenders = []
         for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
-            tree = ast.parse(path.read_text())
-            output_dirs = {
-                id(constant)
-                for node in ast.walk(tree)
-                if isinstance(node, ast.Assign)
-                and [getattr(t, "id", None) for t in node.targets] == ["out_dir"]
-                for constant in ast.walk(node.value)
-            }
             offenders += [
                 f"{path.name}:{node.lineno}"
-                for node in ast.walk(tree)
+                for node in ast.walk(ast.parse(path.read_text()))
                 if isinstance(node, ast.Constant)
                 and isinstance(node.value, str)
                 and node.value.split("/")[0] == "benchmarks"
-                and id(node) not in output_dirs
             ]
         assert offenders == []
 

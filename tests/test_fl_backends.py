@@ -26,6 +26,7 @@ from repro.experiments.runner import run_history
 from repro.experiments.setup import prepare_setup
 from repro.fl import BernoulliParticipation, ExecutionSpec, FederatedTrainer
 from repro.fl.client import FLClient
+from repro.game import OptimalPricing
 from repro.models import MultinomialLogisticRegression
 from repro.models.linear import RidgeRegression
 from repro.utils.rng import RngFactory
@@ -185,6 +186,22 @@ class TestEndToEndContract:
         loop = run_history(prepared, q, seed=0, backend="loop")
         vectorized = run_history(prepared, q, seed=0, backend="vectorized")
         assert loop.records == vectorized.records
+
+    @pytest.mark.parametrize("algorithm", ["fedavg", "fedprox:mu=0.5"])
+    def test_equilibrium_workload_backend_equivalence(
+        self, prepared, algorithm
+    ):
+        """The Fig.-4 workload at the proposed scheme's equilibrium: each
+        backend repeats itself exactly and both agree to the bit."""
+        q = OptimalPricing().apply(prepared.problem).q
+        histories = {}
+        for backend in ("loop", "vectorized", "loop", "vectorized"):
+            history = run_history(
+                prepared, q, seed=0, algorithm=algorithm, backend=backend
+            )
+            previous = histories.setdefault(backend, history)
+            assert previous.records == history.records
+        assert histories["loop"].records == histories["vectorized"].records
 
     def test_comparison_backend_equivalence(self, prepared):
         loop = ExperimentOrchestrator(

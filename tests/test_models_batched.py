@@ -15,6 +15,7 @@ import pytest
 from repro.models import MultinomialLogisticRegression
 from repro.models.base import Model
 from repro.models.linear import RidgeRegression
+from repro.models.optim import sgd_steps
 
 
 @pytest.fixture()
@@ -72,6 +73,49 @@ class TestBatchedBitIdentity:
         for k in range(stack.shape[0]):
             scalar = model.gradient(stack[0], features[k], labels[k])
             assert np.array_equal(batched[k], scalar)
+
+
+class TestBatchedSgdSteps:
+    @pytest.mark.parametrize("stack_size", [4, 8, 16, 32])
+    def test_fused_round_matches_per_client_sgd(self, stack_size):
+        """One fused round over a flat sample pool equals running the
+        scalar SGD kernel client by client on the same mini-batches, at
+        every stack size the vectorized trainer meets."""
+        rng = np.random.default_rng(stack_size)
+        batch, steps = 8, 6
+        model = MultinomialLogisticRegression(9, 5, l2=1e-2)
+        sizes = rng.integers(batch, 4 * batch, size=stack_size)
+        bounds = np.concatenate([[0], np.cumsum(sizes)])
+        features = rng.normal(size=(bounds[-1], 9))
+        labels = rng.integers(0, 5, size=bounds[-1])
+        stack = rng.normal(size=(stack_size, model.num_params)) * 0.1
+        # The same draw sgd_steps makes from a fresh generator, shifted
+        # into each client's slice of the pool.
+        indices = np.stack(
+            [
+                bounds[k]
+                + np.random.default_rng(k).integers(
+                    0, sizes[k], size=(steps, batch)
+                )
+                for k in range(stack_size)
+            ]
+        )
+        fused = model.batched_sgd_steps(
+            stack, features, labels, indices, step_size=0.05
+        )
+        for k in range(stack_size):
+            shard = slice(bounds[k], bounds[k + 1])
+            scalar = sgd_steps(
+                model,
+                stack[k],
+                features[shard],
+                labels[shard],
+                step_size=0.05,
+                num_steps=steps,
+                batch_size=batch,
+                rng=np.random.default_rng(k),
+            )
+            assert np.array_equal(fused[k], scalar)
 
 
 class TestBaseClassFallback:

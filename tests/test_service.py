@@ -28,7 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro import api, schemas
-from repro.observability import check_metrics_snapshot, check_trace
+from repro.observability import STAGES, check_metrics_snapshot, check_trace
 from repro.service import ROUTES, PricingServer, ServiceApp, make_server
 
 SCENARIO = "homogeneous-cheap"
@@ -283,6 +283,73 @@ class TestOverTheWire:
         )
         assert response.cached is True
         assert "solve" not in response.trace.stages
+
+    def test_keep_alive_clients_replaying_a_mixed_batch(self):
+        """Keep-alive clients replay a mixed batch against one server:
+        every request succeeds, the metrics snapshot conforms and counts
+        each one, and a warm pricing request skips the solve stage."""
+        import http.client
+
+        batch = (
+            ("POST", "/v1/price",
+             {"scenario": SCENARIO, "mechanism": "proposed"}),
+            ("POST", "/v1/price",
+             {"scenario": SCENARIO, "mechanism": "uniform"}),
+            ("POST", "/v1/equilibrium", {"scenario": SCENARIO}),
+            ("GET", "/v1/scenarios", None),
+            ("GET", "/v1/health", None),
+        )
+        clients, rounds = 2, 3
+        server, port = _serve_in_thread(
+            ServiceApp(api.ApiRuntime(scale="ci", seed=0))
+        )
+
+        def replay(repeats):
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", port, timeout=60
+            )
+            docs = []
+            try:
+                for _ in range(repeats):
+                    for method, path, body in batch:
+                        payload = (
+                            None if body is None
+                            else json.dumps(body).encode()
+                        )
+                        connection.request(method, path, body=payload)
+                        response = connection.getresponse()
+                        assert response.status == 200, (method, path)
+                        docs.append(json.loads(response.read()))
+            finally:
+                connection.close()
+            return docs
+
+        try:
+            replay(1)
+            warm = replay(1)[0]
+            assert warm["trace"]["cache"] == "hit"
+            assert "solve" not in warm["trace"]["stages"]
+            with ThreadPoolExecutor(max_workers=clients) as pool:
+                replayed = list(pool.map(replay, [rounds] * clients))
+            assert [len(docs) for docs in replayed] == (
+                [rounds * len(batch)] * clients
+            )
+            status, doc = _http(port, "GET", "/v1/metrics")
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert status == 200
+        snapshot = check_metrics_snapshot(doc["result"])
+        served = sum(
+            count
+            for endpoint, by_status in snapshot["requests"].items()
+            if endpoint != "GET /v1/metrics"
+            for count in by_status.values()
+        )
+        assert served == (2 + clients * rounds) * len(batch)
+        assert snapshot["cache"]["hits"] >= 1
+        for endpoint, stages in snapshot["latency"].items():
+            assert set(stages) <= set(STAGES), endpoint
 
     def test_make_server_defaults(self):
         server = make_server(port=0)
