@@ -56,7 +56,9 @@ from repro.theory import ConvergenceBound, ProblemConstants
 # 1.3.0: the repro.api facade, the repro.service pricing server, and the
 # versioned repro.schemas envelopes land; API-scoped cache entries (game-only
 # economies, scenario runs) enter the result store under this code key.
-__version__ = "1.3.0"
+# 1.3.1: M-search starts every fixed-M subproblem from the same cold point,
+# so its equilibria move (toward the KKT optimum); stale entries recompute.
+__version__ = "1.3.1"
 
 
 def quickstart_equilibrium(

@@ -167,11 +167,6 @@ def _build_dataset(
     raise ValueError(f"unknown dataset {config.dataset!r}")
 
 
-def _negative_fraction(problem: ServerProblem) -> float:
-    equilibrium = solve_cpl_game(problem)
-    return equilibrium.negative_payment_clients.size / problem.num_clients
-
-
 def calibrate_value_scale(
     base_problem: ServerProblem,
     raw_values: np.ndarray,

@@ -21,7 +21,8 @@ with ``A_n = alpha a_n^2 G_n^2 / R``. Two solvers are provided:
   subproblem with a general-purpose NLP solver (the paper uses CVX; we use
   SLSQP), and line-search over ``M``.
 
-The two must agree — a cross-check the test suite enforces.
+The two must agree — a cross-check the test suite enforces, on hand-built
+economies and on the calibrated paper setups.
 """
 
 from __future__ import annotations
@@ -156,11 +157,57 @@ class StageIResult:
         return self.prices * self.q
 
 
-def _q_of_t(problem: ServerProblem, t: float) -> np.ndarray:
-    """Interior KKT candidate ``q_n(t)`` clipped into ``[floor, q_max]``."""
-    slack = np.maximum(t - problem.population.values, 0.0)
-    cube = problem.contributions * slack / (4.0 * problem.population.costs)
-    return np.clip(np.cbrt(cube), _Q_FLOOR, problem.population.q_max)
+class _KKTFamily:
+    """The KKT family ``q(t)`` of one problem and its spending, per probe.
+
+    A bisection probe evaluates ``spending(q(t))`` at one scalar ``t``.
+    Everything that does not depend on ``t`` (the contributions ``A``,
+    ``4c``, ``2c`` and the stake ``v A``) is computed once here, and every
+    probe runs on two preallocated ``N``-length buffers with ``out=``
+    ufuncs. The per-element operation order is that of
+    ``np.clip(cbrt(A max(t - v, 0) / 4c), floor, q_max)`` followed by
+    :meth:`ServerProblem.spending`, so every probe returns the same bits.
+    """
+
+    def __init__(self, problem: ServerProblem):
+        population = problem.population
+        self.values = population.values
+        self.q_max = population.q_max
+        self.contributions = problem.contributions
+        self.four_costs = 4.0 * population.costs
+        self.two_costs = 2.0 * population.costs
+        self.stake = population.values * self.contributions
+        self._q = np.empty(problem.num_clients)
+        self._work = np.empty(problem.num_clients)
+
+    def q(self, t: float) -> np.ndarray:
+        """Interior candidate ``q_n(t)`` clipped into ``[floor, q_max]``.
+
+        The result lives in the family's buffer, which the next probe
+        overwrites: copy it to keep it.
+        """
+        q = self._q
+        np.subtract(t, self.values, out=q)
+        np.maximum(q, 0.0, out=q)
+        np.multiply(self.contributions, q, out=q)
+        np.divide(q, self.four_costs, out=q)
+        np.cbrt(q, out=q)
+        # np.clip's definition, without its slower array-bound loop.
+        np.maximum(q, _Q_FLOOR, out=q)
+        np.minimum(q, self.q_max, out=q)
+        return q
+
+    def spending(self, t: float) -> float:
+        """Total payment ``sum_n 2 c q^2 - v A / q`` at ``q(t)``."""
+        q = self.q(t)
+        # Spending's own floor: a q_max below the floor survives the clip.
+        np.maximum(q, _Q_FLOOR, out=q)
+        work = self._work
+        np.square(q, out=work)
+        np.multiply(self.two_costs, work, out=work)
+        np.divide(self.stake, q, out=q)
+        np.subtract(work, q, out=work)
+        return float(np.sum(work))
 
 
 def solve_stage1_kkt(
@@ -190,8 +237,9 @@ def solve_stage1_kkt(
 
     # t must exceed every v_n for all q_n > 0 (Eq. 22). Find t_hi where all
     # clients sit at their caps.
+    family = _KKTFamily(problem)
     t_interior_cap = (
-        4.0 * population.costs * population.q_max**3 / problem.contributions
+        family.four_costs * population.q_max**3 / family.contributions
         + values
     )
     t_lo = float(values.max()) if values.max() > 0 else 0.0
@@ -202,13 +250,13 @@ def solve_stage1_kkt(
     # spending(t_hi) = spending_cap > B, but guard against clipping edge
     # cases).
     for _ in range(100):
-        if problem.spending(_q_of_t(problem, t_hi)) >= problem.budget:
+        if family.spending(t_hi) >= problem.budget:
             break
         t_hi *= 2.0
 
     for _ in range(max_iterations):
         t_mid = 0.5 * (t_lo + t_hi)
-        if problem.spending(_q_of_t(problem, t_mid)) > problem.budget:
+        if family.spending(t_mid) > problem.budget:
             t_hi = t_mid
         else:
             t_lo = t_mid
@@ -218,7 +266,7 @@ def solve_stage1_kkt(
     # bisection invariant, so the solution never overshoots the budget even
     # when spending is extremely sensitive to t (clients with q near 0).
     t_star = t_lo
-    q_star = _q_of_t(problem, t_star)
+    q_star = family.q(t_star).copy()
     return StageIResult(
         q=q_star,
         prices=problem.prices_for(q_star),
@@ -275,11 +323,12 @@ def solve_stage1_approx(
     # as the shape axis also hands back their stratum means, and the
     # identity A (t - v) = A t - v A lets the bucketed candidate use the
     # bucketed stake directly — no separate representative value needed.
+    family = _KKTFamily(problem)
     counts, costs_b, stake_b, q_max_b, contributions_b = (
         bucket_representatives(
             population,
-            problem.contributions,
-            shape=problem.contributions,
+            family.contributions,
+            shape=family.contributions,
             num_buckets=num_buckets,
         )
     )
@@ -294,7 +343,7 @@ def solve_stage1_approx(
         return float(counts @ per_bucket)
 
     t_interior_cap = (
-        4.0 * population.costs * population.q_max**3 / problem.contributions
+        family.four_costs * population.q_max**3 / family.contributions
         + values
     )
     t_floor = float(values.max()) if values.max() > 0 else 0.0
@@ -319,20 +368,17 @@ def solve_stage1_approx(
     # with exact O(N) spending probes, then bisect the bracket down. Every
     # probe below is one full-fleet spending evaluation; the total is
     # capped by ``refine_iterations``, independent of N.
-    def exact_spending(t: float) -> float:
-        return problem.spending(_q_of_t(problem, t))
-
     remaining = refine_iterations
     t_lo = t_hi = t_guess
     width = max(1e-3 * max(abs(t_guess), 1.0), 1e-9)
-    if exact_spending(t_guess) > problem.budget:
+    if family.spending(t_guess) > problem.budget:
         # The bucketed multiplier overspends: walk down until feasible
         # (spending dives toward -inf as t -> t_floor, so this is fast).
         while remaining > 0:
             remaining -= 1
             t_lo = max(t_floor, t_lo - width)
             width *= 2.0
-            if exact_spending(t_lo) <= problem.budget or t_lo <= t_floor:
+            if family.spending(t_lo) <= problem.budget or t_lo <= t_floor:
                 break
     else:
         # Feasible: walk up until the exact curve crosses the budget
@@ -341,11 +387,11 @@ def solve_stage1_approx(
             remaining -= 1
             t_hi = t_hi + width
             width *= 2.0
-            if exact_spending(t_hi) >= problem.budget:
+            if family.spending(t_hi) >= problem.budget:
                 break
     for _ in range(max(remaining, 0)):
         t_mid = 0.5 * (t_lo + t_hi)
-        if exact_spending(t_mid) > problem.budget:
+        if family.spending(t_mid) > problem.budget:
             t_hi = t_mid
         else:
             t_lo = t_mid
@@ -353,7 +399,7 @@ def solve_stage1_approx(
             break
     # Feasible side of the bracket, like the exact solver.
     t_star = t_lo
-    q_star = _q_of_t(problem, t_star)
+    q_star = family.q(t_star).copy()
     return StageIResult(
         q=q_star,
         prices=problem.prices_for(q_star),
@@ -423,6 +469,11 @@ def solve_stage1_msearch(
     For each ``M`` on a grid over ``(0, sum_n c_n q_max^2]`` the convex
     subproblem is solved; the grid is then refined around the best ``M``
     (the paper's "linear search method with a fixed step-size").
+
+    Every subproblem starts SLSQP from the same cold point ``q_max / 2``.
+    Warm-starting from the incumbent's ``q`` left the search in poor
+    solutions: with a 20-point grid, 66% above the KKT optimum on the
+    ci-scale Setup 1.
     """
     population = problem.population
     m_upper = float(np.sum(population.costs * population.q_max**2))
@@ -444,7 +495,6 @@ def solve_stage1_msearch(
             gap = problem.objective_gap(q_solution)
             if gap < best_gap:
                 best_gap, best_q, best_m = gap, q_solution, float(m_value)
-                q_start = q_solution
         width = (hi - lo) / max(grid_size - 1, 1)
         lo = max(m_lower, best_m - width)
         hi = min(m_upper, best_m + width)
