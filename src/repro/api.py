@@ -78,6 +78,15 @@ class ApiError(ValueError):
         self.status = int(status)
 
 
+def _check_stage1_method(method: Any) -> None:
+    from repro.game.equilibrium import check_stage1_method
+
+    try:
+        check_stage1_method(method)
+    except ValueError as error:
+        raise ApiError(str(error)) from None
+
+
 def _check_economy_ref(scenario: Optional[str], setup: Optional[str]) -> None:
     if (scenario is None) == (setup is None):
         raise ApiError(
@@ -142,11 +151,7 @@ class EquilibriumRequest:
 
     def __post_init__(self) -> None:
         _check_economy_ref(self.scenario, self.setup)
-        if self.method not in ("kkt", "m-search", "approx"):
-            raise ApiError(
-                f"unknown method {self.method!r}; use 'kkt', 'm-search', "
-                "or 'approx'"
-            )
+        _check_stage1_method(self.method)
 
 
 @dataclass(frozen=True)
@@ -486,12 +491,10 @@ def _build_mechanism(name: str, method: Optional[str]) -> Any:
             f"unknown mechanism {name!r}; choose from {sorted(MECHANISMS)}",
             status=404,
         )
-    if method is not None and method not in ("kkt", "m-search", "approx"):
-        # Schemes store the method and only consult it at solve time;
-        # validate eagerly so a typo is a 400, not a mid-solve 500.
-        raise ApiError(
-            f"unknown method {method!r}; use 'kkt', 'm-search', or 'approx'"
-        )
+    if method is not None:
+        # Every method-taking mechanism takes a Stage-I method name or a
+        # subset of them; an unknown name is a 400 naming the valid ones.
+        _check_stage1_method(method)
     try:
         if method is None:
             return MECHANISMS[name]()

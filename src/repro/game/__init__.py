@@ -27,9 +27,11 @@ Public symbols and their paper correspondence:
   ``m-search`` is the paper's fixed-M convex decomposition (Sec. V-B),
   ``approx`` is the fast tier's bucketed search with bounded exact
   refinement (100k+ fleets).
-* :func:`solve_cpl_game` / :class:`StackelbergEquilibrium` — backward
-  induction to ``{P^SE, q^SE}`` with the reporting quantities the analysis
-  highlights: ``lambda*``, the bi-directional-payment threshold
+* :func:`solve_cpl_game` / :class:`StackelbergEquilibrium` /
+  :data:`STAGE1_SOLVERS` — backward induction to ``{P^SE, q^SE}``, with
+  the Stage-I solver picked by method name from the table, and the
+  reporting quantities the analysis highlights: ``lambda*``, the
+  bi-directional-payment threshold
   ``v_t = 1/(3 lambda*)`` (Theorem 3), and per-client payment directions.
 * :func:`server_utility` / :func:`population_utilities` — Eq. 9 and Eq. 8a
   evaluated at a profile (Table IV's quantities).
@@ -76,6 +78,7 @@ from repro.game.cost_model import (
     decoupled_costs,
 )
 from repro.game.equilibrium import (
+    STAGE1_SOLVERS,
     StackelbergEquilibrium,
     population_utilities,
     server_utility,
@@ -134,6 +137,7 @@ __all__ = [
     "solve_stage1_kkt",
     "solve_stage1_msearch",
     "StackelbergEquilibrium",
+    "STAGE1_SOLVERS",
     "solve_cpl_game",
     "population_utilities",
     "server_utility",

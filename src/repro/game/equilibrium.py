@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Dict, Sequence
 
 import numpy as np
 
@@ -75,33 +75,43 @@ class StackelbergEquilibrium:
         }
 
 
+#: The Stage-I solvers by ``method`` name.
+STAGE1_SOLVERS: Dict[str, Callable[[ServerProblem], StageIResult]] = {
+    "kkt": solve_stage1_kkt,
+    "m-search": solve_stage1_msearch,
+    "approx": solve_stage1_approx,
+}
+
+
+def check_stage1_method(method: str) -> None:
+    """Raise ``ValueError`` unless ``method`` names a Stage-I solver."""
+    # A tuple, not the dict: a request body may carry an unhashable value.
+    if method not in tuple(STAGE1_SOLVERS):
+        raise ValueError(
+            f"unknown method {method!r}; use one of "
+            + ", ".join(repr(name) for name in STAGE1_SOLVERS)
+        )
+
+
 def solve_cpl_game(
-    problem: ServerProblem, *, method: str = "kkt", **solver_kwargs
+    problem: ServerProblem, *, method: str = "kkt"
 ) -> StackelbergEquilibrium:
     """Solve the CPL game by backward induction.
 
     Args:
         problem: The Stage-I data (population, surrogate, budget, horizon).
-        method: ``"kkt"`` (scalar bisection on the KKT multiplier; fast and
-            exact), ``"m-search"`` (the paper's fixed-M convex
-            decomposition with a linear search over ``M``), or ``"approx"``
-            (the fast tier's bucketed bisection with a bounded exact
-            refinement — O(buckets) per probe instead of O(N)).
-        **solver_kwargs: Passed to the selected solver.
+        method: A :data:`STAGE1_SOLVERS` name: ``"kkt"`` (scalar bisection
+            on the KKT multiplier; fast and exact), ``"m-search"`` (the
+            paper's fixed-M convex decomposition with a linear search over
+            ``M``), or ``"approx"`` (the fast tier's bucketed bisection
+            with a bounded exact refinement — O(buckets) per probe instead
+            of O(N)).
 
     Returns:
         The Stackelberg equilibrium ``{P^SE, q^SE}``.
     """
-    if method == "kkt":
-        result: StageIResult = solve_stage1_kkt(problem, **solver_kwargs)
-    elif method == "m-search":
-        result = solve_stage1_msearch(problem, **solver_kwargs)
-    elif method == "approx":
-        result = solve_stage1_approx(problem, **solver_kwargs)
-    else:
-        raise ValueError(
-            f"unknown method {method!r}; use 'kkt', 'm-search', or 'approx'"
-        )
+    check_stage1_method(method)
+    result = STAGE1_SOLVERS[method](problem)
     return StackelbergEquilibrium(
         problem=problem,
         q=result.q,

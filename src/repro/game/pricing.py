@@ -24,12 +24,14 @@ from repro.game.best_response import (
     best_response_vector,
     bucket_representatives,
 )
+from repro.game.client_model import ClientPopulation
 from repro.game.equilibrium import (
     StackelbergEquilibrium,
+    check_stage1_method,
     population_utilities,
     solve_cpl_game,
 )
-from repro.game.server_problem import ServerProblem
+from repro.game.server_problem import ServerProblem, _bisect, _expand, _refine
 
 
 @dataclass(frozen=True)
@@ -89,12 +91,15 @@ class PricingScheme(ABC):
         """Compute prices for ``problem`` and score them."""
 
 
+# The level searches' relative stopping width, and the approximate search's
+# bucket count and exact probes past its guess.
+_LEVEL_TOLERANCE = 1e-9
+_LEVEL_BUCKETS = 256
+_LEVEL_PROBES = 8
+
+
 def _budget_tight_level(
-    spend_at: Callable[[float], float],
-    budget: float,
-    *,
-    tolerance: float = 1e-9,
-    max_doublings: int = 200,
+    spend_at: Callable[[float], float], budget: float
 ) -> float:
     """Find ``level >= 0`` with ``spend_at(level) == budget`` by bisection.
 
@@ -104,23 +109,8 @@ def _budget_tight_level(
     """
     if budget <= 0:
         return 0.0
-    hi = 1.0
-    for _ in range(max_doublings):
-        if spend_at(hi) >= budget:
-            break
-        hi *= 2.0
-    else:
-        raise RuntimeError(
-            "could not bracket the budget-tight price level; spending "
-            "appears bounded below the budget"
-        )
-    lo = 0.0
-    while hi - lo > tolerance * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if spend_at(mid) > budget:
-            hi = mid
-        else:
-            lo = mid
+    hi = _expand(spend_at, budget, 1.0)
+    lo, hi = _bisect(spend_at, budget, 0.0, hi, _LEVEL_TOLERANCE)
     return 0.5 * (lo + hi)
 
 
@@ -128,28 +118,24 @@ def _approx_budget_level(
     problem: ServerProblem,
     shape: np.ndarray,
     exact_spend: Callable[[float], float],
-    *,
-    num_buckets: int = 256,
-    refine_iterations: int = 8,
-    tolerance: float = 1e-9,
 ) -> float:
     """Fast-tier budget-tight level: bucketed search + bounded refinement.
 
-    Runs :func:`_budget_tight_level` on a <= ``num_buckets``-client
-    surrogate fleet (each bisection probe solves O(buckets) cubics instead
-    of O(N)), then polishes the level with at most ``refine_iterations``
-    *exact* spending probes so the returned level is budget-feasible on
-    the real fleet — the bucketing error only steers where the bounded
-    refinement starts.
+    Runs :func:`_budget_tight_level` on a <= 256-client surrogate fleet
+    (each bisection probe solves O(buckets) cubics instead of O(N)), then
+    polishes the level with a bounded number of *exact* spending probes.
+    The returned level is the feasible side of the final bracket, level 0
+    (zero price, zero spend) at worst, so the approximate tier never
+    overspends the real fleet's budget; the bucketing error only steers
+    where the bounded refinement starts.
     """
     if problem.budget <= 0:
         return 0.0
-    population = problem.population
     counts, costs_b, stake_b, q_max_b, shape_b = bucket_representatives(
-        population,
+        problem.population,
         problem.contributions,
         shape=shape,
-        num_buckets=num_buckets,
+        num_buckets=_LEVEL_BUCKETS,
     )
 
     def bucketed_spend(level: float) -> float:
@@ -158,43 +144,9 @@ def _approx_budget_level(
         return float(counts @ (prices * q))
 
     guess = _budget_tight_level(bucketed_spend, problem.budget)
-
-    remaining = refine_iterations
-    lo = hi = max(guess, 0.0)
-    width = max(1e-3 * max(guess, 1.0), 1e-9)
-    if exact_spend(guess) > problem.budget:
-        # Overspends on the real fleet: walk down to a feasible level
-        # (level 0 always spends 0 <= B, so the walk terminates).
-        while remaining > 0:
-            remaining -= 1
-            lo = max(0.0, lo - width)
-            width *= 2.0
-            if exact_spend(lo) <= problem.budget or lo <= 0.0:
-                break
-        if exact_spend(lo) > problem.budget:
-            # Probe budget exhausted before reaching feasibility: restart
-            # the bracket from 0 (always feasible — zero price, zero spend).
-            lo = 0.0
-    else:
-        # Feasible: walk up until the exact curve crosses the budget.
-        while remaining > 0:
-            remaining -= 1
-            hi = hi + width
-            width *= 2.0
-            if exact_spend(hi) >= problem.budget:
-                break
-    for _ in range(max(remaining, 0)):
-        mid = 0.5 * (lo + hi)
-        if exact_spend(mid) > problem.budget:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= tolerance * max(1.0, hi):
-            break
-    # The feasible side: exact spending at `lo` never exceeds the budget
-    # (a bisection invariant), so the approximate tier cannot overspend —
-    # it only undershoots by at most the final bracket width.
-    return lo
+    return _refine(
+        exact_spend, problem.budget, guess, 0.0, _LEVEL_PROBES, _LEVEL_TOLERANCE
+    )
 
 
 class OptimalPricing(PricingScheme):
@@ -203,6 +155,7 @@ class OptimalPricing(PricingScheme):
     name = "proposed"
 
     def __init__(self, method: str = "kkt"):
+        check_stage1_method(method)
         self.method = method
 
     def apply(self, problem: ServerProblem) -> PricingOutcome:
@@ -213,8 +166,8 @@ class OptimalPricing(PricingScheme):
         return outcome
 
 
-class UniformPricing(PricingScheme):
-    """Benchmark ``P^u``: the same price for every client, budget-tight.
+class _LevelPricing(PricingScheme):
+    """Budget-tight prices: one scalar level times a per-client shape.
 
     ``method=None`` (default) finds the budget-tight level with exact
     O(N) spending probes; ``method="approx"`` is the fast tier's bucketed
@@ -222,49 +175,20 @@ class UniformPricing(PricingScheme):
     scheme spec — and hence historical cache keys — unchanged.
     """
 
-    name = "uniform"
-
     def __init__(self, method: Optional[str] = None):
         if method not in (None, "approx"):
             raise ValueError(f"method must be None or 'approx', got {method!r}")
         self.method = method
 
-    def apply(self, problem: ServerProblem) -> PricingOutcome:
-        population = problem.population
-        contributions = problem.contributions
-        shape = np.ones(population.num_clients)
-
-        def spend_at(level: float) -> float:
-            prices = np.full(population.num_clients, level)
-            q = best_response_vector(prices, population, contributions)
-            return float(np.sum(prices * q))
-
-        if self.method == "approx":
-            level = _approx_budget_level(problem, shape, spend_at)
-        else:
-            level = _budget_tight_level(spend_at, problem.budget)
-        prices = np.full(population.num_clients, level)
-        return evaluate_posted_prices(problem, prices, self.name)
-
-
-class WeightedPricing(PricingScheme):
-    """Benchmark ``P^w``: prices proportional to datasize, budget-tight.
-
-    Same ``method`` contract as :class:`UniformPricing`.
-    """
-
-    name = "weighted"
-
-    def __init__(self, method: Optional[str] = None):
-        if method not in (None, "approx"):
-            raise ValueError(f"method must be None or 'approx', got {method!r}")
-        self.method = method
+    @staticmethod
+    @abstractmethod
+    def shape(population: ClientPopulation) -> np.ndarray:
+        """The per-client price multipliers."""
 
     def apply(self, problem: ServerProblem) -> PricingOutcome:
         population = problem.population
         contributions = problem.contributions
-        # Normalize so `level` has the same scale as a uniform price.
-        shape = population.weights * population.num_clients
+        shape = self.shape(population)
 
         def spend_at(level: float) -> float:
             prices = level * shape
@@ -276,6 +200,27 @@ class WeightedPricing(PricingScheme):
         else:
             level = _budget_tight_level(spend_at, problem.budget)
         return evaluate_posted_prices(problem, level * shape, self.name)
+
+
+class UniformPricing(_LevelPricing):
+    """Benchmark ``P^u``: the same price for every client, budget-tight."""
+
+    name = "uniform"
+
+    @staticmethod
+    def shape(population: ClientPopulation) -> np.ndarray:
+        return np.ones(population.num_clients)
+
+
+class WeightedPricing(_LevelPricing):
+    """Benchmark ``P^w``: prices proportional to datasize, budget-tight."""
+
+    name = "weighted"
+
+    @staticmethod
+    def shape(population: ClientPopulation) -> np.ndarray:
+        # Normalize so the level has the same scale as a uniform price.
+        return population.weights * population.num_clients
 
 
 def compare_schemes(

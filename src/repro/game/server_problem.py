@@ -1,4 +1,4 @@
-"""Stage I: the server's pricing problem and its two solvers.
+"""Stage I: the server's pricing problem and its solvers.
 
 The server minimizes the Theorem-1 surrogate of the final loss subject to the
 budget (Problem P1'):
@@ -7,7 +7,7 @@ budget (Problem P1'):
     s.t.    sum_n (2 c_n q_n - v_n A_n / q_n^2) q_n <= B               (14b)
             0 <= q_n <= q_{n,max}                                      (14c)
 
-with ``A_n = alpha a_n^2 G_n^2 / R``. Two solvers are provided:
+with ``A_n = alpha a_n^2 G_n^2 / R``. Three solvers are provided:
 
 * :func:`solve_stage1_kkt` — uses the paper's KKT characterization
   (Eq. 22): at an interior optimum, ``4 c_n q_n^3 / A_n + v_n = 1/lambda*``
@@ -16,25 +16,30 @@ with ``A_n = alpha a_n^2 G_n^2 / R``. Two solvers are provided:
   (t - v_n))^{1/3}, 0, q_max)`` makes total spending strictly increasing in
   ``t``, so a scalar bisection finds the tight-budget solution.
 
+* :func:`solve_stage1_approx` — the fast tier's variant: it bisects a
+  bucketed surrogate of the same spending curve, then refines with a
+  bounded number of exact probes.
+
 * :func:`solve_stage1_msearch` — the paper's own Algorithm: introduce
   ``M = sum_n c_n q_n^2`` (Problem P1''), solve the *convex* fixed-``M``
   subproblem with a general-purpose NLP solver (the paper uses CVX; we use
   SLSQP), and line-search over ``M``.
 
-The two must agree — a cross-check the test suite enforces, on hand-built
-economies and on the calibrated paper setups.
+The KKT and M-search solvers must agree — a cross-check the test suite
+enforces, on hand-built economies and on the calibrated paper setups. The
+budget search behind the other two is shared with :mod:`repro.game.pricing`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import minimize
 
-from repro.game.best_response import inverse_price
+from repro.game.best_response import bucket_representatives, inverse_price
 from repro.game.client_model import ClientPopulation
 from repro.theory.bound import ConvergenceBound
 from repro.utils.validation import check_nonnegative, check_positive
@@ -210,126 +215,168 @@ class _KKTFamily:
         return float(np.sum(work))
 
 
-def solve_stage1_kkt(
-    problem: ServerProblem,
-    *,
-    tolerance: float = 1e-10,
-    max_iterations: int = 500,
-) -> StageIResult:
-    """Solve Stage I through the KKT scalarization (see module docstring)."""
-    population = problem.population
-    values = population.values
+# -- The budget search -------------------------------------------------------
+#
+# Stage I and the budget-matched benchmarks (repro.game.pricing) ask where
+# a non-decreasing spending curve meets the budget. Every search is built
+# from three steps: expand a bracket, bisect it, and refine a surrogate's
+# guess with a bounded number of exact probes.
 
+_Spend = Callable[[float], float]
+
+_MAX_DOUBLINGS = 200
+_MAX_BISECTIONS = 500
+# Relative bracket widths at which the exact and approximate searches stop.
+_KKT_TOLERANCE = 1e-10
+_APPROX_TOLERANCE = 1e-12
+# The approximate solver's bucket count and exact probes past its guess.
+_APPROX_BUCKETS = 64
+_APPROX_PROBES = 30
+
+
+def _expand(spend: _Spend, budget: float, hi: float) -> float:
+    """Double ``hi`` until ``spend(hi) >= budget``, or raise."""
+    for _ in range(_MAX_DOUBLINGS):
+        if spend(hi) >= budget:
+            return hi
+        hi *= 2.0
+    raise RuntimeError(
+        "could not bracket the budget; spending appears bounded below it"
+    )
+
+
+def _bisect(
+    spend: _Spend,
+    budget: float,
+    lo: float,
+    hi: float,
+    tolerance: float,
+    max_steps: int = _MAX_BISECTIONS,
+) -> Tuple[float, float]:
+    """Bisect ``[lo, hi]``, testing the relative width after each step.
+
+    Returns the final bracket; ``spend(lo) <= budget`` stays invariant
+    when it holds on entry.
+    """
+    for _ in range(max_steps):
+        mid = 0.5 * (lo + hi)
+        if spend(mid) > budget:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= tolerance * max(1.0, abs(hi)):
+            break
+    return lo, hi
+
+
+def _refine(
+    spend: _Spend,
+    budget: float,
+    guess: float,
+    floor: float,
+    probes: int,
+    tolerance: float,
+) -> float:
+    """Polish a surrogate's ``guess``; return the feasible side of a bracket.
+
+    After probing ``guess``, at most ``probes`` more exact probes go to a
+    geometric walk away from it until the curve crosses the budget, then
+    to bisecting the bracket the walk found. A walk down that never
+    reaches a feasible point returns ``floor``.
+    """
+    lo = hi = guess
+    width = max(1e-3 * max(abs(guess), 1.0), 1e-9)
+    remaining = probes
+    if spend(guess) > budget:
+        feasible = False
+        while remaining > 0 and not feasible:
+            remaining -= 1
+            lo = max(floor, lo - width)
+            width *= 2.0
+            feasible = spend(lo) <= budget or lo <= floor
+        if not feasible:
+            return floor
+    else:
+        while remaining > 0:
+            remaining -= 1
+            hi += width
+            width *= 2.0
+            if spend(hi) >= budget:
+                break
+    return _bisect(spend, budget, lo, hi, tolerance, remaining)[0]
+
+
+# -- Stage I along the KKT family ---------------------------------------------
+
+
+def _solve_stage1(
+    problem: ServerProblem,
+    method: str,
+    search: Callable[[ServerProblem, _KKTFamily, float, float], float],
+) -> StageIResult:
+    """Solve Stage I on the KKT family, with ``search`` choosing ``t*``.
+
+    ``search(problem, family, t_floor, t_hi)`` gets the exact bracket: the
+    budget binds, and the exact spending curve reaches it at ``t_hi``.
+    """
+    population = problem.population
     # Does the budget even bind? At q = q_max for everyone, spending is
     # maximal over the KKT family; if it fits in B the constraint is slack.
-    q_cap = population.q_max.copy()
-    spending_cap = problem.spending(q_cap)
-    if spending_cap <= problem.budget:
-        return StageIResult(
-            q=q_cap,
-            prices=problem.prices_for(q_cap),
-            lambda_star=0.0,
-            objective_gap=problem.objective_gap(q_cap),
-            spending=spending_cap,
-            budget_tight=False,
-            method="kkt",
+    q_star = population.q_max.copy()
+    lambda_star = 0.0
+    budget_tight = problem.spending(q_star) > problem.budget
+    if budget_tight:
+        # t must exceed every v_n for any q_n > 0 (Eq. 22); at t_cap every
+        # client sits at its cap, up to rounding that _expand absorbs.
+        family = _KKTFamily(problem)
+        values = population.values
+        t_interior_cap = (
+            family.four_costs * population.q_max**3 / family.contributions
+            + values
         )
-
-    # t must exceed every v_n for all q_n > 0 (Eq. 22). Find t_hi where all
-    # clients sit at their caps.
-    family = _KKTFamily(problem)
-    t_interior_cap = (
-        family.four_costs * population.q_max**3 / family.contributions
-        + values
-    )
-    t_lo = float(values.max()) if values.max() > 0 else 0.0
-    t_hi = float(t_interior_cap.max())
-    if t_hi <= t_lo:
-        t_hi = t_lo + 1.0
-    # Expand t_hi defensively (spending(t_hi) must exceed B; it does, since
-    # spending(t_hi) = spending_cap > B, but guard against clipping edge
-    # cases).
-    for _ in range(100):
-        if family.spending(t_hi) >= problem.budget:
-            break
-        t_hi *= 2.0
-
-    for _ in range(max_iterations):
-        t_mid = 0.5 * (t_lo + t_hi)
-        if family.spending(t_mid) > problem.budget:
-            t_hi = t_mid
-        else:
-            t_lo = t_mid
-        if t_hi - t_lo <= tolerance * max(1.0, abs(t_hi)):
-            break
-    # Return the feasible side of the bracket: spending(q(t_lo)) <= B is a
-    # bisection invariant, so the solution never overshoots the budget even
-    # when spending is extremely sensitive to t (clients with q near 0).
-    t_star = t_lo
-    q_star = family.q(t_star).copy()
+        t_floor = float(values.max()) if values.max() > 0 else 0.0
+        t_cap = float(t_interior_cap.max())
+        if t_cap <= t_floor:
+            t_cap = t_floor + 1.0
+        t_hi = _expand(family.spending, problem.budget, t_cap)
+        t_star = search(problem, family, t_floor, t_hi)
+        q_star = family.q(t_star).copy()
+        lambda_star = 1.0 / t_star if t_star > 0 else math.inf
     return StageIResult(
         q=q_star,
         prices=problem.prices_for(q_star),
-        lambda_star=1.0 / t_star if t_star > 0 else math.inf,
+        lambda_star=lambda_star,
         objective_gap=problem.objective_gap(q_star),
         spending=problem.spending(q_star),
-        budget_tight=True,
-        method="kkt",
+        budget_tight=budget_tight,
+        method=method,
     )
 
 
-def solve_stage1_approx(
-    problem: ServerProblem,
-    *,
-    num_buckets: int = 64,
-    refine_iterations: int = 30,
-    tolerance: float = 1e-12,
-) -> StageIResult:
-    """Approximate Stage-I solve: bucketed bisection + bounded refinement.
+def _kkt_search(
+    problem: ServerProblem, family: _KKTFamily, t_floor: float, t_hi: float
+) -> float:
+    # The feasible side of the bracket: spending(q(t_lo)) <= B is a
+    # bisection invariant, so the solution never overshoots the budget
+    # even when spending is extremely sensitive to t (clients near q = 0).
+    return _bisect(
+        family.spending, problem.budget, t_floor, t_hi, _KKT_TOLERANCE
+    )[0]
 
-    The fast tier's solver for ``N >= 100k`` fleets. Clients are bucketed
-    by (cost, value) quantiles (see
-    :func:`repro.game.best_response.bucket_representatives`) and the KKT
-    scalarization's spending curve is evaluated on the ``O(num_buckets)``
-    representatives — each bisection probe computes the closed-form
-    per-bucket candidate ``q_b(t)`` instead of ``N`` of them. The bucketed
-    multiplier is then polished by at most ``refine_iterations`` *exact*
-    spending evaluations (a geometric re-bracket plus bisection), so the
-    returned profile is the exact KKT family member ``q(t*)`` with
-    feasible spending — the approximation only steers where the bounded
-    refinement starts, and the error bound is the exact bisection's final
-    bracket width, not the bucketing error.
-    """
-    from repro.game.best_response import bucket_representatives
 
-    population = problem.population
-    values = population.values
-
-    # Same slack-budget early exit as the exact solver.
-    q_cap = population.q_max.copy()
-    spending_cap = problem.spending(q_cap)
-    if spending_cap <= problem.budget:
-        return StageIResult(
-            q=q_cap,
-            prices=problem.prices_for(q_cap),
-            lambda_star=0.0,
-            objective_gap=problem.objective_gap(q_cap),
-            spending=spending_cap,
-            budget_tight=False,
-            method="approx",
-        )
-
+def _approx_search(
+    problem: ServerProblem, family: _KKTFamily, t_floor: float, t_hi: float
+) -> float:
     # Stratify on (cost, stake, contribution); passing the contributions
     # as the shape axis also hands back their stratum means, and the
     # identity A (t - v) = A t - v A lets the bucketed candidate use the
     # bucketed stake directly — no separate representative value needed.
-    family = _KKTFamily(problem)
     counts, costs_b, stake_b, q_max_b, contributions_b = (
         bucket_representatives(
-            population,
+            problem.population,
             family.contributions,
             shape=family.contributions,
-            num_buckets=num_buckets,
+            num_buckets=_APPROX_BUCKETS,
         )
     )
 
@@ -342,73 +389,41 @@ def solve_stage1_approx(
         per_bucket = 2.0 * costs_b * q_b**2 - stake_b / q_b
         return float(counts @ per_bucket)
 
-    t_interior_cap = (
-        family.four_costs * population.q_max**3 / family.contributions
-        + values
+    # Bisecting inside the exact bracket keeps the guess there even where
+    # the bucketed curve never reaches the budget.
+    t_lo, t_hi = _bisect(
+        bucketed_spending, problem.budget, t_floor, t_hi, _APPROX_TOLERANCE
     )
-    t_floor = float(values.max()) if values.max() > 0 else 0.0
-    t_lo, t_hi = t_floor, float(t_interior_cap.max())
-    if t_hi <= t_lo:
-        t_hi = t_lo + 1.0
-    for _ in range(100):
-        if bucketed_spending(t_hi) >= problem.budget:
-            break
-        t_hi *= 2.0
-    for _ in range(500):
-        t_mid = 0.5 * (t_lo + t_hi)
-        if bucketed_spending(t_mid) > problem.budget:
-            t_hi = t_mid
-        else:
-            t_lo = t_mid
-        if t_hi - t_lo <= tolerance * max(1.0, abs(t_hi)):
-            break
-    t_guess = 0.5 * (t_lo + t_hi)
+    return _refine(
+        family.spending,
+        problem.budget,
+        0.5 * (t_lo + t_hi),
+        t_floor,
+        _APPROX_PROBES,
+        _APPROX_TOLERANCE,
+    )
 
-    # Bounded exact refinement: re-bracket around the bucketed multiplier
-    # with exact O(N) spending probes, then bisect the bracket down. Every
-    # probe below is one full-fleet spending evaluation; the total is
-    # capped by ``refine_iterations``, independent of N.
-    remaining = refine_iterations
-    t_lo = t_hi = t_guess
-    width = max(1e-3 * max(abs(t_guess), 1.0), 1e-9)
-    if family.spending(t_guess) > problem.budget:
-        # The bucketed multiplier overspends: walk down until feasible
-        # (spending dives toward -inf as t -> t_floor, so this is fast).
-        while remaining > 0:
-            remaining -= 1
-            t_lo = max(t_floor, t_lo - width)
-            width *= 2.0
-            if family.spending(t_lo) <= problem.budget or t_lo <= t_floor:
-                break
-    else:
-        # Feasible: walk up until the exact curve crosses the budget
-        # (it must by spending_cap > B, checked above).
-        while remaining > 0:
-            remaining -= 1
-            t_hi = t_hi + width
-            width *= 2.0
-            if family.spending(t_hi) >= problem.budget:
-                break
-    for _ in range(max(remaining, 0)):
-        t_mid = 0.5 * (t_lo + t_hi)
-        if family.spending(t_mid) > problem.budget:
-            t_hi = t_mid
-        else:
-            t_lo = t_mid
-        if t_hi - t_lo <= tolerance * max(1.0, abs(t_hi)):
-            break
-    # Feasible side of the bracket, like the exact solver.
-    t_star = t_lo
-    q_star = family.q(t_star).copy()
-    return StageIResult(
-        q=q_star,
-        prices=problem.prices_for(q_star),
-        lambda_star=1.0 / t_star if t_star > 0 else math.inf,
-        objective_gap=problem.objective_gap(q_star),
-        spending=problem.spending(q_star),
-        budget_tight=True,
-        method="approx",
-    )
+
+def solve_stage1_kkt(problem: ServerProblem) -> StageIResult:
+    """Solve Stage I through the KKT scalarization (see module docstring)."""
+    return _solve_stage1(problem, "kkt", _kkt_search)
+
+
+def solve_stage1_approx(problem: ServerProblem) -> StageIResult:
+    """Approximate Stage-I solve: bucketed bisection + bounded refinement.
+
+    The fast tier's solver for ``N >= 100k`` fleets. Clients are bucketed
+    by (cost, stake, contribution) quantiles (see
+    :func:`repro.game.best_response.bucket_representatives`), and the
+    bisection runs on the ``O(buckets)`` representatives' spending curve
+    inside the exact KKT bracket. The bucketed multiplier is then polished
+    by *exact* spending probes: the guess, then at most 30 more for a
+    geometric re-bracket plus bisection. The returned profile is the exact
+    KKT family member ``q(t*)`` at the feasible side of the final bracket,
+    so spending never exceeds the budget and ``t*`` never leaves the exact
+    bracket; the bucketing only steers where the bounded refinement starts.
+    """
+    return _solve_stage1(problem, "approx", _approx_search)
 
 
 def _solve_fixed_m(

@@ -84,7 +84,7 @@ UNBIASEDNESS_CLIENTS = 6
 TRAIN_SHAPE = (30, 4, 2, 8)
 
 #: Relative tolerance of the approximate equilibrium tier's prices
-#: against the bracketed-Newton (exact) solution, measured against the
+#: against the exact KKT bisection's, measured against the
 #: exact price scale (prices cross zero, so element-wise relative error
 #: is ill-posed at the sign change).
 FAST_PRICE_RTOL = 1e-3
@@ -917,7 +917,7 @@ def check_algorithm_unbiasedness(ctx: InvariantContext) -> List[Violation]:
     "fast_tier_equivalence",
     claim="The fast tier is statistically equivalent to the exact tier: "
     "approximate-equilibrium prices land within a relative tolerance of "
-    "the bracketed-Newton solution, and the float32 fused trainer's "
+    "the exact KKT bisection's, and the float32 fused trainer's "
     "final loss lands within a pinned band of the float64 run's",
     module="repro.game.server_problem / repro.fl.trainer",
     family="training",
@@ -944,7 +944,7 @@ def check_fast_tier_equivalence(
             _violation(
                 "fast_tier_equivalence",
                 "approximate equilibrium prices diverge from the "
-                "bracketed-Newton solution",
+                "exact KKT bisection's",
                 relative_error=price_err,
                 tolerance=FAST_PRICE_RTOL,
             )

@@ -20,7 +20,12 @@ import numpy as np
 import pytest
 
 from repro import api, schemas
-from repro.game import MECHANISMS, best_response_vector, solve_cpl_game
+from repro.game import (
+    MECHANISMS,
+    STAGE1_SOLVERS,
+    best_response_vector,
+    solve_cpl_game,
+)
 from repro.utils.serialization import equilibrium_to_doc, outcome_to_doc
 
 #: A game-only scenario: the economy materializes synthetically in
@@ -50,10 +55,14 @@ class TestRequestValidation:
             api.PriceRequest(setup="setup9")
         assert info.value.status == 404
 
-    def test_unknown_equilibrium_method_is_400(self):
+    # A request body may carry any JSON value, hashable or not.
+    @pytest.mark.parametrize("method", ["newton", ["kkt"]])
+    def test_unknown_equilibrium_method_is_400(self, method):
         with pytest.raises(api.ApiError, match="unknown method") as info:
-            api.EquilibriumRequest(setup="setup1", method="newton")
+            api.EquilibriumRequest(setup="setup1", method=method)
         assert info.value.status == 400
+        for name in STAGE1_SOLVERS:
+            assert repr(name) in str(info.value)
 
     def test_scenario_run_request_validation(self):
         with pytest.raises(api.ApiError, match="non-empty"):
@@ -91,6 +100,8 @@ class TestRequestValidation:
                 runtime,
             )
         assert info.value.status == 400
+        for name in STAGE1_SOLVERS:
+            assert repr(name) in str(info.value)
 
 
 class TestBitIdentityWithDirectCalls:

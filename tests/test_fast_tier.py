@@ -27,7 +27,8 @@ from repro.experiments.setup import prepare_setup
 from repro.fl import BernoulliParticipation, CheckpointConfig, FederatedTrainer
 from repro.fl.execution import PRECISIONS, ExecutionSpec
 from repro.fl.trainer import FAST_CHUNK_SIZE
-from repro.game import ServerProblem, solve_stage1_kkt
+from repro.game import ClientPopulation, ServerProblem, solve_stage1_kkt
+from repro.game.best_response import bucket_representatives
 from repro.game.client_model import sample_population
 from repro.game.pricing import UniformPricing, WeightedPricing
 from repro.game.server_problem import solve_stage1_approx
@@ -37,6 +38,7 @@ from repro.models.metrics import (
     global_loss,
     subsampled_global_loss,
 )
+from repro.testing.invariants import FAST_PRICE_RTOL
 from repro.utils.rng import RngFactory
 
 NUM_ROUNDS = 8
@@ -191,6 +193,84 @@ def big_problem(num_clients=400, seed=11):
     )
 
 
+def budget_at_the_cap_problem():
+    """Fuzz campaign seed 7, case 23, shrunk: ``B`` 2 ulps below the cap.
+
+    Every client has the same value and gradient bound, and the budget is
+    2 ulps below the spending at full cap. The 64-bucket surrogate's
+    spending tops out at 106.74, below ``B`` = 107.80.
+    """
+    sizes = np.array(
+        [
+            0.04350486596936036,
+            0.08855470790279354,
+            0.05591605156240022,
+            0.061304824951110566,
+            0.1309595116474598,
+            0.08106499190028886,
+            0.047632877578277465,
+            0.1816208949210709,
+            0.1671044419760134,
+            0.09274319089097241,
+            0.02835777241309779,
+            0.0212358682871549,
+        ]
+    )
+    population = ClientPopulation(
+        # Normalised the way the fuzzer builds its problems.
+        weights=sizes / sizes.sum(),
+        gradient_bounds=np.full(12, 0.693551897695865),
+        costs=np.array(
+            [
+                13.540909648300616,
+                2.2137973529111363,
+                1.6750035885961636,
+                5.7179187375179845,
+                0.5686614247038313,
+                9.930074063992267,
+                20.254155485276918,
+                66.06254697979355,
+                6.462000218862574,
+                8.637515245955933,
+                29.013880458157736,
+                13.0507925372564,
+            ]
+        ),
+        values=np.full(12, 15.228185679093162),
+        q_max=np.array(
+            [
+                0.4245323857359573,
+                0.600915159432273,
+                0.8239771752011462,
+                0.7472875399263379,
+                0.3805674816087107,
+                0.4990026168287581,
+                0.6497583532359386,
+                0.5040788898681676,
+                0.7316292955511914,
+                0.8682083083571399,
+                0.4184962502085225,
+                0.7332646969352724,
+            ]
+        ),
+    )
+    return ServerProblem(
+        population=population,
+        alpha=913.4109278846876,
+        num_rounds=188,
+        budget=107.79761283335475,
+    )
+
+
+def relative_price_error(problem, exact, approx):
+    """The fuzz catalog's ``fast_tier_equivalence`` price error."""
+    values_scale = float(np.max(problem.population.values, initial=0.0))
+    scale = max(
+        float(np.abs(exact.prices).max()), 1e-6 * max(1.0, values_scale)
+    )
+    return float(np.max(np.abs(approx.prices - exact.prices))) / scale
+
+
 class TestApproxEquilibrium:
     def test_tracks_kkt_prices(self, small_problem):
         exact = solve_stage1_kkt(small_problem)
@@ -225,6 +305,45 @@ class TestApproxEquilibrium:
         approx = solve_stage1_approx(problem)
         assert not approx.budget_tight
         assert np.allclose(approx.q, small_population.q_max)
+
+    def test_budget_at_the_cap_tracks_kkt(self):
+        problem = budget_at_the_cap_problem()
+        exact = solve_stage1_kkt(problem)
+        approx = solve_stage1_approx(problem)
+        assert relative_price_error(problem, exact, approx) <= FAST_PRICE_RTOL
+        assert float(problem.spending(approx.q)) <= problem.budget
+
+    def test_guess_stays_inside_the_exact_bracket(self):
+        # One bucket (nothing but q_max varies) whose mean cap spends
+        # 4 * 2 * 0.5^2 = 2.0, below B = 2.5; the exact cap spends 3.0.
+        q_max = np.array([0.1, 0.9, 0.2, 0.8])
+        population = ClientPopulation(
+            weights=np.full(4, 0.25),
+            gradient_bounds=np.ones(4),
+            costs=np.ones(4),
+            values=np.zeros(4),
+            q_max=q_max,
+        )
+        problem = ServerProblem(
+            population=population, alpha=100.0, num_rounds=10, budget=2.5
+        )
+        counts, costs_b, stake_b, q_max_b, _ = bucket_representatives(
+            population, problem.contributions, shape=problem.contributions
+        )
+        bucketed_cap = counts @ (2.0 * costs_b * q_max_b**2 - stake_b / q_max_b)
+        assert bucketed_cap < problem.budget < problem.spending(q_max)
+
+        # The exact bracket is [t_floor, t_cap]: spending at t_cap is the
+        # exact cap's, which exceeds B.
+        t_floor = 0.0
+        t_cap = float(
+            np.max(4.0 * population.costs * q_max**3 / problem.contributions)
+        )
+        exact = solve_stage1_kkt(problem)
+        approx = solve_stage1_approx(problem)
+        assert t_floor < 1.0 / approx.lambda_star <= t_cap
+        assert relative_price_error(problem, exact, approx) <= FAST_PRICE_RTOL
+        assert float(problem.spending(approx.q)) <= problem.budget
 
     @pytest.mark.parametrize("scheme_cls", [UniformPricing, WeightedPricing])
     def test_approx_pricing_tracks_exact(self, scheme_cls):

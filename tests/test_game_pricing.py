@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.game import (
+    STAGE1_SOLVERS,
     OptimalPricing,
     UniformPricing,
     WeightedPricing,
@@ -65,6 +66,14 @@ class TestOptimalPricing:
     def test_msearch_variant(self, small_problem):
         outcome = OptimalPricing(method="m-search").apply(small_problem)
         assert outcome.equilibrium.method == "m-search"
+
+    def test_unknown_method_rejected_at_construction(self):
+        # Like UniformPricing/WeightedPricing: a typo fails in __init__,
+        # naming the valid methods, not at the first apply().
+        with pytest.raises(ValueError, match="unknown method") as info:
+            OptimalPricing(method="bogus")
+        for method in STAGE1_SOLVERS:
+            assert repr(method) in str(info.value)
 
 
 class TestSchemeComparison:
