@@ -603,8 +603,8 @@ def best_response(
         )
     with trace.stage("encode"):
         result = {
-            "prices": [float(p) for p in prices],
-            "q": [float(v) for v in q],
+            "prices": prices.tolist(),
+            "q": np.asarray(q, dtype=float).tolist(),
         }
     return BestResponseResponse(
         prices=prices,

@@ -205,6 +205,128 @@ def _bracketed_newton_cubic(
     return np.minimum(result, q_max, out=result)
 
 
+def _cubic_bracket(
+    price: np.ndarray,
+    twice_cost: np.ndarray,
+    value_contribution: np.ndarray,
+    q_max: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A bracket ``[lower, upper]`` on the root of ``2c q^3 - P q^2 - vA``.
+
+    With ``a = P/2c``, ``b = cbrt(vA/2c)`` and ``s = sqrt(vA/|P|)`` the
+    root lies in ``[max(a, b), a + b]`` for ``P > 0``: it is at least
+    each of ``a`` and ``b``, and ``f(a + b) = 2c b (a + b)^2 - vA >= 0``.
+    For ``P <= 0`` it lies in ``[min(b 2^(-1/3), s 2^(-1/2)), min(b, s)]``:
+    the two terms ``2c q^3`` and ``|P| q^2`` sum to ``vA``, so neither
+    exceeds it, and at the lower end neither exceeds ``vA/2``. Rounding
+    can break either end, so each is checked by the residual's sign; a
+    row that fails takes the reference solver's cold bracket, ``0`` up to
+    ``max(q_max, |P|/2c + 1)`` doubled until ``f >= 0``.
+    """
+
+    def residual(q: np.ndarray) -> np.ndarray:
+        return (twice_cost * q - price) * (q * q) - value_contribution
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        upper = price / twice_cost
+        b = np.divide(value_contribution, twice_cost)
+        np.cbrt(b, out=b)
+        lower = np.maximum(upper, b)
+        upper += b
+        rows = np.flatnonzero(~(price > 0))
+        if rows.size:
+            b = b[rows]
+            s = np.sqrt(value_contribution[rows] / np.abs(price[rows]))
+            lower[rows] = np.minimum(b * 2.0 ** (-1.0 / 3.0), s * 2.0**-0.5)
+            upper[rows] = np.minimum(b, s)
+        cold = ~((residual(lower) <= 0) & (residual(upper) >= 0))
+    rows = np.flatnonzero(cold)
+    if rows.size:
+        lower[rows] = 0.0
+        upper[rows] = np.maximum(
+            q_max[rows], np.abs(price[rows]) / twice_cost[rows] + 1.0
+        )
+        expand = rows[residual(upper)[rows] < 0]
+        while expand.size:
+            upper[expand] *= 2.0
+            expand = expand[residual(upper)[expand] < 0]
+    return lower, upper
+
+
+def _settled_newton_cubic(
+    price: np.ndarray,
+    cost: np.ndarray,
+    value_contribution: np.ndarray,
+    q_max: np.ndarray,
+    *,
+    max_iterations: int = 100,
+) -> np.ndarray:
+    """The roots :func:`_bracketed_newton_cubic` finds, settled sooner.
+
+    A comparator, not a replacement: its answers agree with the reference
+    solver's to within the reference's stopping width, not to the bit, so
+    the level searches use it only to decide which side of the budget a
+    probe lands on (see :class:`repro.game.pricing._LevelFamily`).
+
+    Two things make it cheap. The bracket starts closed-form around the
+    root (:func:`_cubic_bracket`) instead of at ``[0, |P|/2c + 1]``. And
+    a Newton step that lands back on its iterate is accepted. The
+    reference rejects it, because that iterate has just become a bracket
+    end, and falls into a bisection tail; here the row sits at Newton's
+    fixed point. The iteration stops once every row is narrow or at its
+    fixed point, or after ``max_iterations``.
+    """
+    twice_cost = 2.0 * cost
+    lower, upper = _cubic_bracket(price, twice_cost, value_contribution, q_max)
+    q = 0.5 * (lower + upper)
+    tiny = 4.0 * np.finfo(float).eps
+    # Work buffers, reused by every iteration.
+    value, square, step = (np.empty_like(q) for _ in range(3))
+    flag, inside, done = (np.empty(q.shape, bool) for _ in range(3))
+    for _ in range(max_iterations):
+        # value = (2c q - P) q^2 - vA
+        np.multiply(q, q, out=square)
+        np.multiply(twice_cost, q, out=value)
+        np.subtract(value, price, out=value)
+        np.multiply(value, square, out=value)
+        np.subtract(value, value_contribution, out=value)
+        np.less(value, 0, out=flag)
+        np.copyto(lower, q, where=flag)
+        np.logical_not(flag, out=flag)
+        np.copyto(upper, q, where=flag)
+        # step = q - value / slope, slope = (6c q - 2P) q (Newton)
+        np.multiply(3.0, twice_cost, out=step)
+        np.multiply(step, q, out=step)
+        np.subtract(step, price, out=step)
+        np.subtract(step, price, out=step)
+        np.multiply(step, q, out=step)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(value, step, out=step)
+        np.subtract(q, step, out=step)
+        # Accept a step strictly inside the bracket, or one back onto q.
+        np.greater(step, lower, out=flag)
+        np.less(step, upper, out=inside)
+        np.logical_and(flag, inside, out=inside)
+        np.equal(step, q, out=flag)
+        np.logical_or(inside, flag, out=inside)
+        np.add(lower, upper, out=value)
+        np.multiply(0.5, value, out=value)
+        np.copyto(value, step, where=inside)
+        # done = at a fixed point, or the bracket is narrow (a NaN width
+        # counts as narrow: such a row would never settle otherwise)
+        np.equal(value, q, out=done)
+        np.subtract(upper, lower, out=step)
+        np.maximum(upper, 1.0, out=square)
+        np.multiply(tiny, square, out=square)
+        np.greater(step, square, out=flag)
+        np.logical_not(flag, out=flag)
+        np.logical_or(done, flag, out=done)
+        q, value = value, q
+        if done.all():
+            break
+    return np.minimum(q, q_max)
+
+
 def best_response_vector(
     prices: Sequence[float],
     population: ClientPopulation,
@@ -213,13 +335,19 @@ def best_response_vector(
     """Best responses of all clients to a price vector, solved in one pass.
 
     All clients' Eq.-(13) cubics are solved simultaneously by a vectorized
-    bracketed Newton iteration (the scalar :func:`best_response` — which
-    goes through ``np.roots`` — is kept as the reference implementation and
-    cross-checked in the test suite; agreement is to ~1e-12 relative).
+    bracketed Newton iteration that stops once every bracket is at most
+    ``4 eps max(upper, 1)`` wide. Below ``q = 1`` that width is absolute,
+    so a small root is good to about ``4 eps / q`` relative, not to its
+    last ulp. The scalar :func:`best_response`, which goes through
+    ``np.roots``, is kept as a cross-check in the test suite.
     The iteration works on the clients still converging only: a client
     whose iterate stops changing is at a fixed point of the update, so
     setting it aside changes no bit of its answer or anyone else's, and
     the result is the same as iterating every client to the end.
+
+    Every reported ``q`` comes from this solver. The level searches of
+    :mod:`repro.game.pricing` screen their probes with a cheaper settling
+    solve, but fall back to this one wherever the two could disagree.
 
     Args:
         prices: ``P_n`` per client.

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.game.best_response import (
     _raw_responses,
+    _settled_newton_cubic,
     best_response_vector,
     bucket_representatives,
 )
@@ -96,6 +97,73 @@ class PricingScheme(ABC):
 _LEVEL_TOLERANCE = 1e-9
 _LEVEL_BUCKETS = 256
 _LEVEL_PROBES = 8
+
+# The screen's relative margin (see _LevelFamily.spending). Below 2^38
+# clients it bounds |settled - reference| spending twice over:
+# * rounding: each side forms N products P q and sums them pairwise, and
+#   numpy's pairwise summation adds a term at most 25 + log2(N) times,
+#   so each side is off by under 32 eps sum|P q|;
+# * the answers: the reference stops with a bracket of width at most
+#   4 eps max(upper, 1) around the root, the settled solve within a few
+#   ulps of it, and min(q, q_max) with q_max <= 1 keeps the two q's
+#   within 16 eps of each other, which moves the sum by 16 eps sum|P|.
+_SCREEN_MARGIN = 64.0 * np.finfo(float).eps
+
+
+class _LevelFamily:
+    """Spending at a price level ``level * shape``, screened, per probe.
+
+    A level search only asks which side of the budget each probe lands
+    on. So a probe first prices every client with the settling Newton
+    solve (:func:`~repro.game.best_response._settled_newton_cubic`),
+    which agrees with :func:`best_response_vector` to within the
+    reference's own stopping width at a fraction of its iterations. When
+    that spending is farther from the budget than
+    ``margin * (sum|P q| + sum|P|)``, and ``_SCREEN_MARGIN`` bounds the
+    gap, the reference spending lies on the same side, so the probe
+    returns the settled spending. Otherwise it re-solves with
+    :func:`best_response_vector` and returns the reference spending. A
+    search over these probes takes every branch it takes over reference
+    probes, and so returns the same bits. The margin assumes the
+    reference converged within its iteration cap.
+
+    Everything that does not depend on the level (the shape, costs, stake
+    ``v A``, ``q_max`` and the stake rows) is computed once per
+    ``_LevelPricing.apply``.
+    """
+
+    def __init__(
+        self, problem: ServerProblem, shape: np.ndarray, margin: float
+    ):
+        population = problem.population
+        self.population = population
+        self.contributions = problem.contributions
+        self.budget = problem.budget
+        self.shape = shape
+        self.margin = margin
+        self.twice_costs = 2.0 * population.costs
+        self.q_max = population.q_max
+        value_contribution = population.values * self.contributions
+        self.stake = value_contribution > 0
+        self.stake_costs = population.costs[self.stake]
+        self.stake_value = value_contribution[self.stake]
+        self.stake_q_max = self.q_max[self.stake]
+
+    def spending(self, level: float) -> float:
+        """Total payment ``sum_n P_n q_n`` at ``P = level * shape``."""
+        prices = level * self.shape
+        q = np.clip(prices / self.twice_costs, 0.0, self.q_max)
+        q[self.stake] = _settled_newton_cubic(
+            prices[self.stake], self.stake_costs, self.stake_value,
+            self.stake_q_max,
+        )
+        payments = prices * q
+        spend = float(np.sum(payments))
+        scale = float(np.sum(np.abs(payments)) + np.sum(np.abs(prices)))
+        if abs(spend - self.budget) > self.margin * scale:
+            return spend
+        q = best_response_vector(prices, self.population, self.contributions)
+        return float(np.sum(prices * q))
 
 
 def _budget_tight_level(
@@ -186,19 +254,21 @@ class _LevelPricing(PricingScheme):
         """The per-client price multipliers."""
 
     def apply(self, problem: ServerProblem) -> PricingOutcome:
-        population = problem.population
-        contributions = problem.contributions
-        shape = self.shape(population)
+        return self._apply(problem, _SCREEN_MARGIN)
 
-        def spend_at(level: float) -> float:
-            prices = level * shape
-            q = best_response_vector(prices, population, contributions)
-            return float(np.sum(prices * q))
+    def _apply(self, problem: ServerProblem, margin: float) -> PricingOutcome:
+        """:meth:`apply` with the screen's relative ``margin``.
 
+        Any margin gives the same bytes; ``math.inf`` sends every probe
+        to the reference solver.
+        """
+        shape = self.shape(problem.population)
+        spend_at = _LevelFamily(problem, shape, margin).spending
         if self.method == "approx":
             level = _approx_budget_level(problem, shape, spend_at)
         else:
             level = _budget_tight_level(spend_at, problem.budget)
+        del spend_at  # frees the family's arrays before the final solve
         return evaluate_posted_prices(problem, level * shape, self.name)
 
 

@@ -233,8 +233,8 @@ def best_response_doc(
     return envelope(
         "best-response",
         {
-            "prices": [float(p) for p in prices],
-            "q": [float(v) for v in q],
+            "prices": np.asarray(prices, dtype=float).tolist(),
+            "q": np.asarray(q, dtype=float).tolist(),
         },
         population_fingerprint=population_fingerprint,
         trace=trace,

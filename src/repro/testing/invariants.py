@@ -17,7 +17,8 @@ Families:
 * ``game`` — solved-price properties: q bounds, budget feasibility,
   individual rationality, the best-response fixed point, the Eq.-(13)
   first-order condition, Theorem-2 constancy, Proposition-1 budget
-  monotonicity.
+  monotonicity, and screened level searches pricing the same bytes as
+  all-reference ones.
 * ``estimator`` — Lemma-1 unbiasedness under the case's *participation
   process* (exact enumeration over a sub-economy) plus bias-mass
   accounting — including under every non-default local-update algorithm
@@ -49,7 +50,7 @@ from repro.fl.participation import ParticipationSpec
 from repro.fl.trainer import FederatedTrainer
 from repro.game.best_response import best_response_vector, surrogate_utility
 from repro.game.mechanisms import build_mechanism, estimator_bias_mass
-from repro.game.pricing import PricingOutcome
+from repro.game.pricing import PricingOutcome, UniformPricing, WeightedPricing
 from repro.game.properties import theorem2_invariant
 from repro.game.server_problem import (
     ServerProblem,
@@ -575,6 +576,44 @@ def check_budget_monotonicity(
             )
         ]
     return []
+
+
+@register_invariant(
+    "level-search-screening",
+    claim="The budget-matched benchmarks P^u and P^w (Sec. VI) price the "
+    "same bytes whether their level searches screen probes with the "
+    "settling cubic solve or solve every probe with the reference",
+    module="repro.game.pricing / repro.game.best_response",
+    family="game",
+)
+def check_level_search_screening(ctx: InvariantContext) -> List[Violation]:
+    violations = []
+    for scheme in (
+        UniformPricing(),
+        UniformPricing(method="approx"),
+        WeightedPricing(),
+        WeightedPricing(method="approx"),
+    ):
+        screened = scheme.apply(ctx.problem)
+        reference = scheme._apply(ctx.problem, math.inf)
+        differ = [
+            name
+            for name in ("prices", "q", "spending")
+            if np.asarray(getattr(screened, name)).tobytes()
+            != np.asarray(getattr(reference, name)).tobytes()
+        ]
+        if differ:
+            violations.append(
+                _violation(
+                    "level-search-screening",
+                    "a screened level search priced other bytes than the "
+                    "all-reference one",
+                    scheme=scheme.name,
+                    method=scheme.method,
+                    fields=differ,
+                )
+            )
+    return violations
 
 
 # Estimator family ------------------------------------------------------------

@@ -16,6 +16,8 @@ The facade's contract has three legs, and each gets pinned here:
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,20 @@ class TestBitIdentityWithDirectCalls:
         np.testing.assert_array_equal(response.q, direct)
         # Uncached by design: only solve + encode appear in the trace.
         assert set(response.trace.stages) == {"solve", "encode"}
+
+    def test_best_response_encoding_matches_per_element(self, runtime):
+        problem = runtime.economy(SCENARIO, None)[0]
+        prices = np.linspace(0.5, 2.0, problem.population.num_clients)
+        prices[:3] = [-0.0, 5e-324, -5e-324]
+        response = api.best_response(
+            api.BestResponseRequest(prices=tuple(prices), scenario=SCENARIO),
+            runtime,
+        )
+        per_element = {
+            "prices": [float(p) for p in prices],
+            "q": [float(v) for v in response.q],
+        }
+        assert json.dumps(response.result) == json.dumps(per_element)
 
     def test_best_response_rejects_wrong_shape(self, runtime):
         with pytest.raises(api.ApiError, match="one entry per client"):

@@ -12,7 +12,12 @@ from repro.game import (
     inverse_price,
     surrogate_utility,
 )
-from repro.game.best_response import _bracketed_newton_cubic
+from repro.game.best_response import (
+    _bracketed_newton_cubic,
+    _cubic_bracket,
+    _settled_newton_cubic,
+)
+from repro.testing.invariants import FIRST_ORDER_RTOL
 
 # ``repro.game.best_response`` is also the name of the re-exported function,
 # so attribute access on the package cannot reach the module.
@@ -401,3 +406,73 @@ class TestActiveSetNewtonMemory:
                 tracemalloc.stop()
         dense_peak, active_peak = peaks
         assert active_peak <= dense_peak
+
+
+class TestSettledNewtonCubic:
+    @pytest.mark.parametrize("n", [17, 300, 5000])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_agrees_with_the_reference_and_solves_eq13(self, n, seed):
+        rng = np.random.default_rng([n, seed])
+        prices, costs, stakes, q_max = _random_economy(rng, n)
+        stake = stakes > 0
+        price, cost, vA, cap = (
+            prices[stake], costs[stake], stakes[stake], q_max[stake]
+        )
+        reference = _bracketed_newton_cubic(price, cost, vA, cap)
+        # Rows still moving at the reference's iteration cap never
+        # converged; every other row did.
+        converged = _bits(reference) == _bits(
+            _bracketed_newton_cubic(price, cost, vA, cap, max_iterations=200)
+        )
+        assert converged.mean() > 0.99
+        settled = _settled_newton_cubic(price, cost, vA, cap)
+        # Eight ulps of q where q >= 1/2; below that the reference stops
+        # on an absolute width, 4 eps = eight ulps of 1/2.
+        gap = np.abs(settled - reference)
+        allowed = 8 * np.spacing(np.maximum(reference, 0.5))
+        assert np.all(gap[converged] <= allowed[converged])
+        # The best-response-first-order invariant's check.
+        cubic = 2.0 * cost * settled**3 - price * settled**2 - vA
+        scale = 2.0 * cost * settled**3 + np.abs(price) * settled**2 + vA
+        interior = np.abs(cubic) <= FIRST_ORDER_RTOL * scale
+        capped = (settled == cap) & (
+            2.0 * cost * cap**3 - price * cap**2 - vA
+            <= FIRST_ORDER_RTOL
+            * (2.0 * cost * cap**3 + np.abs(price) * cap**2 + vA)
+        )
+        assert np.all(interior | capped)
+
+    def test_small_solve_stops_at_its_fixed_points(self):
+        rng = np.random.default_rng(16)
+        n = 16
+        price = rng.normal(0.0, 25.0, size=n)
+        cost = 10.0 ** rng.uniform(-1.0, 2.0, size=n)
+        vA = 10.0 ** rng.uniform(-4.0, 2.0, size=n)
+        cap = np.where(rng.random(n) < 0.3, rng.uniform(0.05, 1.0, n), 1.0)
+        full = _settled_newton_cubic(price, cost, vA, cap)
+        capped = _settled_newton_cubic(
+            price, cost, vA, cap, max_iterations=20
+        )
+        np.testing.assert_array_equal(_bits(capped), _bits(full))
+        early = _settled_newton_cubic(price, cost, vA, cap, max_iterations=2)
+        assert np.any(_bits(early) != _bits(full))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_cold_bracket_rows_stay_finite_and_capped(self, seed):
+        rng = np.random.default_rng([5000, seed])
+        prices, costs, stakes, q_max = _random_economy(rng, 5000)
+        stake = stakes > 0
+        price = np.append(prices[stake], np.nan)
+        cost = np.append(costs[stake], 1.0)
+        vA = np.append(stakes[stake], 1.0)
+        cap = np.append(q_max[stake], 1.0)
+        lower, _ = _cubic_bracket(price, 2.0 * cost, vA, cap)
+        # Closed-form lower ends are positive, so a zero marks a row that
+        # failed its sign check and took the cold bracket.
+        cold = lower[:-1] == 0.0
+        assert cold.sum() > 10
+        q = _settled_newton_cubic(price, cost, vA, cap)
+        assert np.isnan(q[-1])
+        q, cap = q[:-1], cap[:-1]
+        assert np.all(np.isfinite(q))
+        assert np.all((q >= 0.0) & (q <= cap))

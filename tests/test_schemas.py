@@ -11,6 +11,8 @@ the CI matrix document never drift apart silently).
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,24 @@ class TestBestResponseRoundTrip:
         assert schemas.best_response_doc(
             out_prices, out_q, population_fingerprint=fingerprint
         ) == doc
+
+
+    def test_encoding_matches_the_per_element_encoding(self, fingerprint):
+        rng = np.random.default_rng(0)
+        x = rng.normal(0.0, 1e3, size=10_000)
+        x[:6] = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308]
+        doc = schemas.best_response_doc(
+            x, x[::-1], population_fingerprint=fingerprint
+        )
+        per_element = schemas.envelope(
+            "best-response",
+            {"prices": [float(v) for v in x], "q": [float(v) for v in x[::-1]]},
+            population_fingerprint=fingerprint,
+        )
+        assert json.dumps(doc, sort_keys=True) == json.dumps(
+            per_element, sort_keys=True
+        )
+        assert schemas.result_bytes(doc) == schemas.result_bytes(per_element)
 
 
 class TestEquilibriumResponseRoundTrip:
