@@ -181,7 +181,10 @@ def calibrate_value_scale(
     Scans ``s`` over a log grid and picks the value whose equilibrium
     negative-payment fraction is closest to ``target_fraction`` while the
     budget still binds (a slack budget means values dominate the economy and
-    the game degenerates to full participation).
+    the game degenerates to full participation). Ties go to the smaller
+    scale, so the scan stops at the first point whose error is exactly 0:
+    the synthetic economies' target of 0 usually ends it at the first
+    budget-tight point.
 
     Args:
         base_problem: Problem with the *cost* side already in place; its
@@ -194,7 +197,8 @@ def calibrate_value_scale(
 
     Returns:
         The chosen scale ``s > 0``. When ``mean_value`` is zero the scale is
-        irrelevant and 1.0 is returned.
+        irrelevant and 1.0 is returned. When the budget binds at no grid
+        point, 1.0 is returned too, which is off the grid.
     """
     if mean_value <= 0:
         return 1.0
@@ -233,6 +237,10 @@ def calibrate_value_scale(
             error == best_error and scale < best_scale
         ):
             best_error, best_scale = error, float(scale)
+        # The grid ascends (center > 0) and ties keep the smaller scale,
+        # so no later point can replace an exact hit.
+        if best_error == 0.0:
+            break
     return best_scale
 
 

@@ -1,5 +1,6 @@
 """Tests for scenario specs: round-trips, fingerprints, and the registry."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 from repro.fl import ParticipationSpec
 from repro.scenarios import (
     PopulationSpec,
+    ScenarioRunner,
     ScenarioSpec,
     get_scenario,
     list_scenarios,
@@ -125,6 +127,123 @@ class TestFingerprints:
         remote_full, remote_population = result.stdout.split()
         assert remote_full == FULLY_CUSTOM.fingerprint()
         assert remote_population == FULLY_CUSTOM.population_fingerprint()
+
+
+#: One non-default value per PopulationSpec field, for the generated audit.
+POPULATION_AUDIT_VALUES = {
+    "num_clients": 12,
+    "cost_factor": 2.0,
+    "value_factor": 3.0,
+    "budget_factor": 0.5,
+    "heterogeneity": 1.5,
+    "q_max": 0.8,
+}
+
+#: One non-default value per other ScenarioSpec field.
+SCENARIO_AUDIT_VALUES = {
+    "name": "renamed",
+    "description": "another description",
+    "setup": "setup2",
+    "participation": ParticipationSpec(kind="correlated", correlation=0.7),
+    "train": False,
+    "streaming": True,
+    "fast": True,
+    "algorithm": "fedprox",
+    "tags": ("audited",),
+}
+
+#: The three preparation paths ``ScenarioRunner.prepare`` takes.
+AUDIT_BASES = {
+    "game-only": ScenarioSpec(name="audit", train=False),
+    "training": ScenarioSpec(name="audit"),
+    "streaming": ScenarioSpec(name="audit", streaming=True),
+}
+
+
+def _economy_bytes(spec: ScenarioSpec) -> bytes:
+    """Everything the runner memoizes for ``spec``, as bytes.
+
+    A fresh runner per call: a shared one would hand back its memo.
+    """
+    prepared = ScenarioRunner(scale="ci", seed=0).prepare(spec)
+    problem = prepared.problem
+    population = problem.population
+    parts = [
+        getattr(population, name).tobytes()
+        for name in ("weights", "gradient_bounds", "costs", "values", "q_max")
+    ]
+    parts += [
+        float(x).hex().encode()
+        for x in (problem.alpha, problem.budget, problem.beta, problem.f_star)
+    ]
+    parts.append(str(problem.num_rounds).encode())
+    if problem.local_gaps is not None:
+        parts.append(problem.local_gaps.tobytes())
+    parts.append(repr(prepared.config).encode())
+    if prepared.prepared is not None:
+        parts.append(float(prepared.prepared.value_scale).hex().encode())
+        parts.append(prepared.prepared.raw_values.tobytes())
+        parts.append(prepared.prepared.federated.weights.tobytes())
+    return b"|".join(parts)
+
+
+def _audit_cases():
+    """``(label, base path, changed spec)`` per audited field and path."""
+    for path, base in AUDIT_BASES.items():
+        for field in dataclasses.fields(PopulationSpec):
+            population = dataclasses.replace(
+                base.population,
+                **{field.name: POPULATION_AUDIT_VALUES[field.name]},
+            )
+            yield (
+                f"population.{field.name}",
+                path,
+                dataclasses.replace(base, population=population),
+            )
+        for field in dataclasses.fields(ScenarioSpec):
+            if field.name == "population":
+                continue
+            value = SCENARIO_AUDIT_VALUES[field.name]
+            try:
+                changed = dataclasses.replace(base, **{field.name: value})
+            except ValueError:
+                continue  # not a valid spec on this path
+            yield field.name, path, changed
+
+
+class TestPopulationFingerprintAudit:
+    """``ScenarioRunner`` memoizes preparation under
+    ``population_fingerprint``: a field change that changes the prepared
+    economy must change the key, or the memo serves a stale economy."""
+
+    def test_every_field_has_an_audit_value(self):
+        assert {
+            field.name for field in dataclasses.fields(PopulationSpec)
+        } == set(POPULATION_AUDIT_VALUES)
+        assert {
+            field.name for field in dataclasses.fields(ScenarioSpec)
+        } - {"population"} == set(SCENARIO_AUDIT_VALUES)
+
+    @pytest.mark.parametrize(
+        "label, path, changed",
+        list(_audit_cases()),
+        ids=[f"{case[1]}-{case[0]}" for case in _audit_cases()],
+    )
+    def test_changed_economy_implies_changed_key(self, label, path, changed):
+        base = AUDIT_BASES[path]
+        if _economy_bytes(changed) != _economy_bytes(base):
+            assert (
+                changed.population_fingerprint()
+                != base.population_fingerprint()
+            ), f"{label} changes the {path} economy but not its key"
+
+    def test_the_audit_is_not_vacuous(self):
+        """Every population field moves the economy on the game-only path,
+        so each key entry is load-bearing."""
+        reference = _economy_bytes(AUDIT_BASES["game-only"])
+        for label, path, changed in _audit_cases():
+            if path == "game-only" and label.startswith("population."):
+                assert _economy_bytes(changed) != reference, label
 
 
 class TestValidation:
