@@ -62,11 +62,11 @@ class Dataset:
         """``(features, labels)`` in one call.
 
         The accessor lazy shard views share: on a
-        :class:`~repro.datasets.streaming.LazyShard` it materializes the
+        :class:`~repro.datasets.streaming.LazyShard` it regenerates the
         shard exactly once, where reading ``.features`` and ``.labels``
-        separately could regenerate it twice when the provider cache is
-        disabled. Bulk consumers (the chunked trainer gather, chunked
-        evaluation) read shards through this.
+        separately regenerates it twice. Every consumer that needs both
+        arrays (local updates, gradient-norm sampling, the chunked trainer
+        gather, chunked evaluation) reads shards through this.
         """
         return self.features, self.labels
 

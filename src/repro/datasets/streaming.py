@@ -17,10 +17,11 @@ The provider contract
   after any other client — return bit-identical arrays. There is no hidden
   sequential state: the provider pickles as a few integers plus the size
   vector, never as data.
-* **Bounded residency.** Materialized shards live in a small LRU
-  (:attr:`SyntheticShardProvider.cache_shards` entries). Eviction is
-  invisible: a re-requested shard is regenerated, and regeneration is
-  bit-identical, so the cache is purely a time/memory dial.
+* **Bounded residency.** The provider keeps no shard: every fetch
+  regenerates from ``(seed, client_id)`` and the arrays live only as long
+  as the caller holds them. Under the paper's independent Bernoulli(q_n)
+  cohorts a shard is almost never re-read within a short window, so a
+  recency cache here would only hold memory.
 * **Eager twin.** :meth:`StreamingFederatedDataset.materialize` assembles
   the conventional eager :class:`FederatedDataset` holding *the same
   arrays*. The twin is what the bit-identity tests (and small-fleet
@@ -43,7 +44,6 @@ evaluation covers the client mixture without scaling with ``N``.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
@@ -54,9 +54,6 @@ from repro.datasets.partition import power_law_sizes
 from repro.datasets.synthetic import client_shard_arrays
 from repro.utils.rng import spawn_rng
 from repro.utils.validation import check_nonnegative
-
-#: Default number of materialized shards the provider keeps resident.
-DEFAULT_CACHE_SHARDS = 128
 
 #: Default number of clients whose held-out rows form the global test set.
 DEFAULT_TEST_CLIENTS = 128
@@ -79,8 +76,6 @@ class SyntheticShardProvider:
             draws ``size + test_size`` rows; the trailing rows are the
             held-out part, so train arrays are independent of whether the
             client ever contributes to a test set).
-        cache_shards: LRU capacity in shards. ``0`` disables caching
-            (every access regenerates).
         dtype: Feature dtype served by the provider. The generative
             recipe always draws in float64 (so the *values* are a pure
             function of the seed regardless of precision); ``"float32"``
@@ -98,7 +93,6 @@ class SyntheticShardProvider:
         dim: int = 60,
         num_classes: int = 10,
         test_fraction: float = 0.2,
-        cache_shards: int = DEFAULT_CACHE_SHARDS,
         dtype: str = "float64",
     ):
         check_nonnegative(alpha, "alpha")
@@ -117,8 +111,6 @@ class SyntheticShardProvider:
             raise ValueError(
                 f"test_fraction must lie in [0, 1), got {test_fraction}"
             )
-        if cache_shards < 0:
-            raise ValueError(f"cache_shards must be >= 0, got {cache_shards}")
         self.sizes = sizes
         self.seed = int(seed)
         self.alpha = float(alpha)
@@ -126,7 +118,6 @@ class SyntheticShardProvider:
         self.dim = int(dim)
         self.num_classes = int(num_classes)
         self.test_fraction = float(test_fraction)
-        self.cache_shards = int(cache_shards)
         self.dtype = np.dtype(dtype)
         if self.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
             raise ValueError(
@@ -135,10 +126,8 @@ class SyntheticShardProvider:
         self.test_sizes = np.maximum(
             1, np.round(sizes * test_fraction).astype(int)
         ) if test_fraction > 0 else np.zeros_like(sizes)
-        # client_id -> (features, labels) of the *full* (train + held-out)
-        # draw. OrderedDict in LRU order; rebuilt empty after unpickling.
-        self._cache: "OrderedDict[int, Tuple[np.ndarray, np.ndarray]]"
-        self._cache = OrderedDict()
+        # Shards synthesized by this instance; a copy or unpickled twin
+        # starts again at 0.
         self.regenerations = 0
 
     @property
@@ -156,12 +145,8 @@ class SyntheticShardProvider:
         return client_id
 
     def _full_arrays(self, client_id: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The client's full (train + held-out) draw, through the LRU."""
+        """The client's full (train + held-out) draw, regenerated."""
         client_id = self._check_client(client_id)
-        cached = self._cache.get(client_id)
-        if cached is not None:
-            self._cache.move_to_end(client_id)
-            return cached
         generator = spawn_rng(self.seed, "shard", str(client_id))
         features, labels = client_shard_arrays(
             int(self.sizes[client_id] + self.test_sizes[client_id]),
@@ -174,17 +159,15 @@ class SyntheticShardProvider:
         if features.dtype != self.dtype:
             features = features.astype(self.dtype)
         self.regenerations += 1
-        if self.cache_shards > 0:
-            self._cache[client_id] = (features, labels)
-            while len(self._cache) > self.cache_shards:
-                self._cache.popitem(last=False)
         return features, labels
 
     def shard_arrays(self, client_id: int) -> Tuple[np.ndarray, np.ndarray]:
         """``(features, labels)`` views of client ``n``'s training rows.
 
-        The returned arrays are views into the cached full draw; callers
-        must treat them as immutable (the library-wide shard contract).
+        Every call regenerates the shard, so callers that need both arrays
+        take them from one call. The returned arrays are views into the
+        fresh full draw; callers must treat them as immutable (the
+        library-wide shard contract).
         """
         features, labels = self._full_arrays(client_id)
         size = int(self.sizes[client_id])
@@ -215,18 +198,8 @@ class SyntheticShardProvider:
             num_classes=self.num_classes,
         )
 
-    def cache_stats(self) -> Dict[str, int]:
-        """Residency counters (for memory diagnostics and tests)."""
-        return {
-            "cached_shards": len(self._cache),
-            "cache_shards": self.cache_shards,
-            "regenerations": self.regenerations,
-        }
-
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        # The cache is pure derived data; ship the recipe, not the arrays.
-        state["_cache"] = OrderedDict()
         state["regenerations"] = 0
         return state
 
@@ -237,8 +210,8 @@ class LazyShard:
     Duck-types the slice of the :class:`~repro.datasets.base.Dataset`
     interface the FL engine reads (``len``, ``features``, ``labels``,
     ``num_features``, ``num_classes``, ``classes_present``), but holds no
-    arrays itself: ``features``/``labels`` pull from the provider's LRU and
-    are regenerated after eviction — bit-identical, so callers cannot tell.
+    arrays itself: each ``features``/``labels``/``arrays()`` access
+    regenerates the shard through the provider — bit-identical every time.
     """
 
     __slots__ = ("_provider", "client_id")
@@ -269,8 +242,8 @@ class LazyShard:
     def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(features, labels)`` through a single provider call.
 
-        One materialization even with the LRU disabled — reading the two
-        properties separately would regenerate the shard twice there.
+        One regeneration — reading the two properties separately would
+        regenerate the shard twice.
         """
         return self._provider.shard_arrays(self.client_id)
 
@@ -373,10 +346,6 @@ class StreamingFederatedDataset:
         """Total training samples across all clients."""
         return int(self.provider.sizes.sum())
 
-    def client_shard(self, client_id: int) -> Dataset:
-        """Materialize one client's shard (through the provider LRU)."""
-        return self.provider.shard(client_id)
-
     def pooled_train(self) -> Dataset:
         raise RuntimeError(
             "StreamingFederatedDataset cannot pool the federation: pooling "
@@ -465,7 +434,6 @@ def streaming_synthetic_federated(
     test_fraction: float = 0.2,
     power_law_exponent: float = 1.5,
     test_clients: int = DEFAULT_TEST_CLIENTS,
-    cache_shards: int = DEFAULT_CACHE_SHARDS,
     seed: int = 0,
     min_size: Optional[int] = None,
     max_size: Optional[int] = None,
@@ -498,7 +466,6 @@ def streaming_synthetic_federated(
         power_law_exponent: Unbalancedness of client sizes.
         test_clients: How many clients contribute held-out rows to the
             global test set (capped at ``N``).
-        cache_shards: Provider LRU capacity in shards.
         seed: Integer root seed.
         min_size: Minimum shard size (default: the power-law partitioner's
             default, lowered automatically when ``total_samples`` is too
@@ -545,7 +512,6 @@ def streaming_synthetic_federated(
         dim=dim,
         num_classes=num_classes,
         test_fraction=test_fraction,
-        cache_shards=cache_shards,
         dtype=dtype,
     )
     chooser = spawn_rng(seed, "streaming", "test-clients")

@@ -86,8 +86,8 @@ class FLClient:
         so the client's stream position evolves exactly as under plain
         FedAvg.
         """
-        # One arrays() call: a lazy (streaming) shard materializes once
-        # even with the provider LRU off.
+        # One arrays() call: a lazy (streaming) shard regenerates on every
+        # fetch, so read both arrays from one.
         features, labels = self.dataset.arrays()
         return sgd_steps(
             self.model,
@@ -139,10 +139,12 @@ class FLClient:
         batch = min(self.batch_size, data_size)
         indices = self._rng.integers(0, data_size, size=(num_samples, batch))
         params = np.asarray(params, dtype=float)
+        # One arrays() call, as in local_update: one regeneration per call.
+        features, labels = self.dataset.arrays()
         gradients = self.model.batched_gradient(
             np.repeat(params[None, :], num_samples, axis=0),
-            self.dataset.features[indices],
-            self.dataset.labels[indices],
+            features[indices],
+            labels[indices],
         )
         norms = np.empty(num_samples)
         for row in range(num_samples):

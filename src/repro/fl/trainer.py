@@ -72,7 +72,7 @@ DEFAULT_CHUNK_SIZE = 64
 FAST_EVAL_SAMPLE = 256
 
 #: Fast-tier row cache capacity (clients whose dtype-cast shard rows stay
-#: resident across rounds, above the provider's own LRU).
+#: resident across rounds; the only shard cache in the library).
 FAST_ROW_CACHE_CLIENTS = 4096
 
 #: Default participants-per-stack for streaming federations on the fast
@@ -115,7 +115,8 @@ class FederatedTrainer:
             size stacks the whole cohort for eager federations and uses
             :data:`DEFAULT_CHUNK_SIZE` for streaming ones
             (:data:`FAST_CHUNK_SIZE` on the fast tier). The fast tier
-            caches dtype-cast shard rows in a trainer-level LRU and
+            caches dtype-cast shard rows in a trainer-level LRU (the exact
+            tier regenerates a streaming shard on every fetch) and
             scores large fleets with
             :func:`repro.models.metrics.subsampled_global_loss`.
         algorithm: Which local-update rule trains each round — an
@@ -248,9 +249,9 @@ class FederatedTrainer:
 
         The exact path goes straight to the shard (one ``arrays()`` call);
         the fast tier keeps up to :data:`FAST_ROW_CACHE_CLIENTS` clients'
-        cast rows resident across rounds, above the streaming provider's
-        own LRU — repeat participants skip both the regeneration and the
-        cast.
+        cast rows resident across rounds — repeat participants skip both
+        the regeneration and the cast. The streaming provider itself
+        caches nothing.
         """
         if not self.fast:
             return client.dataset.arrays()
@@ -288,8 +289,8 @@ class FederatedTrainer:
         position = 0
         for row, (client, _) in enumerate(members):
             size = shard_sizes[row]
-            # One fetch per shard: a lazy shard materializes once even
-            # with the provider LRU off.
+            # One fetch per shard: every fetch of a lazy shard
+            # regenerates it.
             features, labels = self._client_rows(client)
             pool_features[position:position + size] = features
             pool_labels[position:position + size] = labels
@@ -343,7 +344,7 @@ class FederatedTrainer:
         holding just that group's shards. Peak residency is
         ``O(chunk_size x max shard)`` plus the kernel workspace; with a
         streaming federation the gathered shards are regenerated on demand
-        and released as the LRU turns over. Because every stack slice is
+        and released once the chunk is done. Because every stack slice is
         bit-identical to the scalar path, every chunking returns exactly
         the loop engine's updates.
         """

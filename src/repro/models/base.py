@@ -189,16 +189,16 @@ class Model(ABC):
 
     def dataset_loss(self, params: np.ndarray, dataset: Dataset) -> float:
         """Mean loss on a :class:`Dataset`."""
-        return self.loss(params, dataset.features, dataset.labels)
+        return self.loss(params, *dataset.arrays())
 
     def dataset_gradient(self, params: np.ndarray, dataset: Dataset) -> np.ndarray:
         """Full-batch gradient on a :class:`Dataset`."""
-        return self.gradient(params, dataset.features, dataset.labels)
+        return self.gradient(params, *dataset.arrays())
 
     def dataset_accuracy(self, params: np.ndarray, dataset: Dataset) -> float:
         """Classification accuracy on a :class:`Dataset`."""
-        predictions = self.predict(params, dataset.features)
-        return float(np.mean(predictions == dataset.labels))
+        features, labels = dataset.arrays()
+        return float(np.mean(self.predict(params, features) == labels))
 
     # Parameter checks follow the array's dtype: float32 stacks flow through
     # the kernels unchanged (the opt-in fast tier), while every other input

@@ -332,9 +332,6 @@ class RidgeRegression(Model):
     the exact full-participation solution.
     """
 
-    #: Identity-keyed cache entries kept per model for design matrices.
-    _DESIGN_CACHE_SIZE = 4
-
     def __init__(
         self, num_features: int, l2: float = 1e-2, dtype: str = "float64"
     ):
@@ -343,7 +340,6 @@ class RidgeRegression(Model):
         self.num_features = int(num_features)
         self.l2 = check_nonnegative(l2, "l2")
         self.dtype = _check_dtype(dtype)
-        self._design_cache: list = []
 
     @property
     def num_params(self) -> int:
@@ -353,27 +349,11 @@ class RidgeRegression(Model):
         return np.zeros(self.num_params, dtype=self.dtype)
 
     def _design(self, features: np.ndarray) -> np.ndarray:
-        # loss/gradient/predict are called with the *same* feature-matrix
-        # object over and over (every iteration of gradient descent, every
-        # evaluation pass), and the bias-column hstack dominated those
-        # calls' allocation cost. A tiny identity-keyed LRU avoids the
-        # re-allocation; mutating a cached feature matrix in place would
-        # leave a stale design behind, so don't.
-        for index, (cached_features, design) in enumerate(self._design_cache):
-            if cached_features is features:
-                if index != 0:
-                    self._design_cache.insert(
-                        0, self._design_cache.pop(index)
-                    )
-                return design
         # The bias column is float32 only for float32 features; any other
         # input keeps the float64 column (and design) it always had.
         ones_dtype = np.float32 if features.dtype == np.float32 else np.float64
         ones = np.ones((features.shape[0], 1), dtype=ones_dtype)
-        design = np.hstack([features, ones])
-        self._design_cache.insert(0, (features, design))
-        del self._design_cache[self._DESIGN_CACHE_SIZE:]
-        return design
+        return np.hstack([features, ones])
 
     def loss(
         self, params: np.ndarray, features: np.ndarray, labels: np.ndarray

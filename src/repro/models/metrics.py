@@ -201,7 +201,8 @@ class EvaluationPanel:
     ``client_ids`` are the distinct clients drawn and ``counts`` how many
     of the ``sample_size`` importance draws landed on each. Drawn once per
     run (from its own named RNG stream) and reused every evaluation round,
-    so the shard LRU keeps the panel's shards resident across rounds.
+    so the fast tier's row cache keeps the panel's shards resident across
+    rounds.
     """
 
     client_ids: np.ndarray
@@ -285,8 +286,8 @@ def _assemble_chunk(shards, client_ids) -> Tuple[np.ndarray, np.ndarray]:
     features: List[np.ndarray] = []
     labels: List[np.ndarray] = []
     for client in client_ids:
-        # One arrays() call per shard: a lazy shard materializes once
-        # even with the provider LRU off.
+        # One arrays() call per shard: every fetch of a lazy shard
+        # regenerates it.
         shard_features, shard_labels = shards[client].arrays()
         features.append(shard_features)
         labels.append(shard_labels)

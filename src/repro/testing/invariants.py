@@ -188,8 +188,6 @@ class InvariantContext:
             n = min(self.problem.num_clients, 5)
             per_client, _, _, _ = TRAIN_SHAPE
             federated = streaming_federation(
-                4,
-                None,
                 num_clients=n,
                 total_samples=per_client * n,
                 seed=self.seed,

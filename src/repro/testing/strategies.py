@@ -247,8 +247,7 @@ def random_problem(draw_seed: int, budget: float) -> ServerProblem:
 
 
 def streaming_federation(
-    cache_shards: int,
-    max_size: Optional[int],
+    max_size: Optional[int] = None,
     *,
     num_clients: int = 8,
     total_samples: int = 400,
@@ -261,7 +260,6 @@ def streaming_federation(
         dim=6,
         num_classes=3,
         test_clients=min(3, num_clients),
-        cache_shards=cache_shards,
         seed=seed,
         max_size=max_size,
     )

@@ -1,14 +1,15 @@
 """Tests for the streaming shard provider (repro.datasets.streaming).
 
 The provider contract under test: any client's shard regenerates
-bit-identically from ``(seed, client_id)`` — before or after LRU eviction,
-in a fresh provider, or across a pickle round-trip — and the
+bit-identically from ``(seed, client_id)`` on every fetch — repeated, in a
+fresh provider, or across a pickle round-trip — and the
 :class:`StreamingFederatedDataset` is indistinguishable (values-wise) from
 its materialized eager twin.
 """
 
 from __future__ import annotations
 
+import copy
 import pickle
 
 import numpy as np
@@ -19,13 +20,13 @@ from repro.datasets import (
     SyntheticShardProvider,
     streaming_synthetic_federated,
 )
+from repro.models import MultinomialLogisticRegression
 
 
 def _provider(**overrides) -> SyntheticShardProvider:
     arguments = dict(
         sizes=np.array([10, 30, 7, 22]),
         seed=11,
-        cache_shards=2,
         test_fraction=0.25,
     )
     arguments.update(overrides)
@@ -40,20 +41,20 @@ class TestProviderRegeneration:
         assert np.array_equal(first.features, second.features)
         assert np.array_equal(first.labels, second.labels)
 
-    def test_eviction_is_invisible(self):
-        provider = _provider(cache_shards=1)
+    def test_every_fetch_regenerates(self):
+        provider = _provider()
         reference = {n: provider.shard(n) for n in range(4)}
         before = provider.regenerations
-        # Every access now misses the single-entry cache and regenerates.
-        for n in range(4):
+        for n in (0, 1, 1, 3, 0):
             shard = provider.shard(n)
             assert np.array_equal(shard.features, reference[n].features)
             assert np.array_equal(shard.labels, reference[n].labels)
-        assert provider.regenerations > before
+        provider.heldout_shard(1)
+        assert provider.regenerations == before + 6
 
     def test_access_order_is_irrelevant(self):
-        forward = _provider(cache_shards=0)
-        backward = _provider(cache_shards=0)
+        forward = _provider()
+        backward = _provider()
         forwards = [forward.shard(n) for n in range(4)]
         backwards = [backward.shard(n) for n in reversed(range(4))][::-1]
         for a, b in zip(forwards, backwards):
@@ -70,16 +71,20 @@ class TestProviderRegeneration:
     def test_pickle_ships_recipe_not_arrays(self):
         provider = _provider()
         reference = provider.shard(3)
-        provider.shard(0)  # warm the cache so there is something to drop
-        clone = pickle.loads(pickle.dumps(provider))
-        assert clone.cache_stats()["cached_shards"] == 0
+        payload = pickle.dumps(provider)
+        # A few integers plus the size vector: far below one shard's bytes.
+        assert len(payload) < reference.features.nbytes
+        clone = pickle.loads(payload)
+        assert clone.regenerations == 0
         assert np.array_equal(clone.shard(3).features, reference.features)
+        assert np.array_equal(clone.shard(3).labels, reference.labels)
 
-    def test_lru_respects_capacity(self):
-        provider = _provider(cache_shards=2)
-        for n in range(4):
-            provider.shard(n)
-        assert provider.cache_stats()["cached_shards"] <= 2
+    def test_copy_restarts_the_regeneration_count(self):
+        provider = _provider()
+        provider.shard(0)
+        clone = copy.copy(provider)
+        assert provider.regenerations == 1
+        assert clone.regenerations == 0
 
     def test_heldout_rows_disjoint_from_train(self):
         provider = _provider()
@@ -126,7 +131,7 @@ class TestStreamingFederatedDataset:
         eager = federated.materialize()
         assert eager.num_clients == federated.num_clients == 12
         for n in range(12):
-            shard = federated.client_shard(n)
+            shard = federated.provider.shard(n)
             assert np.array_equal(
                 shard.features, eager.client_datasets[n].features
             )
@@ -152,12 +157,12 @@ class TestStreamingFederatedDataset:
         with pytest.raises(IndexError):
             shards[6]
 
-    def test_arrays_accessor_materializes_once_without_cache(self):
+    def test_arrays_accessor_materializes_once(self):
         """Bulk consumers read shards via arrays(): one regeneration per
-        gather even with the LRU disabled, where reading .features and
-        .labels separately costs two."""
+        gather, where reading .features and .labels separately costs
+        two."""
         federated = streaming_synthetic_federated(
-            4, total_samples=80, seed=5, test_clients=2, cache_shards=0
+            4, total_samples=80, seed=5, test_clients=2
         )
         lazy = federated.client_datasets[1]
         before = federated.provider.regenerations
@@ -165,6 +170,13 @@ class TestStreamingFederatedDataset:
         assert federated.provider.regenerations == before + 1
         lazy.features, lazy.labels
         assert federated.provider.regenerations == before + 3
+        # The model's dataset wrappers read through arrays() as well.
+        model = MultinomialLogisticRegression(num_features=60, num_classes=10)
+        params = model.init_params()
+        model.dataset_loss(params, lazy)
+        model.dataset_accuracy(params, lazy)
+        model.dataset_gradient(params, lazy)
+        assert federated.provider.regenerations == before + 6
 
     def test_pooled_train_refuses(self):
         federated = streaming_synthetic_federated(
@@ -202,7 +214,7 @@ class TestStreamingFederatedDataset:
         b = streaming_synthetic_federated(10, total_samples=200, seed=21)
         assert np.array_equal(a.sizes, b.sizes)
         assert np.array_equal(
-            a.client_shard(7).features, b.client_shard(7).features
+            a.provider.shard(7).features, b.provider.shard(7).features
         )
 
     def test_pickle_round_trip(self):
@@ -212,8 +224,8 @@ class TestStreamingFederatedDataset:
         clone = pickle.loads(pickle.dumps(federated))
         assert isinstance(clone, StreamingFederatedDataset)
         assert np.array_equal(
-            clone.client_shard(5).features,
-            federated.client_shard(5).features,
+            clone.provider.shard(5).features,
+            federated.provider.shard(5).features,
         )
         assert np.array_equal(
             clone.test_dataset.labels, federated.test_dataset.labels

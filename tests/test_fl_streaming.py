@@ -24,7 +24,12 @@ from repro.datasets import streaming_synthetic_federated
 from repro.experiments.configs import SCALES, SETUPS, apply_scale
 from repro.experiments.orchestrator import TrainJob, job_key
 from repro.experiments.setup import prepare_setup
-from repro.fl import BernoulliParticipation, ExecutionSpec, FederatedTrainer
+from repro.fl import (
+    BernoulliParticipation,
+    ExecutionSpec,
+    FederatedTrainer,
+    FLClient,
+)
 from repro.models import MultinomialLogisticRegression
 from repro.utils.rng import RngFactory
 
@@ -90,7 +95,7 @@ class TestChunkedBitIdentity:
 
     def test_streaming_matches_eager_all_engines(self):
         streaming = streaming_synthetic_federated(
-            14, total_samples=420, seed=9, test_clients=5, cache_shards=3
+            14, total_samples=420, seed=9, test_clients=5
         )
         eager = streaming.materialize()
         model = _model(eager)
@@ -104,6 +109,48 @@ class TestChunkedBitIdentity:
             history, params = _run(model, streaming, q, **kwargs)
             assert history.records == reference.records, kwargs
             assert np.array_equal(params, reference_params), kwargs
+
+    def test_every_fetch_regenerates(self):
+        """The provider caches nothing: an exact-tier chunked training
+        regenerates one shard per participant per round plus one per
+        client per full-fleet evaluation, both counted from the history
+        (the ``stream-4k`` decomposition 5 x 4,000 + 11,501 = 31,501)."""
+        federated = streaming_synthetic_federated(
+            40, total_samples=800, seed=4, test_clients=5
+        )
+        q = np.full(40, 0.5)
+        before = federated.provider.regenerations
+        history, _ = _run(_model(federated), federated, q, chunk_size=8)
+        participants = sum(r.num_participants for r in history.records)
+        evaluated = sum(
+            r.global_loss is not None for r in history.records
+        )
+        assert participants > 0 and evaluated > 0
+        assert federated.provider.regenerations - before == (
+            participants + evaluated * federated.num_clients
+        )
+
+    def test_gradient_norm_sample_fetches_once(self):
+        streaming = streaming_synthetic_federated(
+            6, total_samples=180, seed=2, test_clients=2
+        )
+        eager = streaming.materialize()
+        model = _model(eager)
+        params = np.random.default_rng(0).normal(size=model.num_params)
+        norms = {}
+        for name, federated in (("eager", eager), ("streaming", streaming)):
+            client = FLClient(
+                3,
+                federated.client_datasets[3],
+                model,
+                batch_size=8,
+                rng_factory=RngFactory(5),
+            )
+            before = streaming.provider.regenerations
+            norms[name] = client.sample_gradient_norms(params, num_samples=6)
+            fetched = streaming.provider.regenerations - before
+            assert fetched == (name == "streaming"), (name, fetched)
+        assert np.array_equal(norms["eager"], norms["streaming"])
 
     def test_identity_holds_across_eval_chunk_boundaries(self, monkeypatch):
         """Multi-chunk evaluation (fleets beyond EVAL_CHUNK_SAMPLES) must
@@ -189,7 +236,6 @@ class TestPeakMemoryIsChunkBounded:
             total_samples=9_600,
             seed=6,
             test_clients=8,
-            cache_shards=4,
         )
         q = np.full(120, 0.4)
         eager_history, eager_peak = self._traced_run(
@@ -201,7 +247,7 @@ class TestPeakMemoryIsChunkBounded:
         assert stream_history.records == eager_history.records
         # Eager residency: every shard, materialized inside the traced
         # region, plus the pooled evaluation cache. Streaming holds one
-        # chunk (8 clients), a 4-shard LRU, and one evaluation chunk.
+        # chunk (8 clients) and one evaluation chunk.
         assert stream_peak < eager_peak, (stream_peak, eager_peak)
 
     def test_streaming_peak_does_not_scale_with_fleet(self):
@@ -212,7 +258,6 @@ class TestPeakMemoryIsChunkBounded:
                 total_samples=num_clients * 80,
                 seed=8,
                 test_clients=8,
-                cache_shards=4,
                 # Cap shards like the megafleet scenario does: the raw
                 # power law hands its top client a constant *fraction* of
                 # the total, which would make the largest single shard —

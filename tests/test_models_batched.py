@@ -182,40 +182,21 @@ class TestSampleLossDecomposition:
         assert reconstructed == model.loss(stack[0], features[0], labels[0])
 
 
-class TestRidgeDesignCache:
-    def test_same_matrix_reuses_design(self):
+class TestRidgeDesign:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_design_is_features_plus_ones_column(self, dtype):
         model = RidgeRegression(3)
-        features = np.random.default_rng(0).normal(size=(10, 3))
-        first = model._design(features)
-        assert model._design(features) is first
+        features = np.random.default_rng(1).normal(size=(5, 3)).astype(dtype)
+        design = model._design(features)
+        assert design.shape == (5, 4)
+        assert design.dtype == dtype
+        assert np.array_equal(design[:, :-1], features)
+        assert np.all(design[:, -1] == 1.0)
 
-    def test_distinct_matrices_get_distinct_designs(self):
-        model = RidgeRegression(3)
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=(4, 3))
-        b = rng.normal(size=(5, 3))
-        design_a, design_b = model._design(a), model._design(b)
-        assert np.array_equal(design_a[:, :-1], a)
-        assert np.array_equal(design_b[:, :-1], b)
-        assert np.all(design_a[:, -1] == 1.0)
-        # Both stay cached (LRU capacity is > 2).
-        assert model._design(a) is design_a
-        assert model._design(b) is design_b
-
-    def test_cache_is_bounded(self):
+    def test_in_place_mutation_is_seen(self):
+        """No design outlives its features: a mutated matrix is re-read."""
         model = RidgeRegression(2)
-        rng = np.random.default_rng(2)
-        matrices = [rng.normal(size=(3, 2)) for _ in range(10)]
-        for matrix in matrices:
-            model._design(matrix)
-        assert len(model._design_cache) == RidgeRegression._DESIGN_CACHE_SIZE
-
-    def test_equal_but_distinct_objects_not_conflated(self):
-        """Identity keying: equal contents in a new object recompute."""
-        model = RidgeRegression(2)
-        a = np.ones((4, 2))
-        b = np.ones((4, 2))
-        design_a = model._design(a)
-        design_b = model._design(b)
-        assert design_a is not design_b
-        assert np.array_equal(design_a, design_b)
+        features = np.ones((4, 2))
+        model._design(features)
+        features[0, 0] = 7.0
+        assert model._design(features)[0, 0] == 7.0

@@ -1,10 +1,10 @@
 """Property tests for the streaming shard provider.
 
-Pins the ISSUE-6 regeneration invariant with Hypothesis: a
+Pins the regeneration invariant with Hypothesis: a
 :class:`~repro.datasets.streaming.SyntheticShardProvider` returns
-**bit-identical** shards under any random access order and any LRU
-capacity — including ``cache_shards=0`` (every access regenerates) and
-``max_size`` caps that trigger the deterministic size redistribution.
+**bit-identical** shards under any random access order — each fetch
+regenerating exactly once — including ``max_size`` caps that trigger the
+deterministic size redistribution.
 """
 
 from __future__ import annotations
@@ -26,35 +26,28 @@ TOTAL_SAMPLES = 400
     order=st.lists(
         st.integers(0, NUM_CLIENTS - 1), min_size=1, max_size=40
     ),
-    cache_shards=st.integers(0, NUM_CLIENTS + 2),
     max_size=st.one_of(
         st.none(), st.integers(TOTAL_SAMPLES // NUM_CLIENTS + 10, 200)
     ),
 )
-def test_shards_bit_identical_under_any_access_order(
-    order, cache_shards, max_size
-):
-    """Access order and LRU capacity are invisible: every (re)generated
-    shard matches the reference built with an unbounded cache and
+def test_shards_bit_identical_under_any_access_order(order, max_size):
+    """Access order is invisible: every fetch regenerates its shard
+    exactly once, and the result matches the reference built with
     sequential access."""
-    reference = _build(NUM_CLIENTS, max_size).provider
+    reference = _build(max_size).provider
     expected = {
         client_id: tuple(
             array.copy() for array in reference.shard_arrays(client_id)
         )
         for client_id in range(NUM_CLIENTS)
     }
-    provider = _build(cache_shards, max_size).provider
-    built = provider.cache_stats()["regenerations"]
+    provider = _build(max_size).provider
     for client_id in order:
+        before = provider.regenerations
         features, labels = provider.shard_arrays(client_id)
+        assert provider.regenerations == before + 1
         assert np.array_equal(features, expected[client_id][0])
         assert np.array_equal(labels, expected[client_id][1])
-    stats = provider.cache_stats()
-    assert stats["cached_shards"] <= max(cache_shards, 0)
-    if cache_shards == 0:
-        # No cache: every single access regenerated its shard.
-        assert stats["regenerations"] - built == len(order)
 
 
 @settings(max_examples=25, deadline=None)
@@ -67,8 +60,8 @@ def test_shards_bit_identical_under_any_access_order(
 def test_capped_sizes_redistribute_exactly(max_size, order):
     """A max_size cap preserves the sample total, bounds every shard, and
     stays a pure function of the seed (bit-identical across builds)."""
-    first = _build(4, max_size)
-    again = _build(0, max_size)
+    first = _build(max_size)
+    again = _build(max_size)
     assert int(first.sizes.sum()) == TOTAL_SAMPLES
     assert int(first.sizes.max()) <= max_size
     assert np.array_equal(first.sizes, again.sizes)
@@ -87,9 +80,9 @@ def test_pickled_provider_regenerates_identically(order):
     unpickled twin must reproduce every shard bit-for-bit."""
     import pickle
 
-    provider = _build(4, None).provider
+    provider = _build().provider
     clone = pickle.loads(pickle.dumps(provider))
-    assert clone.cache_stats()["cached_shards"] == 0
+    assert clone.regenerations == 0
     for client_id in order:
         a = provider.shard_arrays(client_id)
         b = clone.shard_arrays(client_id)
@@ -100,7 +93,7 @@ def test_pickled_provider_regenerates_identically(order):
 def test_heldout_rows_are_disjoint_and_stable():
     """Held-out rows come from the same full draw as the training rows,
     so accessing them never perturbs training shards."""
-    dataset = _build(2, None)
+    dataset = _build()
     provider = dataset.provider
     before = tuple(
         array.copy() for array in provider.shard_arrays(0)
