@@ -24,8 +24,10 @@ training scenarios run the full preparation pipeline) or a paper ``setup``
 (``setup1``-``3`` through :func:`~repro.experiments.setup.prepare_setup`).
 
 An :class:`ApiRuntime` holds the warm state: prepared economies (built
-once, reused across requests), an optional content-addressed
-:class:`~repro.experiments.orchestrator.ResultStore` as the cache tier,
+once, reused across requests), one
+:class:`~repro.experiments.orchestrator.ResultCache` (an in-memory memo
+over an optional content-addressed
+:class:`~repro.experiments.orchestrator.ResultStore`) as the cache tier,
 and a :class:`~repro.observability.MetricsRegistry`. The CLI, the
 :mod:`repro.service` HTTP server, and in-process callers all sit on this
 one facade, so their answers are interchangeable:
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -308,7 +310,9 @@ class ApiRuntime:
     population fingerprint), paper setups through
     :func:`~repro.experiments.setup.prepare_setup` memoized per name.
     Preparation and scenario execution run under a lock; solves on warm
-    economies are pure and run concurrently.
+    economies are pure and run concurrently. Results live in one
+    :class:`~repro.experiments.orchestrator.ResultCache` (``cache``) for
+    the runtime's lifetime, so a key is read from the store at most once.
     """
 
     def __init__(
@@ -322,7 +326,7 @@ class ApiRuntime:
         metrics: Optional[MetricsRegistry] = None,
     ):
         from repro.experiments.configs import resolve_scale
-        from repro.experiments.orchestrator import ResultStore
+        from repro.experiments.orchestrator import ResultCache, ResultStore
         from repro.scenarios import ScenarioRunner
 
         self.scale = resolve_scale(scale)
@@ -333,6 +337,7 @@ class ApiRuntime:
         if store is None and cache_dir is not None:
             store = ResultStore(cache_dir)
         self.store = store
+        self.cache = ResultCache(store)
         self.metrics = metrics or MetricsRegistry()
         self._lock = threading.RLock()
         self._runner = ScenarioRunner(
@@ -341,7 +346,6 @@ class ApiRuntime:
         self._setups: Dict[str, Any] = {}
         self._setup_docs: Dict[str, dict] = {}
         self._fingerprints: Dict[str, str] = {}
-        self._memo: Dict[str, dict] = {}
 
     # Economy lifecycle -------------------------------------------------------
 
@@ -436,39 +440,6 @@ class ApiRuntime:
             }
         return content_address(key_doc), key_doc
 
-    def cache_get(self, key: str, decode: Callable[[dict], Any]) -> Any:
-        """``decode`` of the cached document for ``key``: the in-memory
-        memo first, then the store; ``None`` on a miss.
-
-        A document that ``decode`` rejects is a miss, so it is recomputed;
-        in the store it is also a logged, counted corrupt entry (see
-        :meth:`~repro.experiments.orchestrator.ResultStore.get`).
-        """
-        from repro.experiments.orchestrator import DECODE_ERRORS
-
-        with self._lock:
-            doc = self._memo.get(key)
-        if doc is None:
-            return None if self.store is None else self.store.get(key, decode)
-        try:
-            return decode(doc)
-        except DECODE_ERRORS:
-            return None
-
-    def cache_put(self, key: str, key_doc: dict, kind: str, doc: dict) -> None:
-        """Memoize in memory and (when a store exists) on disk."""
-        with self._lock:
-            self._memo[key] = doc
-        if self.store is not None:
-            from repro.experiments.orchestrator import ResultStoreError
-
-            try:
-                self.store.put(key, key_doc, kind, doc)
-            except ResultStoreError:
-                # The computed result is in hand; losing its memoization
-                # must not fail the request.
-                pass
-
 
 _DEFAULT_RUNTIME: Optional[ApiRuntime] = None
 _DEFAULT_LOCK = threading.Lock()
@@ -529,7 +500,7 @@ def _solve_outcome(
         ref = f"scenario/{scenario}" if scenario else f"setup/{setup}"
         spec = _scheme_spec(scheme, None)
         key, key_doc = runtime.solve_key(prepared, fingerprint, spec, ref)
-        cached = runtime.cache_get(
+        cached = runtime.cache.get(
             key, lambda doc: (outcome_from_doc(doc, problem), doc)
         )
     if cached is not None:
@@ -541,7 +512,7 @@ def _solve_outcome(
         outcome = scheme.apply(problem)
     with trace.stage("encode"):
         doc = outcome_to_doc(outcome)
-    runtime.cache_put(key, key_doc, spec.kind, doc)
+    runtime.cache.put(key, key_doc, spec.kind, doc, (outcome, doc))
     return outcome, fingerprint, False, doc
 
 
@@ -714,7 +685,7 @@ def run_scenario(
             )
             return schemas.scenario_cells_from_doc(envelope), doc
 
-        cached = runtime.cache_get(key, decode)
+        cached = runtime.cache.get(key, decode)
     if cached is not None:
         trace.mark_cache(True)
         cells, result = cached
@@ -736,7 +707,9 @@ def run_scenario(
                 )
         with trace.stage("encode"):
             result = schemas.scenario_cells_doc(cells)["result"]
-        runtime.cache_put(key, key_doc, "api-scenario-run", result)
+        runtime.cache.put(
+            key, key_doc, "api-scenario-run", result, (cells, result)
+        )
     return ScenarioRunResponse(
         cells=cells,
         population_fingerprint=fingerprint,

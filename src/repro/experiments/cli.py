@@ -214,13 +214,14 @@ def _add_common_options(
     )
     parser.add_argument(
         "--job-timeout", type=float, default=default(None), metavar="SECONDS",
-        help="presume a parallel job stuck after this long and retry it on "
-        "a fresh pool (default: no timeout)",
+        help="presume a pooled job (--jobs > 1) stuck after this long and "
+        "retry it on a fresh pool; an inline --jobs 1 job cannot be "
+        "stopped (default: no timeout)",
     )
     parser.add_argument(
         "--max-retries", type=int, default=default(2), metavar="N",
-        help="retry budget per parallel job for crashes/timeouts "
-        "(default: 2)",
+        help="retry budget per job, at any --jobs, for errors, crashes and "
+        "timeouts (default: 2)",
     )
 
 

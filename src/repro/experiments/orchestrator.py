@@ -3,9 +3,11 @@
 Reproducing the paper's Fig. 4-7 curves and Tables II-V means many
 independent (setup x pricing-scheme x seed) equilibrium solves and FL
 training runs. This module decomposes those batteries into a DAG of *pure
-jobs* and executes independent jobs across a process pool, memoizing every
-job in an on-disk result store so re-runs and partial sweeps are
-near-instant.
+jobs* and executes independent jobs across a process pool (or inline, at
+``jobs=1``), memoizing every job in an on-disk result store so re-runs and
+partial sweeps are near-instant. Both run through one scheduling loop, so
+retries and the :class:`GraphReport` apply at every ``jobs`` count; only
+``job_timeout`` needs a pool, since an inline job cannot be stopped.
 
 Job kinds
 =========
@@ -56,9 +58,9 @@ entries. The trainer's execution knobs contribute exactly
 :meth:`~repro.fl.execution.ExecutionSpec.key_fields`, the single statement
 of which of them change results; the rest (the engine, the stack width)
 and checkpointing never fork the cache. Within a single graph run,
-duplicate keys are coalesced in memory — onto one pool submission while in
-flight, and onto the already-decoded result afterwards — so the sharing
-holds even without an on-disk store.
+duplicate keys are coalesced in memory — onto one submission while queued
+or in flight, and onto the already-decoded result afterwards (a
+:class:`ResultCache`) — so the sharing holds even without an on-disk store.
 
 Example::
 
@@ -73,8 +75,15 @@ import logging
 import os
 import pickle
 import tempfile
+import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -443,6 +452,56 @@ class ResultStore:
         return len(entries)
 
 
+class ResultCache:
+    """Decoded results in memory over an optional :class:`ResultStore`.
+
+    The one cache tier of both the orchestrator (one per graph run) and
+    :class:`~repro.api.ApiRuntime` (one per runtime). :meth:`get` checks
+    the in-memory memo, then the store, and memoizes a store hit, so each
+    key is read from disk at most once per cache and every caller of a
+    key receives the same object (treat it as read-only). It has one
+    policy per failure: a corrupt store entry is a logged, counted miss
+    (see :meth:`ResultStore.get`), and a failed store write is logged and
+    returned to the caller to report, never raised, since the result is
+    already in hand. Thread-safe: the memo and the store probe sit under
+    one lock; store writes (atomic per file) run outside it.
+    """
+
+    def __init__(self, store: Optional[ResultStore] = None):
+        self.store = store
+        self._memo: Dict[str, Any] = {}
+        self._lock = threading.Lock()
+
+    def get(self, key: str, decode: Callable[[dict], Any]) -> Any:
+        """The result cached under ``key`` (``decode`` reads a stored
+        document), or ``None`` on a miss."""
+        with self._lock:
+            if key in self._memo:
+                return self._memo[key]
+            if self.store is None:
+                return None
+            result = self.store.get(key, decode)
+            if result is not None:
+                self._memo[key] = result
+            return result
+
+    def put(
+        self, key: str, key_doc: dict, kind: str, doc: dict, result: Any
+    ) -> Optional[ResultStoreError]:
+        """Memoize ``result`` and persist its encoded ``doc``; returns the
+        store-write error (already logged), or ``None``."""
+        with self._lock:
+            self._memo[key] = result
+        if self.store is None:
+            return None
+        try:
+            self.store.put(key, key_doc, kind, doc)
+        except ResultStoreError as error:
+            logger.warning("%s", error)
+            return error
+        return None
+
+
 # Worker-side execution ------------------------------------------------------
 
 # The base PreparedSetup is shipped once per worker (pool initializer), not
@@ -497,8 +556,8 @@ def _build_scheme(spec: "EquilibriumJob"):
 def _execute_spec(prepared: PreparedSetup, spec: JobSpec) -> dict:
     """Run one job and return its *encoded* payload.
 
-    Both the serial path and the pool workers return encoded documents, and
-    the orchestrator always decodes before handing results to callers — so
+    Both inline and pool jobs return encoded documents, and the
+    orchestrator always decodes before handing results to callers — so
     fresh, parallel, and cache-hit results pass through the exact same
     codec and are indistinguishable.
     """
@@ -540,6 +599,24 @@ def _run_remote(spec: JobSpec, attempt: int = 0, key: str = "") -> dict:
     return _execute_spec(_WORKER_PREPARED, spec)
 
 
+class _InlineExecutor(Executor):
+    """Runs each submitted call in the calling process, at submission.
+
+    Returns an already-completed future, so the scheduler collects the
+    result (decode, persist, memoize) before it submits the next job. An
+    exception becomes the future's, costing the job one attempt like a
+    pool job's; a ``BaseException`` (``KeyboardInterrupt``) propagates.
+    """
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as error:
+            future.set_exception(error)
+        return future
+
+
 # DAG scheduling -------------------------------------------------------------
 
 
@@ -566,8 +643,8 @@ class GraphReport:
     ``{"event": "crash" | "timeout" | "error" | "retry" | "store-error"
     | "exhausted", "key": ..., "nodes": [...], "attempt": ..., ...}`` —
     in the order observed. Exposed as
-    :attr:`ExperimentOrchestrator.last_report` after every parallel graph
-    run (and attached to :class:`GraphFailure` when the run dies).
+    :attr:`ExperimentOrchestrator.last_report` after every graph run
+    (and attached to :class:`GraphFailure` when the run dies).
     """
 
     submitted: int = 0
@@ -602,7 +679,10 @@ class GraphReport:
 
 
 class GraphFailure(RuntimeError):
-    """A job exhausted its retry budget; carries the graph's report."""
+    """A job exhausted its retry budget; carries the graph's report.
+
+    Raised from the job's last exception (``__cause__``) when it had one.
+    """
 
     def __init__(self, message: str, report: GraphReport):
         super().__init__(message)
@@ -611,22 +691,30 @@ class GraphFailure(RuntimeError):
 
 @dataclass
 class _Inflight:
-    """Bookkeeping for one pool submission."""
+    """One job from its cache miss to its result.
+
+    Queued while it waits for a free slot or out its retry backoff (until
+    ``ready_at``), then in flight from ``started``. ``names`` are the
+    nodes awaiting its result.
+    """
 
     spec: JobSpec
     key: str
     names: List[str]
-    attempt: int
-    started: float
+    attempt: int = 0
+    ready_at: float = 0.0
+    started: float = 0.0
 
 
 class ExperimentOrchestrator:
     """Executes job DAGs across a worker pool with result memoization.
 
     Args:
-        jobs: Worker processes. ``1`` (the default) runs everything inline
-            in the calling process — no pool, no pickling — which is also
-            the reference order for the determinism contract.
+        jobs: Jobs in flight at once. ``1`` (the default) runs each job
+            inline in the calling process — no pool, no pickling — which
+            is also the reference order for the determinism contract;
+            ``N > 1`` runs them on ``N`` worker processes. Both go through
+            the same retry and report path.
         cache_dir: Directory for the content-addressed result store; when
             ``None``, nothing is persisted and every job recomputes.
         store: Pre-built store (overrides ``cache_dir``); mainly for tests.
@@ -647,15 +735,19 @@ class ExperimentOrchestrator:
             stuck; the pool is torn down (a running task cannot be
             cancelled individually), the overdue job is retried with
             backoff, and on-time victims are resubmitted without penalty.
-            ``None`` (default) disables timeouts.
-        max_retries: Retry budget *per job* for crashes/timeouts/errors;
-            exceeding it raises :class:`GraphFailure` carrying the
-            structured :class:`GraphReport`.
+            An inline (``jobs=1``) job cannot be stopped, so the timeout
+            applies to pooled jobs only. ``None`` (default) disables
+            timeouts.
+        max_retries: Retry budget *per job* for crashes/timeouts/errors,
+            at every ``jobs`` count; exceeding it raises
+            :class:`GraphFailure` carrying the structured
+            :class:`GraphReport`.
         retry_base_delay: First-retry backoff in seconds; doubles each
             further attempt, plus seeded jitter.
         retry_seed: Seed for the deterministic backoff jitter.
         fault_plan: A :class:`repro.faults.FaultPlan` shipped to every
-            pool worker (chaos testing); ``None`` injects nothing.
+            pool worker (chaos testing); inline jobs never consult it.
+            ``None`` injects nothing.
 
     Attributes:
         last_report: The :class:`GraphReport` of the most recent
@@ -719,21 +811,26 @@ class ExperimentOrchestrator:
     ) -> Dict[str, Any]:
         """Execute a DAG of jobs; returns decoded results keyed by node name.
 
-        Ready nodes (all dependencies resolved) run as soon as a worker is
-        free; cache hits resolve without touching the pool. Node results
-        are deterministic, so scheduling order never affects values.
+        A ready node (all dependencies resolved) joins a job already
+        queued or in flight under its key, else resolves from the cache,
+        else queues a job. Queued jobs are submitted while fewer than
+        ``jobs`` are in flight: to a process pool, or at ``jobs=1`` to an
+        inline executor that runs each job in the calling process before
+        the next is submitted. Node results are deterministic, so
+        scheduling order never affects values.
 
-        The parallel path is fault-tolerant: a job whose worker dies
-        (:class:`~concurrent.futures.process.BrokenProcessPool`), raises,
-        or exceeds ``job_timeout`` is retried up to ``max_retries`` times
-        with exponential backoff and seeded jitter on a fresh pool; other
-        jobs that were inflight when a pool died are resubmitted without
+        One loop serves every ``jobs`` count. A job that raises, or whose
+        worker dies (:class:`~concurrent.futures.process.BrokenProcessPool`),
+        is retried up to ``max_retries`` times with exponential backoff
+        and seeded jitter, as is a pool job that exceeds ``job_timeout``
+        (an inline job cannot be stopped); a dead or stuck pool is
+        replaced, and the other jobs it held are resubmitted without
         penalty. Every incident lands in :attr:`last_report`; a job that
-        exhausts its budget raises :class:`GraphFailure`. The pool is
-        always shut down — forcibly (terminating workers) when jobs were
-        still inflight, as on ``KeyboardInterrupt``. The serial path
-        (``jobs=1``) is the reference order and simply propagates
-        failures.
+        exhausts its budget raises :class:`GraphFailure` from its last
+        exception. Each result is persisted as it is collected, so an
+        interrupted run keeps every finished job. The pool is always shut
+        down — forcibly (terminating workers) when jobs were still in
+        flight, as on ``KeyboardInterrupt``.
         """
         by_name = {node.name: node for node in nodes}
         if len(by_name) != len(nodes):
@@ -747,93 +844,70 @@ class ExperimentOrchestrator:
         results: Dict[str, Any] = {}
         remaining = dict(by_name)
         # Fingerprint the setup once per graph (it digests the config and
-        # every client array) and memoize decoded results by key for the
-        # run's duration, so nodes sharing a key (two schemes inducing the
-        # same q vector) compute once even without an on-disk store.
+        # every client array). The cache memoizes decoded results by key
+        # for the run's duration, so nodes sharing a key (two schemes
+        # inducing the same q vector) compute once even without a store.
         setup_doc = setup_fingerprint(prepared)
-        memo: Dict[str, Any] = {}
+        cache = ResultCache(self.store)
         report = GraphReport()
         self.last_report = report
-        if self.jobs == 1:
-            while remaining:
-                ready = [
-                    node
-                    for node in remaining.values()
-                    if all(dep in results for dep in node.deps)
-                ]
-                if not ready:
-                    raise ValueError("job graph contains a dependency cycle")
-                # `ready` preserves declaration order (dicts iterate in
-                # insertion order), which is the reference serial order.
-                for node in ready:
-                    results[node.name] = self._run_one(
-                        prepared, node.build(results),
-                        setup_doc=setup_doc, memo=memo,
-                    )
-                    del remaining[node.name]
-            return results
-        # The pool (and the multi-megabyte setup pickle its initializer
-        # ships) is created lazily on the first cache miss, so a fully
-        # warm re-run never pays worker startup at all.
-        pool: Optional[ProcessPoolExecutor] = None
+        # The executor (for a pool, with the multi-megabyte setup pickle
+        # its initializer ships) is created lazily on the first cache
+        # miss, so a fully warm re-run never pays worker startup at all.
+        executor: Optional[Executor] = None
         payload: Optional[bytes] = None
-        # future -> _Inflight(spec, key, node names awaiting it, attempt,
-        # start time). Several nodes can share one content-addressed key
-        # (e.g. two schemes inducing the same q vector); `inflight`
-        # coalesces them onto a single pool submission instead of
-        # recomputing. `pending` holds retries waiting out their backoff.
-        futures: Dict[Any, _Inflight] = {}
-        inflight: Dict[str, Any] = {}
-        pending: List[dict] = []
-        pending_keys: Dict[str, dict] = {}
+        # An inline job runs on `prepared` itself; a pool job on the copy
+        # its worker's initializer unpickled.
+        if self.jobs == 1:
+            def task(spec: JobSpec, attempt: int, key: str) -> dict:
+                return _execute_spec(prepared, spec)
+        else:
+            task = _run_remote
+        # Every job between its cache miss and its result, by key; nodes
+        # sharing a key coalesce onto it. `queue` holds those not in
+        # flight, in order; `futures` those in flight.
+        open_jobs: Dict[str, _Inflight] = {}
+        queue: List[_Inflight] = []
+        futures: Dict[Future, _Inflight] = {}
 
-        def submit(
-            spec: JobSpec, key: str, names: List[str], attempt: int
-        ) -> None:
-            nonlocal pool, payload
-            if pool is None:
-                if payload is None:
-                    payload = pickle.dumps(
-                        prepared, protocol=pickle.HIGHEST_PROTOCOL
-                    )
-                pool = ProcessPoolExecutor(
+        def submit(job: _Inflight) -> None:
+            nonlocal executor, payload
+            if executor is None and self.jobs == 1:
+                executor = _InlineExecutor()
+            elif executor is None:
+                # Pickled once, however often a broken pool is replaced.
+                payload = payload or pickle.dumps(
+                    prepared, protocol=pickle.HIGHEST_PROTOCOL
+                )
+                executor = ProcessPoolExecutor(
                     max_workers=self.jobs,
                     initializer=_init_worker,
                     initargs=(payload, self.fault_plan),
                 )
+            job.started = time.monotonic()
             try:
-                future = pool.submit(_run_remote, spec, attempt, key)
+                future = executor.submit(task, job.spec, job.attempt, job.key)
             except BrokenProcessPool:
                 # A worker died since the last wait(); its own future
                 # reports the crash. This job never ran: queue it again
                 # at the same attempt for the fresh pool.
-                info = _Inflight(spec, key, list(names), attempt, 0.0)
-                requeue(info, attempt, 0.0)
+                requeue(job)
                 return
-            futures[future] = _Inflight(
-                spec, key, list(names), attempt, time.monotonic()
-            )
-            inflight[key] = future
+            futures[future] = job
             report.submitted += 1
 
-        def requeue(info: _Inflight, attempt: int, delay: float) -> None:
-            entry = {
-                "ready_at": time.monotonic() + delay,
-                "spec": info.spec,
-                "key": info.key,
-                "names": list(info.names),
-                "attempt": attempt,
-            }
-            pending.append(entry)
-            pending_keys[info.key] = entry
+        def requeue(job: _Inflight, delay: float = 0.0) -> None:
+            job.ready_at = time.monotonic() + delay
+            queue.append(job)
 
         def fail_and_retry(
-            info: _Inflight, event: str, detail: Optional[str] = None
+            job: _Inflight, event: str, error: Optional[Exception] = None
         ) -> None:
+            detail = None if error is None else repr(error)
             incident = {
-                "key": info.key,
-                "nodes": list(info.names),
-                "attempt": info.attempt,
+                "key": job.key,
+                "nodes": list(job.names),
+                "attempt": job.attempt,
             }
             if detail is not None:
                 incident["error"] = detail
@@ -842,43 +916,43 @@ class ExperimentOrchestrator:
                 report.crashes += 1
             elif event == "timeout":
                 report.timeouts += 1
-            attempt = info.attempt + 1
-            if attempt > self.max_retries:
+            job.attempt += 1
+            if job.attempt > self.max_retries:
                 report.record(
                     "exhausted",
-                    key=info.key,
-                    nodes=list(info.names),
-                    attempts=attempt,
+                    key=job.key,
+                    nodes=list(job.names),
+                    attempts=job.attempt,
                 )
                 raise GraphFailure(
-                    f"job {info.names[0]!r} (key {info.key[:12]}...) failed "
-                    f"{attempt} time(s), last failure: {event}"
+                    f"job {job.names[0]!r} (key {job.key[:12]}...) failed "
+                    f"{job.attempt} time(s), last failure: {event}"
                     f"{'' if detail is None else f' ({detail})'}; retry "
                     f"budget was {self.max_retries}. Structured incident "
                     "log in this exception's .report",
                     report,
-                )
-            delay = self._retry_delay(info.key, attempt)
+                ) from error
+            delay = self._retry_delay(job.key, job.attempt)
             report.retries += 1
             report.record(
                 "retry",
-                key=info.key,
-                nodes=list(info.names),
-                attempt=attempt,
+                key=job.key,
+                nodes=list(job.names),
+                attempt=job.attempt,
                 delay=round(delay, 3),
             )
             logger.warning(
                 "orchestrator: job %s failed (%s); retry %d/%d in %.2fs",
-                info.names[0],
+                job.names[0],
                 event,
-                attempt,
+                job.attempt,
                 self.max_retries,
                 delay,
             )
-            requeue(info, attempt, delay)
+            requeue(job, delay)
 
         try:
-            while remaining or futures or pending:
+            while remaining or open_jobs:
                 progressed = True
                 while progressed:
                     progressed = False
@@ -886,39 +960,38 @@ class ExperimentOrchestrator:
                         node = remaining[name]
                         if not all(dep in results for dep in node.deps):
                             continue
+                        del remaining[name]
                         spec = node.build(results)
-                        key, cached = self._lookup(
-                            prepared, spec, setup_doc=setup_doc, memo=memo
+                        key = job_key(prepared, spec, setup_doc=setup_doc)
+                        if key in open_jobs:
+                            # Queued or in flight: join it, no cache probe.
+                            open_jobs[key].names.append(name)
+                            continue
+                        cached = cache.get(
+                            key,
+                            lambda doc, s=spec: self._decode(prepared, s, doc),
                         )
-                        if cached is not None:
+                        if cached is None:
+                            open_jobs[key] = _Inflight(spec, key, [name])
+                            queue.append(open_jobs[key])
+                        else:
                             results[name] = cached
                             progressed = True
-                        elif key in inflight:
-                            futures[inflight[key]].names.append(name)
-                        elif key in pending_keys:
-                            pending_keys[key]["names"].append(name)
-                        else:
-                            submit(spec, key, [name], 0)
-                        del remaining[name]
-                # Release retries whose backoff has elapsed.
+                # Submit due jobs (new, or past their backoff) into the
+                # free slots. At most `jobs` are in flight, so an inline
+                # result is collected before the next job runs, and a pool
+                # job's timeout clock starts when a worker is free for it.
                 now = time.monotonic()
-                due = [e for e in pending if e["ready_at"] <= now]
-                if due:
-                    pending[:] = [e for e in pending if e["ready_at"] > now]
-                    for entry in due:
-                        del pending_keys[entry["key"]]
-                        submit(
-                            entry["spec"],
-                            entry["key"],
-                            entry["names"],
-                            entry["attempt"],
-                        )
+                due = [job for job in queue if job.ready_at <= now]
+                for job in due[: self.jobs - len(futures)]:
+                    queue.remove(job)
+                    submit(job)
                 if not futures:
-                    if pending:
+                    if queue:
                         time.sleep(
                             max(
                                 0.0,
-                                min(e["ready_at"] for e in pending)
+                                min(job.ready_at for job in queue)
                                 - time.monotonic(),
                             )
                         )
@@ -930,79 +1003,78 @@ class ExperimentOrchestrator:
                     break
                 done, _ = wait(
                     list(futures),
-                    timeout=self._wait_timeout(futures, pending),
+                    timeout=self._wait_timeout(futures, queue),
                     return_when=FIRST_COMPLETED,
                 )
                 pool_broken = False
                 for future in done:
-                    info = futures.pop(future)
-                    inflight.pop(info.key, None)
+                    job = futures.pop(future)
                     try:
                         doc = future.result()
                     except BrokenProcessPool:
                         pool_broken = True
-                        fail_and_retry(info, "crash")
+                        fail_and_retry(job, "crash")
                         continue
                     except Exception as error:
-                        fail_and_retry(info, "error", detail=repr(error))
+                        fail_and_retry(job, "error", error)
                         continue
-                    try:
-                        self._persist(
-                            prepared, info.spec, info.key, doc,
-                            setup_doc=setup_doc,
-                        )
-                    except ResultStoreError as error:
+                    del open_jobs[job.key]
+                    decoded = self._decode(prepared, job.spec, doc)
+                    store_error = cache.put(
+                        job.key,
+                        job_key_doc(prepared, job.spec, setup_doc=setup_doc),
+                        job.spec.kind,
+                        doc,
+                        decoded,
+                    )
+                    if store_error is not None:
                         # The result is in hand; losing its memoization is
                         # recoverable and must not kill the graph.
                         report.record(
-                            "store-error", key=info.key, error=str(error)
+                            "store-error", key=job.key, error=str(store_error)
                         )
-                        logger.warning("%s", error)
-                    decoded = self._decode(prepared, info.spec, doc)
-                    memo[info.key] = decoded
-                    for name in info.names:
+                    for name in job.names:
                         results[name] = decoded
                 if pool_broken:
                     # A dead worker poisons the whole pool: every other
-                    # inflight future fails with BrokenProcessPool too.
+                    # in-flight future fails with BrokenProcessPool too.
                     # They are victims, not culprits — resubmit them on a
                     # fresh pool at the same attempt, immediately.
                     for victim in futures.values():
-                        requeue(victim, victim.attempt, 0.0)
+                        requeue(victim)
                     futures.clear()
-                    inflight.clear()
-                    self._shutdown_pool(pool, force=True)
-                    pool = None
+                    self._shutdown_pool(executor, force=True)
+                    executor = None
                     continue
                 if self.job_timeout is not None and futures:
-                    poisoned = self._enforce_timeouts(
-                        futures, inflight, fail_and_retry, requeue
-                    )
-                    if poisoned:
+                    if self._enforce_timeouts(
+                        futures, fail_and_retry, requeue
+                    ):
                         # A stuck running task cannot be cancelled — the
                         # pool itself must go. Futures already *done* stay
                         # in the books: their results live in the future
                         # objects and survive the shutdown.
-                        self._shutdown_pool(pool, force=True)
-                        pool = None
+                        self._shutdown_pool(executor, force=True)
+                        executor = None
         finally:
-            if pool is not None:
-                self._shutdown_pool(pool, force=bool(futures))
+            if executor is not None:
+                self._shutdown_pool(executor, force=bool(futures))
         return results
 
     def _wait_timeout(
-        self, futures: Dict[Any, _Inflight], pending: List[dict]
+        self, futures: Dict[Future, _Inflight], queue: List[_Inflight]
     ) -> Optional[float]:
-        """How long the scheduler may block: until the next retry becomes
-        due or the oldest inflight job would exceed ``job_timeout``."""
+        """How long the scheduler may block: until the next retry leaves
+        its backoff or the oldest in-flight job would exceed
+        ``job_timeout``. A due job waiting for a slot waits for a
+        completion."""
         timeout: Optional[float] = None
         now = time.monotonic()
-        if pending:
-            timeout = max(
-                0.0, min(e["ready_at"] for e in pending) - now
-            )
+        backoffs = [job.ready_at for job in queue if job.ready_at > now]
+        if backoffs:
+            timeout = min(backoffs) - now
         if self.job_timeout is not None:
-            oldest = min(info.started for info in futures.values())
+            oldest = min(job.started for job in futures.values())
             until_deadline = max(0.0, oldest + self.job_timeout - now)
             timeout = (
                 until_deadline
@@ -1013,8 +1085,7 @@ class ExperimentOrchestrator:
 
     def _enforce_timeouts(
         self,
-        futures: Dict[Any, _Inflight],
-        inflight: Dict[str, Any],
+        futures: Dict[Future, _Inflight],
         fail_and_retry: Callable[..., None],
         requeue: Callable[..., None],
     ) -> bool:
@@ -1025,25 +1096,25 @@ class ExperimentOrchestrator:
         one overdue job costs the whole pool: overdue jobs retry with
         backoff, on-time victims resubmit immediately at their current
         attempt, and futures that already completed (but are not yet
-        collected) stay — their results survive the pool.
+        collected) stay — their results survive the pool. Inline futures
+        are complete on return, so they never time out.
         """
         now = time.monotonic()
         overdue = {
             future
-            for future, info in futures.items()
-            if not future.done() and now - info.started >= self.job_timeout
+            for future, job in futures.items()
+            if not future.done() and now - job.started >= self.job_timeout
         }
         if not overdue:
             return False
-        for future, info in list(futures.items()):
+        for future, job in list(futures.items()):
             if future.done():
                 continue
             del futures[future]
-            inflight.pop(info.key, None)
             if future in overdue:
-                fail_and_retry(info, "timeout")
+                fail_and_retry(job, "timeout")
             else:
-                requeue(info, info.attempt, 0.0)
+                requeue(job)
         return True
 
     def _retry_delay(self, key: str, attempt: int) -> float:
@@ -1056,14 +1127,15 @@ class ExperimentOrchestrator:
 
     @staticmethod
     def _shutdown_pool(
-        pool: Optional[ProcessPoolExecutor], *, force: bool = False
+        pool: Optional[Executor], *, force: bool = False
     ) -> None:
-        """Shut a pool down; ``force`` terminates workers outright.
+        """Shut an executor down; ``force`` terminates pool workers.
 
-        The forced path runs when jobs are still inflight (timeout or
+        The forced path runs when jobs are still in flight (timeout or
         crash recovery, ``KeyboardInterrupt``, a fatal error): a graceful
         ``shutdown()`` would block on — or leak — running workers, so
-        they are terminated and reaped instead.
+        they are terminated and reaped instead. The inline executor has
+        nothing to shut down.
         """
         if pool is None:
             return
@@ -1080,75 +1152,6 @@ class ExperimentOrchestrator:
             for process in processes:
                 process.join(timeout=5)
 
-    def _lookup(
-        self,
-        prepared: PreparedSetup,
-        spec: JobSpec,
-        *,
-        setup_doc: Optional[dict] = None,
-        memo: Optional[Dict[str, Any]] = None,
-    ) -> Tuple[str, Optional[Any]]:
-        """Return ``(key, decoded result or None)`` for ``spec``.
-
-        ``memo`` (a per-graph in-memory ``{key: decoded}`` map) is checked
-        before the store; the store decodes its entry itself, so a payload
-        that fails to decode is a corrupt miss (see :meth:`ResultStore.get`).
-        """
-        key = job_key(prepared, spec, setup_doc=setup_doc)
-        if memo is not None and key in memo:
-            return key, memo[key]
-        if self.store is None:
-            return key, None
-        return key, self.store.get(
-            key, lambda payload: self._decode(prepared, spec, payload)
-        )
-
-    def _persist(
-        self,
-        prepared: PreparedSetup,
-        spec: JobSpec,
-        key: str,
-        doc: dict,
-        *,
-        setup_doc: Optional[dict] = None,
-    ) -> None:
-        if self.store is not None:
-            self.store.put(
-                key,
-                job_key_doc(prepared, spec, setup_doc=setup_doc),
-                spec.kind,
-                doc,
-            )
-
-    def _run_one(
-        self,
-        prepared: PreparedSetup,
-        spec: JobSpec,
-        *,
-        setup_doc: Optional[dict] = None,
-        memo: Optional[Dict[str, Any]] = None,
-    ) -> Any:
-        key, cached = self._lookup(
-            prepared, spec, setup_doc=setup_doc, memo=memo
-        )
-        if cached is not None:
-            return cached
-        doc = _execute_spec(prepared, spec)
-        try:
-            self._persist(prepared, spec, key, doc, setup_doc=setup_doc)
-        except ResultStoreError as error:
-            # The computed result is in hand; losing its memoization is
-            # recoverable and must not kill the run.
-            if self.last_report is not None:
-                self.last_report.record(
-                    "store-error", key=key, error=str(error)
-                )
-            logger.warning("%s", error)
-        decoded = self._decode(prepared, spec, doc)
-        if memo is not None:
-            memo[key] = decoded
-        return decoded
-
     def _decode(
         self, prepared: PreparedSetup, spec: JobSpec, doc: dict
     ) -> Any:
@@ -1158,18 +1161,6 @@ class ExperimentOrchestrator:
         return history_from_doc(doc)
 
     # High-level batteries ---------------------------------------------------
-
-    def equilibrium_outcome(
-        self,
-        prepared: PreparedSetup,
-        scheme: Optional[Any] = None,
-        *,
-        variant: Variant = None,
-    ) -> Any:
-        """One cached/parallelizable scheme application (Table-V building
-        block)."""
-        spec = _scheme_spec(scheme, variant)
-        return self._run_one(prepared, spec)
 
     def run_comparison(
         self,

@@ -230,20 +230,15 @@ class TestWarmCache:
         key, key_doc = runtime.solve_key(
             prepared, fingerprint, spec, f"scenario/{SCENARIO}"
         )
-        # Corrupt both tiers: the facade must quietly recompute.
-        runtime._memo[key] = {"garbage": True}
-        runtime.store.put(key, key_doc, spec.kind, {"garbage": True})
-        again = api.price(request, runtime)
-        assert again.cached is False
-        assert again.result == cold.result
-        # A fresh runtime has no memo: the store alone must count the
-        # undecodable entry as a logged corrupt miss, never as a hit.
+        # The memo holds decoded results, so only the store can hold an
+        # undecodable entry. A fresh runtime has no memo: the store alone
+        # must count it as a logged corrupt miss, never as a hit.
         runtime.store.put(key, key_doc, spec.kind, {"garbage": True})
         fresh = api.ApiRuntime(scale="ci", seed=0, cache_dir=tmp_path)
         with caplog.at_level("WARNING"):
-            third = api.price(request, fresh)
-        assert third.cached is False
-        assert third.result == cold.result
+            again = api.price(request, fresh)
+        assert again.cached is False
+        assert again.result == cold.result
         stats = fresh.store.stats()
         assert (
             stats["session_hits"],
@@ -254,6 +249,41 @@ class TestWarmCache:
             "discarding corrupt entry" in record.getMessage()
             for record in caplog.records
         )
+
+
+    def test_store_hit_is_memoized(self, tmp_path):
+        """A fresh runtime over a warm store reads each key from disk
+        once; later requests are served from memory."""
+        request = api.PriceRequest(scenario=SCENARIO, mechanism="uniform")
+        cold = api.price(
+            request, api.ApiRuntime(scale="ci", seed=0, cache_dir=tmp_path)
+        )
+        fresh = api.ApiRuntime(scale="ci", seed=0, cache_dir=tmp_path)
+        responses = [api.price(request, fresh) for _ in range(3)]
+        assert all(response.cached for response in responses)
+        assert (fresh.store.hits, fresh.store.misses) == (1, 0)
+        assert all(
+            response.result == cold.result for response in responses
+        )
+
+    def test_store_write_failure_is_logged_not_fatal(self, tmp_path, caplog):
+        """A failed store write costs the entry and a warning, never the
+        request: the same policy as the orchestrator's store-error."""
+        from repro import faults
+
+        runtime = api.ApiRuntime(scale="ci", seed=0, cache_dir=tmp_path)
+        request = api.PriceRequest(scenario=SCENARIO, mechanism="uniform")
+        with caplog.at_level("WARNING"):
+            with faults.fault_scope(faults.FaultPlan(store_write_failures=10)):
+                response = api.price(request, runtime)
+        assert response.cached is False
+        assert runtime.store.stats()["entries"] == 0
+        assert any(
+            "could not persist" in record.getMessage()
+            for record in caplog.records
+        )
+        # The result is still memoized for this runtime.
+        assert api.price(request, runtime).cached is True
 
 
 class TestRunScenario:

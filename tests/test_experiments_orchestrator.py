@@ -7,6 +7,9 @@ crash), and serial-vs-parallel bit-equivalence on a tiny setup.
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -24,8 +27,10 @@ from repro.experiments.orchestrator import (
     EquilibriumJob,
     ExperimentOrchestrator,
     JobNode,
+    ResultCache,
     ResultStore,
     TrainJob,
+    _scheme_spec,
     job_key,
     job_key_doc,
 )
@@ -213,6 +218,41 @@ class TestResultStore:
         ]
 
 
+class TestResultCache:
+    def test_concurrent_gets_read_the_store_once(self, store):
+        """Threads racing on one key share one store read and one decoded
+        object (a lost memo update would read the store twice)."""
+        key = "ab" * 32
+        store.put(key, {}, "train", {"value": 1})
+        cache = ResultCache(store)
+        seen = []
+        start = threading.Barrier(8)
+
+        def slow_decode(doc):
+            time.sleep(0.01)  # widens the window between probe and memo
+            return dict(doc)
+
+        def probe():
+            start.wait(timeout=30)
+            for _ in range(50):
+                seen.append(cache.get(key, slow_decode))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=probe) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 400
+        assert all(value is seen[0] for value in seen)
+        assert (store.hits, store.misses) == (1, 0)
+
+
 class TestSerialParallelEquivalence:
     @pytest.mark.parametrize(
         "execution",
@@ -327,9 +367,7 @@ class TestGraphExecution:
             name = "custom"
 
         with pytest.raises(ValueError, match="not orchestratable"):
-            ExperimentOrchestrator(jobs=1).equilibrium_outcome(
-                prepared, CustomScheme()
-            )
+            _scheme_spec(CustomScheme(), None)
 
     def test_custom_scheme_comparison_still_works(self, prepared, tmp_path):
         """User-defined PricingScheme subclasses are solved inline (their
@@ -374,6 +412,31 @@ class TestGraphExecution:
         # separate executions would decode two distinct histories.
         assert results["a"] is results["b"]
         assert len(orchestrator.store._entries()) == 1
+
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "parallel"])
+    def test_coalesced_key_probes_the_store_once(
+        self, prepared, tmp_path, jobs
+    ):
+        """A node whose key is already queued or in flight joins it
+        without a store probe, so the counters do not depend on jobs."""
+        spec = _train_spec(prepared)
+        nodes = [
+            JobNode(name="a", build=lambda r, s=spec: s),
+            JobNode(name="b", build=lambda r, s=spec: s),
+        ]
+        orchestrator = ExperimentOrchestrator(
+            jobs=jobs, cache_dir=tmp_path / "cache"
+        )
+        results = orchestrator.run_graph(prepared, nodes)
+        assert results["a"] is results["b"]
+        store = orchestrator.store
+        assert (store.hits, store.misses) == (0, 1)
+        assert orchestrator.last_report.submitted == 1
+        warm = ExperimentOrchestrator(jobs=jobs, cache_dir=tmp_path / "cache")
+        again = warm.run_graph(prepared, nodes)
+        assert again["a"] is again["b"]
+        assert (warm.store.hits, warm.store.misses) == (1, 0)
+        assert warm.last_report.submitted == 0
 
     @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "parallel"])
     def test_identical_keys_dedupe_without_a_store(self, prepared, jobs):

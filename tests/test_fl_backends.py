@@ -18,6 +18,7 @@ from repro.datasets import Dataset, FederatedDataset, synthetic_federated
 from repro.experiments.configs import SCALES, SETUPS, apply_scale
 from repro.experiments.orchestrator import (
     ExperimentOrchestrator,
+    JobNode,
     TrainJob,
     job_key,
     job_key_doc,
@@ -237,10 +238,13 @@ class TestEndToEndContract:
         spec = TrainJob(
             q=tuple(float(v) for v in q), seed=0, execution=loop
         )
-        first = writer._run_one(prepared, spec)
+        first = writer.run_graph(
+            prepared, [JobNode(name="run", build=lambda _: spec)]
+        )["run"]
         reader = ExperimentOrchestrator(cache_dir=tmp_path)
-        hit = reader._run_one(
-            prepared, TrainJob(q=tuple(float(v) for v in q), seed=0)
-        )
+        plain = TrainJob(q=tuple(float(v) for v in q), seed=0)
+        hit = reader.run_graph(
+            prepared, [JobNode(name="run", build=lambda _: plain)]
+        )["run"]
         assert reader.store.hits == 1 and reader.store.misses == 0
         assert first.records == hit.records

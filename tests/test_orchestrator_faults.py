@@ -111,19 +111,55 @@ class TestCrashRetry:
         ]
         assert report.failures[-1]["event"] == "exhausted"
 
-    def test_worker_error_is_retried_not_fatal(self, prepared, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["inline", "pool"])
+    def test_worker_error_is_retried_not_fatal(self, prepared, jobs):
         """A job raising an ordinary exception (not a dead worker) also
-        consumes the retry budget and surfaces in the report."""
+        consumes the retry budget and surfaces in the report — inline
+        too — and the failure chains the job's own exception."""
         orchestrator = ExperimentOrchestrator(
-            jobs=2, max_retries=0, retry_base_delay=0.05
+            jobs=jobs, max_retries=1, retry_base_delay=0.01
         )
         q = tuple([float("nan")] * prepared.config.num_clients)
         bad = [JobNode(name="bad", build=lambda r: TrainJob(q=q, seed=0))]
         with pytest.raises(GraphFailure) as caught:
             orchestrator.run_graph(prepared, bad)
         events = [e["event"] for e in caught.value.report.events]
-        assert events == ["error", "exhausted"]
+        assert events == ["error", "retry", "error", "exhausted"]
         assert "error" in caught.value.report.events[0]
+        assert caught.value.report.submitted == 2
+        cause = caught.value.__cause__
+        assert isinstance(cause, Exception)
+        assert repr(cause) == caught.value.report.events[-2]["error"]
+
+
+class TestInlineJobs:
+    def test_interrupt_keeps_the_finished_job(
+        self, prepared, tmp_path, monkeypatch
+    ):
+        """At jobs=1 each result is persisted before the next job starts,
+        so a KeyboardInterrupt in the second job keeps the first."""
+        from repro.experiments import orchestrator as module
+
+        calls = []
+        execute = module._execute_spec
+
+        def interrupt_second(setup, spec):
+            calls.append(spec.seed)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return execute(setup, spec)
+
+        monkeypatch.setattr(module, "_execute_spec", interrupt_second)
+        store = ResultStore(tmp_path / "cache")
+        nodes = _train_nodes(prepared)
+        with pytest.raises(KeyboardInterrupt):
+            ExperimentOrchestrator(jobs=1, store=store).run_graph(
+                prepared, nodes
+            )
+        assert calls == [0, 1]
+        first, second = (node.build({}) for node in nodes)
+        assert store._path(job_key(prepared, first)).is_file()
+        assert not store._path(job_key(prepared, second)).exists()
 
 
 class TestStragglerTimeout:
@@ -147,6 +183,23 @@ class TestStragglerTimeout:
         report = orchestrator.last_report
         assert report.timeouts >= 1
         assert any(e["event"] == "timeout" for e in report.events)
+
+    def test_job_waiting_for_a_worker_never_times_out(self, prepared):
+        """At most ``jobs`` jobs are in flight, so a job's clock starts
+        when a worker is free for it: four 3-second jobs on two workers
+        take two waves, and none of them is overdue at 4.5 s."""
+        plan = FaultPlan(
+            straggler_probability=1.0,
+            straggler_seconds=3.0,
+            straggler_attempts=1,
+        )
+        orchestrator = ExperimentOrchestrator(
+            jobs=2, fault_plan=plan, job_timeout=4.5, max_retries=2,
+            retry_base_delay=0.05,
+        )
+        orchestrator.run_graph(prepared, _train_nodes(prepared, (0, 1, 2, 3)))
+        report = orchestrator.last_report
+        assert (report.timeouts, report.retries, report.submitted) == (0, 0, 4)
 
 
 class TestGraphReport:
@@ -214,9 +267,8 @@ class TestStoreFailures:
         with faults.fault_scope(FaultPlan(store_write_failures=10)):
             results = orchestrator.run_graph(prepared, nodes)
         assert _records(results) == _records(reference)
-        if jobs > 1:
-            events = [e["event"] for e in orchestrator.last_report.events]
-            assert "store-error" in events
+        events = [e["event"] for e in orchestrator.last_report.events]
+        assert "store-error" in events
 
 
 class TestCheckpointedJobs:
