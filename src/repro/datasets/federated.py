@@ -26,12 +26,6 @@ class FederatedDataset:
     test_dataset: Dataset
     name: str = "federated"
 
-    #: Dispatch flag read by the trainer/metrics layers: eager federations
-    #: hold all shards resident;
-    #: :class:`repro.datasets.streaming.StreamingFederatedDataset`
-    #: reports ``True`` and regenerates shards on demand.
-    streaming = False
-
     def __post_init__(self) -> None:
         if not self.client_datasets:
             raise ValueError("a federated dataset needs at least one client")
@@ -84,8 +78,8 @@ class FederatedDataset:
     def pooled_train(self) -> Dataset:
         """All client shards concatenated (the full-participation objective).
 
-        Cached after the first call: evaluation's stacked metric pass reads
-        it every round. Shard arrays are treated as immutable throughout
+        Cached after the first call: theory estimation reads it more than
+        once. Shard arrays are treated as immutable throughout
         the library; mutating one in place after pooling would desynchronize
         the cache.
         """

@@ -76,11 +76,6 @@ class SyntheticShardProvider:
             draws ``size + test_size`` rows; the trailing rows are the
             held-out part, so train arrays are independent of whether the
             client ever contributes to a test set).
-        dtype: Feature dtype served by the provider. The generative
-            recipe always draws in float64 (so the *values* are a pure
-            function of the seed regardless of precision); ``"float32"``
-            casts the finished feature arrays once on materialization —
-            the fast tier's storage format. Labels stay integer.
     """
 
     def __init__(
@@ -93,7 +88,6 @@ class SyntheticShardProvider:
         dim: int = 60,
         num_classes: int = 10,
         test_fraction: float = 0.2,
-        dtype: str = "float64",
     ):
         check_nonnegative(alpha, "alpha")
         check_nonnegative(beta, "beta")
@@ -118,11 +112,6 @@ class SyntheticShardProvider:
         self.dim = int(dim)
         self.num_classes = int(num_classes)
         self.test_fraction = float(test_fraction)
-        self.dtype = np.dtype(dtype)
-        if self.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise ValueError(
-                f"dtype must be float32 or float64, got {self.dtype.name!r}"
-            )
         self.test_sizes = np.maximum(
             1, np.round(sizes * test_fraction).astype(int)
         ) if test_fraction > 0 else np.zeros_like(sizes)
@@ -156,8 +145,6 @@ class SyntheticShardProvider:
             self.num_classes,
             generator,
         )
-        if features.dtype != self.dtype:
-            features = features.astype(self.dtype)
         self.regenerations += 1
         return features, labels
 
@@ -288,9 +275,6 @@ class StreamingFederatedDataset:
         name: Human-readable identifier.
         test_client_ids: The clients contributing the test rows.
     """
-
-    #: Trainer/metrics dispatch flag (eager federations report ``False``).
-    streaming = True
 
     def __init__(
         self,
@@ -437,7 +421,6 @@ def streaming_synthetic_federated(
     seed: int = 0,
     min_size: Optional[int] = None,
     max_size: Optional[int] = None,
-    dtype: str = "float64",
 ) -> StreamingFederatedDataset:
     """Build a memory-bounded Synthetic(alpha, beta) federation.
 
@@ -477,9 +460,6 @@ def streaming_synthetic_federated(
             bounds every shard, with the clipped excess redistributed
             deterministically across under-cap clients (no extra RNG —
             sizes stay a pure function of the seed).
-        dtype: Feature precision served by the provider (``"float32"``
-            for the fast tier). Values are drawn in float64 and cast, so
-            the federation's content is seed-determined either way.
 
     Returns:
         A :class:`StreamingFederatedDataset`.
@@ -512,7 +492,6 @@ def streaming_synthetic_federated(
         dim=dim,
         num_classes=num_classes,
         test_fraction=test_fraction,
-        dtype=dtype,
     )
     chooser = spawn_rng(seed, "streaming", "test-clients")
     count = min(int(test_clients), num_clients)

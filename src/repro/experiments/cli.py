@@ -85,6 +85,7 @@ from repro.fl.execution import (
     PRECISIONS,
     ExecutionSpec,
 )
+from repro.fl.trainer import DEFAULT_CHUNK_SIZE
 from repro.utils.serialization import save_json
 from repro.utils.tables import render_table
 
@@ -104,8 +105,7 @@ def add_execution_options(
     parser.add_argument(
         "--chunk-size", type=int, default=default(None), metavar="CLIENTS",
         help="memory-bounded stack width for training runs (bit-identical "
-        "results; default: full-width for eager setups, a bounded chunk "
-        "for streaming megafleet scenarios)",
+        f"results; default: {DEFAULT_CHUNK_SIZE} participants per stack)",
     )
     parser.add_argument(
         "--precision", choices=PRECISIONS,

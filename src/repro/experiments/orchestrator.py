@@ -519,23 +519,9 @@ def _init_worker(
 
 
 def _scheme_registry() -> dict:
-    from repro.game import (
-        FixedSubsetMechanism,
-        FullParticipationMechanism,
-        OptimalPricing,
-        RandomSelectionMechanism,
-        UniformPricing,
-        WeightedPricing,
-    )
+    from repro.game import MECHANISMS
 
-    return {
-        "OptimalPricing": OptimalPricing,
-        "UniformPricing": UniformPricing,
-        "WeightedPricing": WeightedPricing,
-        "FullParticipationMechanism": FullParticipationMechanism,
-        "FixedSubsetMechanism": FixedSubsetMechanism,
-        "RandomSelectionMechanism": RandomSelectionMechanism,
-    }
+    return {cls.__name__: cls for cls in MECHANISMS.values()}
 
 
 def _build_scheme(spec: "EquilibriumJob"):

@@ -38,9 +38,9 @@ class ExecutionSpec:
             SGD into batched model kernels; ``"loop"`` runs the reference
             per-client loop. Histories are bit-identical either way.
         chunk_size: Maximum participants per vectorized stack; ``None``
-            lets the trainer choose (the whole cohort for eager
-            federations, a bounded chunk for streaming ones). Histories
-            are bit-identical for every chunking.
+            means :data:`repro.fl.trainer.DEFAULT_CHUNK_SIZE` on every
+            federation and tier. Histories are bit-identical for every
+            chunking.
         precision: Working dtype of the local-SGD kernels. ``"float64"``
             is the bit-exact path; ``"float32"`` is statistically
             equivalent, not digest-equal.

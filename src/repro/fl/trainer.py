@@ -19,14 +19,15 @@ Two compute backends produce **bit-identical** histories:
 
 ``chunk_size`` bounds *memory* instead of picking an engine: the
 vectorized round is processed in stacks of at most ``chunk_size``
-participants (``None`` = one stack holding the whole active cohort),
-gathering only those clients' shards at a time, so peak residency scales
-with the chunk width rather than the fleet size. Because each stack slice
-is bit-identical to the scalar path, any chunking produces the same
-histories; chunking is a pure memory/speed dial. Streaming federations
-(:class:`~repro.datasets.streaming.StreamingFederatedDataset`) always run
-with a bounded chunk — their shards regenerate on demand inside each
-chunk gather and are never all resident at once.
+participants (``None`` = :data:`DEFAULT_CHUNK_SIZE` on every federation
+and tier), gathering only those clients' shards at a time, so peak
+residency scales with the chunk width rather than the fleet size. Because
+each stack slice is bit-identical to the scalar path, any chunking
+produces the same histories; chunking is a pure memory/speed dial. How a
+federation stores its shards never enters: a streaming federation
+(:class:`~repro.datasets.streaming.StreamingFederatedDataset`) regenerates
+each shard inside the chunk gather that asks for it, an eager one hands
+out its resident arrays.
 """
 
 from __future__ import annotations
@@ -63,9 +64,11 @@ from repro.utils.rng import RngFactory
 # (participant_mask, round_index) -> seconds the round takes.
 RoundTimer = Callable[[np.ndarray, int], float]
 
-#: Default participants-per-stack for streaming federations (eager
-#: federations default to the unbounded full-width stack).
-DEFAULT_CHUNK_SIZE = 64
+#: Default participants-per-stack (``chunk_size=None``), on every
+#: federation and tier: the width that minimized per-client kernel cost in
+#: a stack-size sweep of the batched kernel, pinned in code so no run
+#: depends on a benchmark artifact.
+DEFAULT_CHUNK_SIZE = 32
 
 #: Importance draws per sub-sampled evaluation (fast tier); fleets at or
 #: below this size are still scored exactly.
@@ -74,12 +77,6 @@ FAST_EVAL_SAMPLE = 256
 #: Fast-tier row cache capacity (clients whose dtype-cast shard rows stay
 #: resident across rounds; the only shard cache in the library).
 FAST_ROW_CACHE_CLIENTS = 4096
-
-#: Default participants-per-stack for streaming federations on the fast
-#: tier: the width that minimized per-client kernel cost in a stack-size
-#: sweep of the batched kernel, pinned in code so no run depends on a
-#: benchmark artifact.
-FAST_CHUNK_SIZE = 32
 
 
 def _unit_round_timer(mask: np.ndarray, round_index: int) -> float:
@@ -112,9 +109,7 @@ class FederatedTrainer:
             :class:`~repro.fl.execution.ExecutionSpec`; ``None`` is the
             exact default. Its fields are also accepted as keywords
             (``backend="loop"``), which override it. A ``None`` chunk
-            size stacks the whole cohort for eager federations and uses
-            :data:`DEFAULT_CHUNK_SIZE` for streaming ones
-            (:data:`FAST_CHUNK_SIZE` on the fast tier). The fast tier
+            size means :data:`DEFAULT_CHUNK_SIZE`. The fast tier
             caches dtype-cast shard rows in a trainer-level LRU (the exact
             tier regenerates a streaming shard on every fetch) and
             scores large fleets with
@@ -160,11 +155,11 @@ class FederatedTrainer:
         self.backend = execution.backend
         self.dtype = np.dtype(execution.precision)
         self.fast = execution.fast
-        self.streaming = bool(getattr(federated, "streaming", False))
-        chunk_size = execution.chunk_size
-        if chunk_size is None and self.streaming:
-            chunk_size = FAST_CHUNK_SIZE if self.fast else DEFAULT_CHUNK_SIZE
-        self.chunk_size = chunk_size
+        self.chunk_size = (
+            DEFAULT_CHUNK_SIZE
+            if execution.chunk_size is None
+            else execution.chunk_size
+        )
         # Fast-tier row cache (see the class docstring); empty and
         # untouched on the exact path.
         self._row_cache: "OrderedDict[int, Tuple[np.ndarray, np.ndarray]]"
@@ -337,11 +332,10 @@ class FederatedTrainer:
         its whole round of mini-batch indices from its own stream in the
         one generator call :func:`~repro.models.optim.sgd_steps` would have
         made. The active cohort is processed ``chunk_size`` clients at a
-        time (``None`` = one chunk holding the whole cohort); within a
-        chunk, clients are grouped by effective batch width (shards
-        smaller than the batch size draw narrower batches) and each group's
-        ``E`` steps run on a ``(group, width, features)`` stack over a pool
-        holding just that group's shards. Peak residency is
+        time; within a chunk, clients are grouped by effective batch width
+        (shards smaller than the batch size draw narrower batches) and each
+        group's ``E`` steps run on a ``(group, width, features)`` stack over
+        a pool holding just that group's shards. Peak residency is
         ``O(chunk_size x max shard)`` plus the kernel workspace; with a
         streaming federation the gathered shards are regenerated on demand
         and released once the chunk is done. Because every stack slice is
@@ -352,10 +346,9 @@ class FederatedTrainer:
         if not active:
             return {}
         params0 = np.asarray(global_params, dtype=self.dtype)
-        width = self.chunk_size or len(active)
         updated: Dict[int, np.ndarray] = {}
-        for start in range(0, len(active), width):
-            chunk = active[start:start + width]
+        for start in range(0, len(active), self.chunk_size):
+            chunk = active[start:start + self.chunk_size]
             groups: Dict[int, List[Tuple[FLClient, np.ndarray]]] = {}
             for client in chunk:
                 indices = client.draw_batch_indices(self.local_steps)

@@ -175,9 +175,10 @@ class Model(ABC):
         Together with :meth:`penalty` this factorizes :meth:`loss` as
         ``sample_losses(...).mean() + penalty(params)``, which lets
         evaluation code score many data shards in one concatenated pass
-        (see :func:`repro.models.metrics.per_client_losses`). Optional:
-        models without a per-sample decomposition leave it unimplemented
-        and evaluation falls back to per-shard :meth:`loss` calls.
+        (see :func:`repro.models.metrics.losses_for_clients`). Federated
+        evaluation requires it: a model that leaves it unimplemented can
+        train, but scoring its global objective raises
+        :class:`NotImplementedError`.
         """
         raise NotImplementedError
 

@@ -2,25 +2,23 @@
 
 The global objective ``F(w) = sum_n a_n F_n(w)`` needs every client's local
 loss at the same parameter vector. Rather than looping ``N`` per-shard model
-calls, :func:`per_client_losses` scores the federation through
+calls, :func:`losses_for_clients` — the one scoring loop, which
+:func:`per_client_losses` runs over the whole fleet and the fast tier over
+its evaluation panel — scores clients through
 :meth:`~repro.models.base.Model.sample_losses` in **client-aligned
 chunks**: consecutive clients are grouped until a chunk reaches
-:data:`EVAL_CHUNK_SAMPLES` samples, each chunk is one stacked pass, and
-every client's mean is read off its own contiguous slice. Federations that
-fit in a single chunk (every CI/bench-scale run) evaluate in one pooled
-pass — byte-for-byte the historical behavior — while megafleet-scale and
-streaming federations never materialize more than one chunk of samples at
-a time. Chunk boundaries depend only on the shard-size vector, never on
-how shards are stored, so an eager federation and its streaming twin
-produce bit-identical losses. Models without a per-sample loss
-decomposition fall back to the historical per-shard loop transparently
-(one shard resident at a time — also streaming-safe).
+:data:`EVAL_CHUNK_SAMPLES` samples, each chunk is one stacked pass over
+rows fetched with one ``arrays()`` call per shard, and every client's mean
+is read off its own contiguous slice. No evaluation ever materializes more
+than one chunk of samples. Chunk boundaries depend only on the shard-size
+vector, never on how shards are stored, so an eager federation and its
+streaming twin produce bit-identical losses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,8 +64,8 @@ def eval_client_chunks(sizes: np.ndarray) -> Iterator[Tuple[int, int]]:
     Deterministic in the shard-size vector alone: consecutive clients are
     grouped until adding the next one would push the chunk past
     :data:`EVAL_CHUNK_SAMPLES` (a lone oversized shard forms its own
-    chunk). Both the eager and the streaming evaluation paths iterate
-    these exact groups, which is what makes their results bit-identical.
+    chunk). Storage never enters, which is what makes an eager federation
+    and its streaming twin score bit-identically.
     """
     num_clients = len(sizes)
     start = 0
@@ -89,43 +87,11 @@ def per_client_losses(
 ) -> np.ndarray:
     """Vector of local losses ``F_n(w)`` for each client.
 
-    One stacked :meth:`~repro.models.base.Model.sample_losses` pass per
-    client-aligned chunk (see :data:`EVAL_CHUNK_SAMPLES`); the whole
-    federation when it fits in one chunk. Peak residency is one chunk of
-    samples, so streaming federations evaluate without ever pooling.
+    :func:`losses_for_clients` over the whole fleet, in client order.
     """
-    sizes = np.asarray(federated.sizes, dtype=int)
-    shards = federated.client_datasets
-    penalty: float = 0.0
-    losses = np.empty(len(sizes))
-    single_chunk = int(sizes.sum()) <= EVAL_CHUNK_SAMPLES
-    streaming = bool(getattr(federated, "streaming", False))
-    for index, (start, end) in enumerate(eval_client_chunks(sizes)):
-        if single_chunk and not streaming:
-            # Whole-federation chunk on an eager federation: reuse the
-            # cached pooled arrays (same values as assembling the chunk,
-            # without re-concatenating every evaluation).
-            pooled = federated.pooled_train()
-            features, labels = pooled.features, pooled.labels
-        else:
-            features, labels = _assemble_chunk(shards, range(start, end))
-        try:
-            samples = model.sample_losses(params, features, labels)
-        except NotImplementedError:
-            # No per-sample decomposition: historical per-shard loop
-            # (still streaming-safe — one shard resident at a time).
-            return np.array(
-                [model.dataset_loss(params, shard) for shard in shards]
-            )
-        if index == 0:
-            penalty = model.penalty(params)
-        ends = np.cumsum(sizes[start:end])
-        starts = np.concatenate(([0], ends[:-1]))
-        for offset, client in enumerate(range(start, end)):
-            losses[client] = (
-                float(samples[starts[offset]:ends[offset]].mean()) + penalty
-            )
-    return losses
+    return losses_for_clients(
+        model, params, federated, range(federated.num_clients)
+    )
 
 
 def losses_for_clients(
@@ -137,60 +103,48 @@ def losses_for_clients(
     arrays: Optional[Callable[[int], Tuple[np.ndarray, np.ndarray]]] = None,
     dtype: Optional[np.dtype] = None,
 ) -> np.ndarray:
-    """Local losses ``F_n(w)`` for an explicit subset of clients.
+    """Local losses ``F_n(w)`` for the listed clients, in the given order.
 
-    The sub-sampled twin of :func:`per_client_losses`: the same chunked
-    :meth:`~repro.models.base.Model.sample_losses` passes (one chunk of
-    samples resident at a time, streaming-safe), but only over the listed
-    clients — cost scales with the panel, not the fleet. ``arrays``
-    optionally overrides how a client's rows are fetched (the fast tier
-    passes its trainer-level row cache). ``dtype`` optionally casts the
-    parameter vector so the scoring matmuls run in that precision — with
-    the fast tier's float32 row cache this keeps the whole panel pass on
-    the float32 pool instead of silently upcasting every product to
-    float64; ``None`` (the default) leaves the historical float64 pass
-    bit-for-bit unchanged.
+    The listed clients are grouped by :func:`eval_client_chunks` over
+    their shard sizes; each chunk is one stacked
+    :meth:`~repro.models.base.Model.sample_losses` pass over its clients'
+    concatenated rows, and every client's mean is read off its own
+    contiguous slice. One chunk of samples is resident at a time, so cost
+    and memory scale with the list, not the fleet. ``arrays`` optionally
+    overrides how a client's rows are fetched (the fast tier passes its
+    trainer-level row cache). ``dtype`` optionally casts the parameter
+    vector so the scoring matmuls run in that precision — with the fast
+    tier's float32 row cache this keeps the whole panel pass on the
+    float32 pool instead of silently upcasting every product to float64;
+    ``None`` (the default) leaves the parameter vector as passed.
     """
-    sizes = np.asarray(federated.sizes, dtype=int)
-    shards = federated.client_datasets
     if dtype is not None:
         params = np.asarray(params, dtype=dtype)
     if arrays is None:
+        shards = federated.client_datasets
+
         def arrays(client_id):
+            # One arrays() call per shard: every fetch of a lazy shard
+            # regenerates it.
             return shards[client_id].arrays()
+
     ids = [int(i) for i in client_ids]
+    sizes = np.asarray(federated.sizes, dtype=int)[ids]
+    penalty = model.penalty(params)
     losses = np.empty(len(ids))
-    have_penalty = False
-    penalty = 0.0
-    start = 0
-    while start < len(ids):
-        end = start + 1
-        budget = int(sizes[ids[start]])
-        while (
-            end < len(ids)
-            and budget + int(sizes[ids[end]]) <= EVAL_CHUNK_SAMPLES
-        ):
-            budget += int(sizes[ids[end]])
-            end += 1
+    for start, end in eval_client_chunks(sizes):
         rows = [arrays(client_id) for client_id in ids[start:end]]
-        features = np.concatenate([row[0] for row in rows])
-        labels = np.concatenate([row[1] for row in rows])
-        try:
-            samples = model.sample_losses(params, features, labels)
-        except NotImplementedError:
-            return np.array(
-                [model.dataset_loss(params, shards[i]) for i in ids]
-            )
-        if not have_penalty:
-            penalty = model.penalty(params)
-            have_penalty = True
-        ends = np.cumsum(sizes[ids[start:end]])
+        samples = model.sample_losses(
+            params,
+            np.concatenate([row[0] for row in rows]),
+            np.concatenate([row[1] for row in rows]),
+        )
+        ends = np.cumsum(sizes[start:end])
         starts = np.concatenate(([0], ends[:-1]))
         for offset in range(end - start):
             losses[start + offset] = (
                 float(samples[starts[offset]:ends[offset]].mean()) + penalty
             )
-        start = end
     return losses
 
 
@@ -279,16 +233,3 @@ def subsampled_global_loss(
         sample_size=m,
         num_unique=panel.num_unique,
     )
-
-
-def _assemble_chunk(shards, client_ids) -> Tuple[np.ndarray, np.ndarray]:
-    """Concatenate the chunk's shard arrays (values match a pooled slice)."""
-    features: List[np.ndarray] = []
-    labels: List[np.ndarray] = []
-    for client in client_ids:
-        # One arrays() call per shard: every fetch of a lazy shard
-        # regenerates it.
-        shard_features, shard_labels = shards[client].arrays()
-        features.append(shard_features)
-        labels.append(shard_labels)
-    return np.concatenate(features), np.concatenate(labels)

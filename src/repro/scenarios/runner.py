@@ -332,8 +332,8 @@ class ScenarioRunner:
         aggregates. Round timing uses the closed-form
         :class:`~repro.simulation.FleetTimingModel` (the event-driven
         upload simulation is super-linear in participants). Training then
-        flows through the ordinary orchestrator DAG; the trainer detects
-        the streaming dataset and runs chunked automatically.
+        flows through the ordinary orchestrator DAG, whose trainer runs
+        chunked whatever the storage.
         """
         from repro.datasets import streaming_synthetic_federated
         from repro.models import MultinomialLogisticRegression

@@ -1,8 +1,6 @@
 """Simulated cross-device testbed (replaces the paper's 40-Pi prototype)."""
 
-from repro.simulation.clock import SimulatedClock
 from repro.simulation.devices import DeviceProfile, raspberry_pi_fleet
-from repro.simulation.events import EventQueue
 from repro.simulation.network import SharedMediumNetwork, simulate_shared_uploads
 from repro.simulation.runtime import (
     FleetTimingModel,
@@ -12,8 +10,6 @@ from repro.simulation.runtime import (
 )
 
 __all__ = [
-    "SimulatedClock",
-    "EventQueue",
     "DeviceProfile",
     "raspberry_pi_fleet",
     "SharedMediumNetwork",

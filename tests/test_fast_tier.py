@@ -19,14 +19,13 @@ import numpy as np
 import pytest
 
 import repro
-from repro.datasets import streaming_synthetic_federated, synthetic_federated
+from repro.datasets import synthetic_federated
 from repro.experiments import SCALES, SETUP1, apply_scale
 from repro.experiments.orchestrator import ExperimentOrchestrator, TrainJob
 from repro.experiments.runner import default_schemes, run_pricing_comparison
 from repro.experiments.setup import prepare_setup
 from repro.fl import BernoulliParticipation, CheckpointConfig, FederatedTrainer
 from repro.fl.execution import PRECISIONS, ExecutionSpec
-from repro.fl.trainer import FAST_CHUNK_SIZE
 from repro.game import ClientPopulation, ServerProblem, solve_stage1_kkt
 from repro.game.best_response import bucket_representatives
 from repro.game.client_model import sample_population
@@ -413,21 +412,6 @@ class TestSubsampledEvaluation:
 
 
 class TestKernelSelection:
-    def test_fast_streaming_trainer_uses_pinned_width(self):
-        federated = streaming_synthetic_federated(
-            40, total_samples=1_200, seed=2, test_clients=4
-        )
-        trainer = FederatedTrainer(
-            MultinomialLogisticRegression(
-                num_features=federated.num_features,
-                num_classes=federated.num_classes,
-            ),
-            federated,
-            BernoulliParticipation(np.full(federated.num_clients, 0.5)),
-            fast=True,
-        )
-        assert trainer.chunk_size == FAST_CHUNK_SIZE
-
     @pytest.mark.parametrize("checkpointed", [False, True])
     def test_fast_tier_draws_the_exact_participants(
         self, tmp_path, checkpointed

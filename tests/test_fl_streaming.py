@@ -4,7 +4,7 @@ Two contracts under test:
 
 * **Bit-identity.** Every chunking of the vectorized round — and the
   streaming storage mode it usually rides with — produces training
-  histories bit-identical to the eager full-width path, because stack
+  histories bit-identical to the eager default-width path, because stack
   slices are bit-identical to the scalar path and evaluation chunks are
   client-aligned and storage-independent.
 * **Bounded memory.** Peak allocation during a streaming run scales with
@@ -30,6 +30,7 @@ from repro.fl import (
     FederatedTrainer,
     FLClient,
 )
+from repro.fl.trainer import DEFAULT_CHUNK_SIZE
 from repro.models import MultinomialLogisticRegression
 from repro.utils.rng import RngFactory
 
@@ -102,7 +103,7 @@ class TestChunkedBitIdentity:
         q = np.full(14, 0.5)
         reference, reference_params = _run(model, eager, q)
         for kwargs in (
-            dict(),  # auto-chunked streaming default
+            dict(),  # the default width
             dict(chunk_size=5),
             dict(backend="loop"),
         ):
@@ -166,6 +167,28 @@ class TestChunkedBitIdentity:
         chunked, _ = _run(model, streaming, q, chunk_size=3)
         assert chunked.records == reference.records
 
+    def test_client_subset_scores_its_rows_of_the_fleet(self, monkeypatch):
+        """The panel pass and the whole-fleet pass are one scoring loop: a
+        shuffled client subset spanning several evaluation chunks scores
+        exactly its entries of the full vector, in either storage mode."""
+        monkeypatch.setattr(metrics, "EVAL_CHUNK_SAMPLES", 64)
+        streaming = streaming_synthetic_federated(
+            12, total_samples=360, seed=4, test_clients=4
+        )
+        eager = streaming.materialize()
+        model = _model(eager)
+        rng = np.random.default_rng(5)
+        params = rng.normal(size=model.init_params().shape)
+        ids = rng.permutation(12)[:9]
+        assert len(list(metrics.eval_client_chunks(eager.sizes[ids]))) > 2
+        scores = {}
+        for name, federated in (("eager", eager), ("streaming", streaming)):
+            full = metrics.per_client_losses(model, params, federated)
+            subset = metrics.losses_for_clients(model, params, federated, ids)
+            assert np.array_equal(subset, full[ids]), name
+            scores[name] = subset
+        assert np.array_equal(scores["eager"], scores["streaming"])
+
     def test_chunk_size_validated(self):
         federated = streaming_synthetic_federated(
             4, total_samples=80, seed=1, test_clients=2
@@ -178,17 +201,25 @@ class TestChunkedBitIdentity:
                 chunk_size=0,
             )
 
-    def test_streaming_defaults_to_bounded_chunk(self):
+    @pytest.mark.parametrize("chunk_size", [None, 5], ids=["default", "5"])
+    @pytest.mark.parametrize("fast", [False, True], ids=["exact", "fast"])
+    @pytest.mark.parametrize("eager", [False, True], ids=["streaming", "eager"])
+    def test_width_ignores_storage_and_tier(self, eager, fast, chunk_size):
         federated = streaming_synthetic_federated(
             4, total_samples=80, seed=1, test_clients=2
         )
+        if eager:
+            federated = federated.materialize()
         trainer = FederatedTrainer(
             _model(federated),
             federated,
             BernoulliParticipation(np.full(4, 0.5)),
+            fast=fast,
+            chunk_size=chunk_size,
         )
-        assert trainer.streaming
-        assert trainer.chunk_size is not None
+        assert trainer.chunk_size == (
+            DEFAULT_CHUNK_SIZE if chunk_size is None else chunk_size
+        )
 
 
 class TestChunkKnobNeverForksTheCache:
@@ -246,8 +277,8 @@ class TestPeakMemoryIsChunkBounded:
         )
         assert stream_history.records == eager_history.records
         # Eager residency: every shard, materialized inside the traced
-        # region, plus the pooled evaluation cache. Streaming holds one
-        # chunk (8 clients) and one evaluation chunk.
+        # region. Streaming holds one chunk (8 clients) and one
+        # evaluation chunk.
         assert stream_peak < eager_peak, (stream_peak, eager_peak)
 
     def test_streaming_peak_does_not_scale_with_fleet(self):

@@ -1,107 +1,9 @@
-"""Tests for the simulated clock, event queue, and device profiles."""
+"""Tests for the simulated device profiles."""
 
 import numpy as np
 import pytest
 
-from repro.simulation import (
-    DeviceProfile,
-    EventQueue,
-    SimulatedClock,
-    raspberry_pi_fleet,
-)
-
-
-class TestSimulatedClock:
-    def test_advance(self):
-        clock = SimulatedClock()
-        assert clock.advance(1.5) == 1.5
-        assert clock.now == 1.5
-
-    def test_negative_advance_rejected(self):
-        with pytest.raises(ValueError):
-            SimulatedClock().advance(-1)
-
-    def test_wait_until_no_backwards(self):
-        clock = SimulatedClock(start=5.0)
-        clock.wait_until(3.0)
-        assert clock.now == 5.0
-        clock.wait_until(7.0)
-        assert clock.now == 7.0
-
-    def test_reset(self):
-        clock = SimulatedClock()
-        clock.advance(4.0)
-        clock.reset()
-        assert clock.now == 0.0
-
-
-class TestEventQueue:
-    def test_events_fire_in_time_order(self):
-        queue = EventQueue()
-        fired = []
-        queue.schedule(2.0, lambda q: fired.append("b"))
-        queue.schedule(1.0, lambda q: fired.append("a"))
-        queue.schedule(3.0, lambda q: fired.append("c"))
-        queue.run()
-        assert fired == ["a", "b", "c"]
-
-    def test_simultaneous_events_fifo(self):
-        queue = EventQueue()
-        fired = []
-        for name in "xyz":
-            queue.schedule(1.0, lambda q, n=name: fired.append(n))
-        queue.run()
-        assert fired == ["x", "y", "z"]
-
-    def test_clock_advances_with_events(self):
-        queue = EventQueue()
-        seen = []
-        queue.schedule(2.5, lambda q: seen.append(q.now))
-        queue.run()
-        assert seen == [2.5]
-        assert queue.now == 2.5
-
-    def test_events_can_schedule_events(self):
-        queue = EventQueue()
-        fired = []
-
-        def first(q):
-            fired.append(("first", q.now))
-            q.schedule(1.0, lambda q2: fired.append(("second", q2.now)))
-
-        queue.schedule(1.0, first)
-        queue.run()
-        assert fired == [("first", 1.0), ("second", 2.0)]
-
-    def test_run_until_stops_early(self):
-        queue = EventQueue()
-        fired = []
-        queue.schedule(1.0, lambda q: fired.append(1))
-        queue.schedule(10.0, lambda q: fired.append(2))
-        queue.run(until=5.0)
-        assert fired == [1]
-        assert queue.now == 5.0
-        assert queue.pending == 1
-
-    def test_cascade_guard(self):
-        queue = EventQueue()
-
-        def loop(q):
-            q.schedule(0.1, loop)
-
-        queue.schedule(0.1, loop)
-        with pytest.raises(RuntimeError, match="cascade"):
-            queue.run(max_events=100)
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            EventQueue().schedule(-1.0, lambda q: None)
-
-    def test_processed_counter(self):
-        queue = EventQueue()
-        queue.schedule(1.0, lambda q: None)
-        queue.run()
-        assert queue.processed == 1
+from repro.simulation import DeviceProfile, raspberry_pi_fleet
 
 
 class TestDeviceProfiles:
