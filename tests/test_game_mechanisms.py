@@ -190,6 +190,15 @@ class TestOrchestration:
             spec = _scheme_spec(build_mechanism(name), None)
             assert _build_scheme(spec).name == spec.scheme_name
 
+    @pytest.mark.parametrize("name", sorted(MECHANISMS))
+    def test_job_names_and_rebuilds_the_exact_class(self, name):
+        """An equilibrium job is keyed by the mechanism's class name and
+        rebuilds an instance of that very class, so cache keys written
+        before the registry was derived from MECHANISMS still resolve."""
+        spec = _scheme_spec(build_mechanism(name), None)
+        assert spec.scheme_class == MECHANISMS[name].__name__
+        assert type(_build_scheme(spec)) is MECHANISMS[name]
+
 
 class TestBiasMetricEdgeCases:
     """Regression tests: bias metrics stay defined (or fail loudly) at the
