@@ -18,6 +18,11 @@ request/response dataclasses::
 * :func:`solve_equilibrium` — the Stackelberg equilibrium ``{P^SE, q^SE}``.
 * :func:`run_scenario` — one scenario across the mechanism suite.
 
+Requests check their fields on construction, with the types a JSON body
+carries (strings, numbers, bools, lists), and raise :class:`ApiError`
+with the status the service answers; the :mod:`repro.service` POST
+routes build these same request types from their bodies.
+
 Economies are named, not constructed: a request references either a
 registered ``scenario`` (game-only fleets materialize synthetically;
 training scenarios run the full preparation pipeline) or a paper ``setup``
@@ -51,7 +56,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -102,6 +107,26 @@ def _check_economy_ref(scenario: Optional[str], setup: Optional[str]) -> None:
         )
 
 
+#: The scalar types a price may have; concrete classes, because an
+#: ``isinstance`` check against an ABC such as ``numbers.Real`` is far
+#: slower per element on a 10k-price body.
+_PRICE_TYPES = (int, float, np.integer, np.floating)
+
+
+def _price_tuple(prices: Any) -> Tuple[float, ...]:
+    """``prices`` as a tuple of floats, or a 400 if it is not a list of
+    numbers."""
+    converted = []
+    if isinstance(prices, (list, tuple, np.ndarray)):
+        for price in prices:
+            if not isinstance(price, _PRICE_TYPES):
+                break
+            converted.append(float(price))
+        else:
+            return tuple(converted)
+    raise ApiError("'prices' must be a list of numbers, one per client")
+
+
 # Requests --------------------------------------------------------------------
 
 
@@ -130,17 +155,20 @@ class PriceRequest:
 
 @dataclass(frozen=True)
 class BestResponseRequest:
-    """Evaluate Stage-II best responses ``q*(P)`` to posted prices."""
+    """Evaluate Stage-II best responses ``q*(P)`` to posted prices.
 
-    prices: Tuple[float, ...]
+    ``prices`` is a list, tuple or 1-D array of numbers (``int``,
+    ``float`` or NumPy scalars), one per client; anything else, a missing
+    list included, is a 400. The prices are stored as a tuple of floats.
+    """
+
+    prices: Optional[Tuple[float, ...]] = None
     scenario: Optional[str] = None
     setup: Optional[str] = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "prices", _price_tuple(self.prices))
         _check_economy_ref(self.scenario, self.setup)
-        object.__setattr__(
-            self, "prices", tuple(float(p) for p in self.prices)
-        )
 
 
 @dataclass(frozen=True)
@@ -162,12 +190,12 @@ class ScenarioRunRequest:
 
     Attributes:
         scenario: Registered scenario name.
-        mechanisms: Mechanism names to run (default: the scenario's
-            default suite).
-        fast_suite: With ``mechanisms=None``, select the approximate
-            (fast-tier) default suite.
-        repeats: Training seeds per mechanism (training scenarios only;
-            default: the scale profile's).
+        mechanisms: A list or tuple of mechanism names to run (default:
+            the scenario's default suite).
+        fast_suite: A bool; with ``mechanisms=None``, ``True`` selects the
+            approximate (fast-tier) default suite.
+        repeats: An int >= 1 (not a bool): training seeds per mechanism
+            (training scenarios only; default: the scale profile's).
     """
 
     scenario: str = ""
@@ -179,18 +207,45 @@ class ScenarioRunRequest:
         if not self.scenario:
             raise ApiError("scenario name must be non-empty")
         if self.mechanisms is not None:
-            object.__setattr__(
-                self, "mechanisms", tuple(str(m) for m in self.mechanisms)
-            )
-        if self.repeats is not None and self.repeats < 1:
-            raise ApiError(f"repeats must be >= 1, got {self.repeats}")
+            if not isinstance(self.mechanisms, (list, tuple)) or not all(
+                isinstance(name, str) for name in self.mechanisms
+            ):
+                raise ApiError(
+                    "'mechanisms' must be a list of mechanism names"
+                )
+            object.__setattr__(self, "mechanisms", tuple(self.mechanisms))
+        if not isinstance(self.fast_suite, bool):
+            raise ApiError("'fast_suite' must be a boolean")
+        if self.repeats is not None:
+            if isinstance(self.repeats, bool) or not isinstance(
+                self.repeats, int
+            ):
+                raise ApiError("'repeats' must be an integer")
+            if self.repeats < 1:
+                raise ApiError(f"repeats must be >= 1, got {self.repeats}")
 
 
 # Responses -------------------------------------------------------------------
 
 
+class _Response:
+    """The envelope every response renders: its ``kind``, ``result``,
+    population fingerprint and trace."""
+
+    kind: ClassVar[str]
+
+    def to_doc(self) -> dict:
+        """The versioned ``<kind>/v1`` envelope."""
+        return schemas.envelope(
+            self.kind,
+            self.result,
+            population_fingerprint=self.population_fingerprint,
+            trace=self.trace.to_doc(),
+        )
+
+
 @dataclass(frozen=True)
-class PriceResponse:
+class PriceResponse(_Response):
     """One mechanism's outcome plus the response envelope's parts."""
 
     outcome: Any
@@ -202,18 +257,9 @@ class PriceResponse:
     kind = "pricing-response"
     schema_version = schemas.SCHEMA_VERSIONS["pricing-response"]
 
-    def to_doc(self) -> dict:
-        """The versioned ``pricing-response/v1`` envelope."""
-        return schemas.envelope(
-            self.kind,
-            self.result,
-            population_fingerprint=self.population_fingerprint,
-            trace=self.trace.to_doc(),
-        )
-
 
 @dataclass(frozen=True)
-class BestResponseResponse:
+class BestResponseResponse(_Response):
     """Stage-II best responses ``q*`` to the requested prices."""
 
     prices: np.ndarray
@@ -225,18 +271,9 @@ class BestResponseResponse:
     kind = "best-response"
     schema_version = schemas.SCHEMA_VERSIONS["best-response"]
 
-    def to_doc(self) -> dict:
-        """The versioned ``best-response/v1`` envelope."""
-        return schemas.envelope(
-            self.kind,
-            self.result,
-            population_fingerprint=self.population_fingerprint,
-            trace=self.trace.to_doc(),
-        )
-
 
 @dataclass(frozen=True)
-class EquilibriumResponse:
+class EquilibriumResponse(_Response):
     """The Stackelberg equilibrium plus its scalar summary."""
 
     equilibrium: Any
@@ -248,18 +285,9 @@ class EquilibriumResponse:
     kind = "equilibrium-response"
     schema_version = schemas.SCHEMA_VERSIONS["equilibrium-response"]
 
-    def to_doc(self) -> dict:
-        """The versioned ``equilibrium-response/v1`` envelope."""
-        return schemas.envelope(
-            self.kind,
-            self.result,
-            population_fingerprint=self.population_fingerprint,
-            trace=self.trace.to_doc(),
-        )
-
 
 @dataclass(frozen=True)
-class ScenarioRunResponse:
+class ScenarioRunResponse(_Response):
     """One scenario's (mechanism x metrics) cells."""
 
     cells: List[Any]
@@ -270,15 +298,6 @@ class ScenarioRunResponse:
 
     kind = "scenario-run"
     schema_version = schemas.SCHEMA_VERSIONS["scenario-run"]
-
-    def to_doc(self) -> dict:
-        """The versioned ``scenario-run/v1`` envelope."""
-        return schemas.envelope(
-            self.kind,
-            self.result,
-            population_fingerprint=self.population_fingerprint,
-            trace=self.trace.to_doc(),
-        )
 
 
 # Runtime ---------------------------------------------------------------------
@@ -358,16 +377,10 @@ class ApiRuntime:
         fingerprint)``. Unknown names raise :class:`ApiError` with a
         404-mapped status.
         """
-        from repro.scenarios import get_scenario
-
         _check_economy_ref(scenario, setup)
         with self._lock:
             if scenario is not None:
-                try:
-                    spec = get_scenario(scenario)
-                except KeyError as error:
-                    raise ApiError(error.args[0], status=404) from None
-                concrete = self._runner.prepare(spec)
+                concrete = self._runner.prepare(self.scenario_spec(scenario))
                 problem, prepared = concrete.problem, concrete.prepared
                 ref = f"scenario/{scenario}"
             else:
@@ -573,10 +586,7 @@ def best_response(
             prices, problem.population, problem.contributions
         )
     with trace.stage("encode"):
-        result = {
-            "prices": prices.tolist(),
-            "q": np.asarray(q, dtype=float).tolist(),
-        }
+        result = schemas.best_response_doc(prices, q)["result"]
     return BestResponseResponse(
         prices=prices,
         q=q,

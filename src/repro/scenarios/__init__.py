@@ -30,8 +30,6 @@ from repro.scenarios.registry import (
 )
 from repro.scenarios.reporting import (
     METRIC_COLUMNS,
-    cells_doc,
-    cells_from_doc,
     comparison_rows,
     export_cells,
     render_scenario_table,
@@ -61,8 +59,6 @@ __all__ = [
     "nonfinite_metrics",
     "render_scenario_table",
     "comparison_rows",
-    "cells_doc",
-    "cells_from_doc",
     "export_cells",
     "METRIC_COLUMNS",
 ]

@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import List, Sequence, Union
 
 from repro.scenarios.runner import ScenarioCell
+from repro.schemas import scenario_cells_doc
 from repro.utils.serialization import save_json
 from repro.utils.tables import render_table
 
@@ -56,33 +57,15 @@ def render_scenario_table(
     )
 
 
-def cells_doc(cells: Sequence[ScenarioCell]) -> dict:
-    """The versioned ``scenario-run/v1`` envelope for these cells.
-
-    Delegates to :func:`repro.schemas.scenario_cells_doc`, so the CLI
-    artifact, the CI upload, and the service's scenario-run responses all
-    share one codec — and :func:`cells_from_doc` rebuilds the cells
-    (history-free) from any of them.
-    """
-    from repro.schemas import scenario_cells_doc
-
-    return scenario_cells_doc(cells)
-
-
-def cells_from_doc(doc: dict) -> List[ScenarioCell]:
-    """Decode a ``scenario-run/v1`` envelope back to history-free cells."""
-    from repro.schemas import scenario_cells_from_doc
-
-    return scenario_cells_from_doc(doc)
-
-
 def export_cells(
     cells: Sequence[ScenarioCell], directory: PathLike, *, prefix: str
 ) -> List[Path]:
     """Write ``<prefix>.json`` (full document) and ``<prefix>.csv`` (rows)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    written = [save_json(cells_doc(cells), directory / f"{prefix}.json")]
+    written = [
+        save_json(scenario_cells_doc(cells), directory / f"{prefix}.json")
+    ]
     csv_path = directory / f"{prefix}.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)

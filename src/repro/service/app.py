@@ -17,19 +17,26 @@ Routes (all responses are versioned :mod:`repro.schemas` envelopes):
 ``POST /v1/scenarios/{name}/run``          :func:`repro.api.run_scenario`
 =========================================  =================================
 
-Request bodies are strict JSON objects; unknown fields are a 400 (a
-misspelled ``mecanism`` must not silently price with the default). Every
-request — including failures — is observed in the runtime's
+Every POST route is one :meth:`ServiceApp._post` over a :mod:`repro.api`
+request type. Request bodies are strict JSON objects whose allowed keys
+are that type's field names (less ``scenario`` on the run route, which
+takes it from the path); unknown fields are a 400 (a misspelled
+``mecanism`` must not silently price with the default). Every other
+check lives in the request type's constructor or the :mod:`repro.api`
+call, so HTTP and in-process callers get the same status and message. A
+known path hit with the wrong method is a 405. Every request — including
+failures — is observed in the runtime's
 :class:`~repro.observability.MetricsRegistry` under its route label and
 emitted as one structured (JSON) log line.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import repro
 from repro import api, schemas
@@ -94,6 +101,24 @@ class ServiceApp:
         self.runtime = runtime or api.ApiRuntime()
         self.metrics = self.runtime.metrics
         self.logger = logger or _LOGGER
+        #: Route label -> ``handler(name, body, trace)``; ``name`` is the
+        #: path's ``{name}`` segment (``None`` on fixed paths).
+        self._routes: Dict[str, Callable] = {
+            "GET /v1/health": self._health,
+            "GET /v1/scenarios": self._scenarios,
+            "GET /v1/metrics": self._metrics,
+            "POST /v1/price": self._post(api.PriceRequest, api.price),
+            "POST /v1/best-response": self._post(
+                api.BestResponseRequest, api.best_response
+            ),
+            "POST /v1/equilibrium": self._post(
+                api.EquilibriumRequest, api.solve_equilibrium
+            ),
+            "POST /v1/scenarios/{name}/run": self._post(
+                api.ScenarioRunRequest, api.run_scenario,
+                from_path="scenario",
+            ),
+        }
 
     def handle(
         self, method: str, path: str, body: bytes = b""
@@ -106,7 +131,7 @@ class ServiceApp:
         in the metrics registry and logged.
         """
         started = time.perf_counter()
-        endpoint, handler = self._route(method, path)
+        endpoint, handler, name = self._route(method, path)
         trace = Trace()
         try:
             if handler is None:
@@ -115,7 +140,7 @@ class ServiceApp:
                         f"method {method} not supported", status=405
                     )
                 raise api.ApiError(f"no such endpoint: {path}", status=404)
-            status, doc = handler(path, body, trace)
+            status, doc = handler(name, body, trace)
         except api.ApiError as error:
             status = error.status
             doc = schemas.error_doc(status, str(error), trace=trace.to_doc())
@@ -149,39 +174,28 @@ class ServiceApp:
     # Routing -----------------------------------------------------------------
 
     def _route(self, method: str, path: str):
-        """Map a request line onto ``(route label, handler or None)``."""
+        """Map a request line onto ``(route label, handler or None, the
+        path's {name} segment or None)``."""
         path = path.split("?", 1)[0].rstrip("/") or "/"
-        fixed = {
-            ("GET", "/v1/health"): ("GET /v1/health", self._health),
-            ("GET", "/v1/scenarios"): (
-                "GET /v1/scenarios", self._scenarios),
-            ("GET", "/v1/metrics"): ("GET /v1/metrics", self._metrics),
-            ("POST", "/v1/price"): ("POST /v1/price", self._price),
-            ("POST", "/v1/best-response"): (
-                "POST /v1/best-response", self._best_response),
-            ("POST", "/v1/equilibrium"): (
-                "POST /v1/equilibrium", self._equilibrium),
-        }
-        if (method, path) in fixed:
-            return fixed[(method, path)]
         parts = path.strip("/").split("/")
-        if (
-            method == "POST"
-            and len(parts) == 4
-            and parts[0] == "v1"
-            and parts[1] == "scenarios"
-            and parts[3] == "run"
+        name = None
+        if len(parts) == 4 and parts[:2] == ["v1", "scenarios"] and (
+            parts[3] == "run"
         ):
-            return "POST /v1/scenarios/{name}/run", self._scenario_run
+            name, path = parts[2], "/v1/scenarios/{name}/run"
+        label = f"{method} {path}"
+        if label in self._routes:
+            return label, self._routes[label], name
         # Wrong-method hits on known paths are 405, not 404.
-        for (known_method, known_path), (label, _) in fixed.items():
-            if path == known_path and method != known_method:
-                return label, self._method_not_allowed(known_method)
-        return f"{method} {path}", None
+        for known in self._routes:
+            known_method, known_path = known.split(" ", 1)
+            if known_path == path:
+                return known, self._method_not_allowed(known_method), name
+        return label, None, None
 
     @staticmethod
     def _method_not_allowed(expected: str):
-        def handler(path: str, body: bytes, trace: Trace):
+        def handler(name: Optional[str], body: bytes, trace: Trace):
             raise api.ApiError(
                 f"method not allowed; use {expected}", status=405
             )
@@ -190,7 +204,7 @@ class ServiceApp:
 
     # GET endpoints -----------------------------------------------------------
 
-    def _health(self, path: str, body: bytes, trace: Trace):
+    def _health(self, name: Optional[str], body: bytes, trace: Trace):
         return 200, schemas.envelope(
             "health",
             {
@@ -202,7 +216,7 @@ class ServiceApp:
             trace=trace.to_doc(),
         )
 
-    def _scenarios(self, path: str, body: bytes, trace: Trace):
+    def _scenarios(self, name: Optional[str], body: bytes, trace: Trace):
         from repro.game import MECHANISMS
         from repro.scenarios import list_scenarios
 
@@ -213,79 +227,34 @@ class ServiceApp:
         doc["trace"] = trace.to_doc()
         return 200, doc
 
-    def _metrics(self, path: str, body: bytes, trace: Trace):
+    def _metrics(self, name: Optional[str], body: bytes, trace: Trace):
         # Snapshot excludes this in-flight request (observed on return).
         return 200, schemas.metrics_snapshot_doc(self.metrics.snapshot())
 
     # POST endpoints ----------------------------------------------------------
 
-    def _price(self, path: str, body: bytes, trace: Trace):
-        with trace.stage("parse"):
-            fields = _body_fields(
-                body, ("scenario", "setup", "mechanism", "method")
-            )
-            request = api.PriceRequest(
-                scenario=fields.get("scenario"),
-                setup=fields.get("setup"),
-                mechanism=fields.get("mechanism", "proposed"),
-                method=fields.get("method"),
-            )
-        response = api.price(request, self.runtime, trace=trace)
-        return 200, response.to_doc()
+    def _post(
+        self,
+        request_type: type,
+        call: Callable,
+        *,
+        from_path: Optional[str] = None,
+    ) -> Callable:
+        """The handler for a POST route: the body's fields (and, with
+        ``from_path``, the path's ``{name}`` as that field) build
+        ``request_type``, which validates them; ``call`` answers it."""
+        allowed = tuple(
+            field.name
+            for field in dataclasses.fields(request_type)
+            if field.name != from_path
+        )
 
-    def _best_response(self, path: str, body: bytes, trace: Trace):
-        with trace.stage("parse"):
-            fields = _body_fields(body, ("scenario", "setup", "prices"))
-            prices = fields.get("prices")
-            if not isinstance(prices, (list, tuple)) or not all(
-                isinstance(p, (int, float)) for p in prices
-            ):
-                raise api.ApiError(
-                    "'prices' must be a list of numbers, one per client"
-                )
-            request = api.BestResponseRequest(
-                prices=tuple(prices),
-                scenario=fields.get("scenario"),
-                setup=fields.get("setup"),
-            )
-        response = api.best_response(request, self.runtime, trace=trace)
-        return 200, response.to_doc()
+        def handler(name: Optional[str], body: bytes, trace: Trace):
+            with trace.stage("parse"):
+                fields = _body_fields(body, allowed)
+                if from_path is not None:
+                    fields[from_path] = name
+                request = request_type(**fields)
+            return 200, call(request, self.runtime, trace=trace).to_doc()
 
-    def _equilibrium(self, path: str, body: bytes, trace: Trace):
-        with trace.stage("parse"):
-            fields = _body_fields(body, ("scenario", "setup", "method"))
-            request = api.EquilibriumRequest(
-                scenario=fields.get("scenario"),
-                setup=fields.get("setup"),
-                method=fields.get("method", "kkt"),
-            )
-        response = api.solve_equilibrium(request, self.runtime, trace=trace)
-        return 200, response.to_doc()
-
-    def _scenario_run(self, path: str, body: bytes, trace: Trace):
-        name = path.strip("/").split("/")[2]
-        with trace.stage("parse"):
-            fields = _body_fields(
-                body, ("mechanisms", "fast_suite", "repeats")
-            )
-            mechanisms = fields.get("mechanisms")
-            if mechanisms is not None and (
-                not isinstance(mechanisms, (list, tuple))
-                or not all(isinstance(m, str) for m in mechanisms)
-            ):
-                raise api.ApiError(
-                    "'mechanisms' must be a list of mechanism names"
-                )
-            repeats = fields.get("repeats")
-            if repeats is not None and not isinstance(repeats, int):
-                raise api.ApiError("'repeats' must be an integer")
-            request = api.ScenarioRunRequest(
-                scenario=name,
-                mechanisms=(
-                    None if mechanisms is None else tuple(mechanisms)
-                ),
-                fast_suite=bool(fields.get("fast_suite", False)),
-                repeats=repeats,
-            )
-        response = api.run_scenario(request, self.runtime, trace=trace)
-        return 200, response.to_doc()
+        return handler

@@ -72,12 +72,40 @@ class TestRequestValidation:
         with pytest.raises(api.ApiError, match="repeats"):
             api.ScenarioRunRequest(scenario=SCENARIO, repeats=0)
 
+    # JSON-typed fields: a string, null or bool where a number, list or
+    # bool belongs is a 400 naming the field, never a silent coercion.
+    @pytest.mark.parametrize(
+        "fields, field",
+        [
+            ({"fast_suite": "false"}, "fast_suite"),
+            ({"fast_suite": None}, "fast_suite"),
+            ({"repeats": True}, "repeats"),
+            ({"repeats": 2.0}, "repeats"),
+            ({"mechanisms": "proposed"}, "mechanisms"),
+            ({"mechanisms": ["uniform", 1]}, "mechanisms"),
+        ],
+    )
+    def test_scenario_run_request_field_types(self, fields, field):
+        with pytest.raises(api.ApiError, match=f"'{field}'") as info:
+            api.ScenarioRunRequest(scenario=SCENARIO, **fields)
+        assert info.value.status == 400
+
     def test_best_response_prices_coerced_to_floats(self):
         request = api.BestResponseRequest(
-            prices=[1, 2], scenario=SCENARIO
+            prices=[1, 2, np.float32(0.5), np.int64(3)], scenario=SCENARIO
         )
-        assert request.prices == (1.0, 2.0)
-        assert all(isinstance(p, float) for p in request.prices)
+        assert request.prices == (1.0, 2.0, 0.5, 3.0)
+        assert all(type(p) is float for p in request.prices)
+        array = api.BestResponseRequest(
+            prices=np.array([1.5, 2.5]), scenario=SCENARIO
+        )
+        assert array.prices == (1.5, 2.5)
+
+    @pytest.mark.parametrize("prices", [None, "high", [1.0, "2"], [[1.0]]])
+    def test_best_response_prices_must_be_numbers(self, prices):
+        with pytest.raises(api.ApiError, match="'prices'") as info:
+            api.BestResponseRequest(prices=prices, scenario=SCENARIO)
+        assert info.value.status == 400
 
     def test_unknown_scenario_maps_to_404(self, runtime):
         with pytest.raises(api.ApiError) as info:

@@ -123,9 +123,9 @@ class TestCompare:
         )
         assert len(payload["result"]["cells"]) == 4
         # Artifacts round-trip through the versioned codec.
-        from repro.scenarios import cells_from_doc
+        from repro.schemas import scenario_cells_from_doc
 
-        rebuilt = cells_from_doc(payload)
+        rebuilt = scenario_cells_from_doc(payload)
         assert [(cell.scenario, cell.mechanism) for cell in rebuilt] == [
             ("paper-default", "proposed"),
             ("paper-default", "fixed-subset"),

@@ -10,7 +10,6 @@ from repro.scenarios import (
     PopulationSpec,
     ScenarioRunner,
     ScenarioSpec,
-    cells_doc,
     get_scenario,
     nonfinite_metrics,
     render_scenario_table,
@@ -18,6 +17,7 @@ from repro.scenarios import (
     synthetic_problem,
 )
 from repro.scenarios.runner import TIME_TO_ACCURACY_FRACTION
+from repro.schemas import scenario_cells_doc
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -219,7 +219,7 @@ class TestDeterminismAcrossJobs:
                 jobs=2, cache_dir=tmp_path / "store"
             ),
         ).compare(specs, mechanisms)
-        assert cells_doc(serial) == cells_doc(parallel)
+        assert scenario_cells_doc(serial) == scenario_cells_doc(parallel)
         for a, b in zip(serial, parallel):
             assert len(a.histories) == len(b.histories)
             for ha, hb in zip(a.histories, b.histories):

@@ -68,8 +68,21 @@ class TestRouting:
         status, _ = app.handle("GET", "/v1/health?probe=1")
         assert status == 200
 
-    def test_every_route_label_is_documented(self, app):
-        assert len(set(ROUTES)) == len(ROUTES) == 7
+    def test_every_route_label_is_documented(self):
+        """Each label routes to its own handler (counted under that label,
+        never a 404), and GET on the parameterized run path is a 405 like
+        every other wrong-method hit on a known path."""
+        service = ServiceApp(api.ApiRuntime(scale="ci", seed=0))
+        for label in ROUTES:
+            method, path = label.split(" ", 1)
+            status, doc = service.handle(
+                method, path.replace("{name}", SCENARIO)
+            )
+            assert status != 404, (label, doc)
+        assert set(service.metrics.snapshot()["requests"]) == set(ROUTES)
+        status, doc = service.handle("GET", RUN)
+        assert status == 405
+        assert doc["result"]["message"] == "method not allowed; use POST"
 
     def test_price_response_contract(self, app):
         status, doc = post(
@@ -96,33 +109,69 @@ class TestRouting:
         ]
 
 
+RUN = f"/v1/scenarios/{SCENARIO}/run"
+
+#: ``(method, path, body, status)`` of requests the service must refuse.
+ERROR_CASES = [
+    ("GET", "/v1/nope", None, 404),
+    ("POST", "/v1/price", {"scenario": "atlantis"}, 404),
+    ("POST", "/v1/price", {"mecanism": "uniform"}, 400),
+    ("POST", "/v1/price", {}, 400),
+    ("POST", "/v1/price", {"scenario": SCENARIO, "mechanism": "vcg"}, 404),
+    ("POST", "/v1/equilibrium", {"setup": "setup1", "method": "newton"}, 400),
+    ("POST", "/v1/best-response", {"scenario": SCENARIO, "prices": "high"},
+     400),
+    ("POST", "/v1/best-response", {"scenario": SCENARIO, "prices": [1.0]},
+     400),
+    ("POST", "/v1/scenarios/atlantis/run", {}, 404),
+    ("POST", RUN, {"repeats": "three"}, 400),
+    ("POST", RUN, {"mechanisms": [1, 2]}, 400),
+    ("POST", RUN, {"fast_suite": "false"}, 400),
+    ("POST", RUN, {"repeats": True}, 400),
+    ("POST", "/v1/health", None, 405),
+    ("GET", "/v1/price", None, 405),
+    ("GET", RUN, None, 405),
+    ("PUT", "/v1/price", None, 405),
+    ("DELETE", "/v1/anything", None, 405),
+]
+
+#: ``(path, body)`` pairs a request type itself refuses, or its facade
+#: call: every refused body of :data:`ERROR_CASES` except the unknown
+#: key, which the service rejects before building a request.
+PARITY_CASES = [
+    (path, body)
+    for method, path, body, _ in ERROR_CASES
+    if method == "POST" and body is not None and "mecanism" not in body
+] + [
+    (RUN, {"mechanisms": "proposed"}),
+    ("/v1/best-response", {"scenario": SCENARIO}),
+]
+
+#: POST path -> (request type, facade call).
+FACADE = {
+    "/v1/price": (api.PriceRequest, api.price),
+    "/v1/best-response": (api.BestResponseRequest, api.best_response),
+    "/v1/equilibrium": (api.EquilibriumRequest, api.solve_equilibrium),
+}
+
+
+def in_process(path, body, runtime):
+    """``(status, message)`` of the same request made without the service
+    (``(200, None)`` if it succeeds)."""
+    if path.endswith("/run"):
+        request_type, call = api.ScenarioRunRequest, api.run_scenario
+        body = dict(body, scenario=path.split("/")[3])
+    else:
+        request_type, call = FACADE[path]
+    try:
+        call(request_type(**body), runtime)
+    except api.ApiError as error:
+        return error.status, str(error)
+    return 200, None
+
+
 class TestErrorPaths:
-    @pytest.mark.parametrize(
-        "method, path, body, expected",
-        [
-            ("GET", "/v1/nope", None, 404),
-            ("POST", "/v1/price", {"scenario": "atlantis"}, 404),
-            ("POST", "/v1/price", {"mecanism": "uniform"}, 400),
-            ("POST", "/v1/price", {}, 400),
-            ("POST", "/v1/price",
-             {"scenario": SCENARIO, "mechanism": "vcg"}, 404),
-            ("POST", "/v1/equilibrium",
-             {"setup": "setup1", "method": "newton"}, 400),
-            ("POST", "/v1/best-response",
-             {"scenario": SCENARIO, "prices": "high"}, 400),
-            ("POST", "/v1/best-response",
-             {"scenario": SCENARIO, "prices": [1.0]}, 400),
-            ("POST", "/v1/scenarios/atlantis/run", {}, 404),
-            ("POST", f"/v1/scenarios/{SCENARIO}/run",
-             {"repeats": "three"}, 400),
-            ("POST", f"/v1/scenarios/{SCENARIO}/run",
-             {"mechanisms": [1, 2]}, 400),
-            ("POST", "/v1/health", None, 405),
-            ("GET", "/v1/price", None, 405),
-            ("PUT", "/v1/price", None, 405),
-            ("DELETE", "/v1/anything", None, 405),
-        ],
-    )
+    @pytest.mark.parametrize("method, path, body, expected", ERROR_CASES)
     def test_failures_are_4xx_error_envelopes(
         self, app, method, path, body, expected
     ):
@@ -132,6 +181,17 @@ class TestErrorPaths:
         schemas.check_envelope(doc, "error")
         assert doc["result"]["status"] == expected
         assert doc["result"]["message"]
+
+    @pytest.mark.parametrize("path, body", PARITY_CASES)
+    def test_service_and_request_types_refuse_alike(self, app, path, body):
+        """A refused body gets the same status and message over HTTP as
+        from the request constructor and facade call in-process: the
+        service keeps no checks of its own."""
+        status, doc = post(app, path, body)
+        assert status >= 400
+        assert (status, doc["result"]["message"]) == in_process(
+            path, body, app.runtime
+        )
 
     def test_invalid_json_body_is_400(self, app):
         status, doc = app.handle("POST", "/v1/price", b"{not json")

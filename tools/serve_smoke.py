@@ -118,7 +118,10 @@ def main() -> int:
             ("POST", "/v1/price", {"mecanism": "uniform"}, 400),
             ("POST", "/v1/equilibrium",
              {"setup": "setup1", "method": "bogus"}, 400),
+            ("POST", "/v1/scenarios/paper-default/run",
+             {"fast_suite": "false"}, 400),
             ("POST", "/v1/health", None, 405),
+            ("GET", "/v1/scenarios/paper-default/run", None, 405),
             ("GET", "/v1/nope", None, 404),
         ]:
             status, doc = call(port, method, path, body)
