@@ -54,6 +54,7 @@ one facade, so their answers are interchangeable:
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import Any, ClassVar, Dict, List, Optional, Tuple
@@ -95,6 +96,9 @@ def _check_stage1_method(method: Any) -> None:
 
 
 def _check_economy_ref(scenario: Optional[str], setup: Optional[str]) -> None:
+    for name, value in (("scenario", scenario), ("setup", setup)):
+        if not (value is None or isinstance(value, str)):
+            raise ApiError(f"{name!r} must be a string")
     if (scenario is None) == (setup is None):
         raise ApiError(
             "exactly one of 'scenario' (a registered scenario name) or "
@@ -115,14 +119,26 @@ _PRICE_TYPES = (int, float, np.integer, np.floating)
 
 def _price_tuple(prices: Any) -> Tuple[float, ...]:
     """``prices`` as a tuple of floats, or a 400 if it is not a list of
-    numbers."""
+    numbers or the prices are not finite as floats.
+
+    One sum over the converted prices finds a NaN, an infinity, an
+    integer too large for a float (converted to ``inf``), and prices so
+    large that their sum, and so any spending on them, overflows.
+    """
     converted = []
     if isinstance(prices, (list, tuple, np.ndarray)):
         for price in prices:
             if not isinstance(price, _PRICE_TYPES):
                 break
-            converted.append(float(price))
+            try:
+                converted.append(float(price))
+            except OverflowError:
+                converted.append(math.inf)
         else:
+            if not math.isfinite(sum(converted)):
+                raise ApiError(
+                    "'prices' must be finite numbers within a float's range"
+                )
             return tuple(converted)
     raise ApiError("'prices' must be a list of numbers, one per client")
 
@@ -158,8 +174,9 @@ class BestResponseRequest:
     """Evaluate Stage-II best responses ``q*(P)`` to posted prices.
 
     ``prices`` is a list, tuple or 1-D array of numbers (``int``,
-    ``float`` or NumPy scalars), one per client; anything else, a missing
-    list included, is a 400. The prices are stored as a tuple of floats.
+    ``float`` or NumPy scalars), one per client, finite as floats and
+    with a finite sum; anything else, a missing list, NaN or an infinity
+    included, is a 400. The prices are stored as a tuple of floats.
     """
 
     prices: Optional[Tuple[float, ...]] = None

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +32,14 @@ from repro.game.equilibrium import (
     population_utilities,
     solve_cpl_game,
 )
-from repro.game.server_problem import ServerProblem, _bisect, _expand, _refine
+from repro.game.server_problem import (
+    ServerProblem,
+    _bisect,
+    _certified_bracket,
+    _expand,
+    _refine,
+    _replay,
+)
 
 
 @dataclass(frozen=True)
@@ -98,7 +105,7 @@ _LEVEL_TOLERANCE = 1e-9
 _LEVEL_BUCKETS = 256
 _LEVEL_PROBES = 8
 
-# The screen's relative margin (see _LevelFamily.spending). Below 2^38
+# The screen's relative margin (see _LevelFamily.probe). Below 2^38
 # clients it bounds |settled - reference| spending twice over:
 # * rounding: each side forms N products P q and sums them pairwise, and
 #   numpy's pairwise summation adds a term at most 25 + log2(N) times,
@@ -127,13 +134,21 @@ class _LevelFamily:
     probes, and so returns the same bits. The margin assumes the
     reference converged within its iteration cap.
 
+    A settled spending that clears the screen also certifies the levels
+    beyond its own (see :meth:`probe`), so a search replays its probes
+    through :meth:`search` and evaluates only the few near the root.
+
     Everything that does not depend on the level (the shape, costs, stake
     ``v A``, ``q_max`` and the stake rows) is computed once per
     ``_LevelPricing.apply``.
     """
 
     def __init__(
-        self, problem: ServerProblem, shape: np.ndarray, margin: float
+        self,
+        problem: ServerProblem,
+        shape: np.ndarray,
+        margin: float,
+        replay: bool = True,
     ):
         population = problem.population
         self.population = population
@@ -141,6 +156,7 @@ class _LevelFamily:
         self.budget = problem.budget
         self.shape = shape
         self.margin = margin
+        self.replay = replay
         self.twice_costs = 2.0 * population.costs
         self.q_max = population.q_max
         value_contribution = population.values * self.contributions
@@ -149,21 +165,80 @@ class _LevelFamily:
         self.stake_value = value_contribution[self.stake]
         self.stake_q_max = self.q_max[self.stake]
 
-    def spending(self, level: float) -> float:
-        """Total payment ``sum_n P_n q_n`` at ``P = level * shape``."""
+    def _settled(self, level: float) -> Tuple[np.ndarray, np.ndarray]:
+        """Prices at ``level`` and their payments ``P q`` under the
+        settling solve."""
         prices = level * self.shape
         q = np.clip(prices / self.twice_costs, 0.0, self.q_max)
         q[self.stake] = _settled_newton_cubic(
             prices[self.stake], self.stake_costs, self.stake_value,
             self.stake_q_max,
         )
-        payments = prices * q
+        return prices, prices * q
+
+    def settled(self, level: float) -> float:
+        """The settled spending at ``level``, unscreened: an estimate."""
+        return float(np.sum(self._settled(level)[1]))
+
+    def probe(self, level: float) -> Tuple[float, bool]:
+        """The screened spending at ``level``, and whether it certifies.
+
+        A probe at ``a > 0`` whose settled spending ``S`` clears the
+        screen, ``|S - B| > margin * sigma`` with ``sigma = sum|P q| +
+        sum|P|``, certifies the reference spending's side at every level
+        beyond ``a`` (above it if ``S > B``, in ``[0, a]`` if not), when
+        ``margin >= _SCREEN_MARGIN`` and ``B > 0``. Let ``T(m)`` be the
+        exact spending of the rounded prices ``P(m) = fl(m shape)`` at
+        their exact best responses ``q*``. Then:
+
+        * every computed spending at ``m``, settled or reference, is
+          within ``32 eps T(m) + 8 eps sum P(m)`` of ``T(m)``: the
+          screen's bound above, split between its two sides (each
+          ``q`` is within 8 eps of ``q*``);
+        * ``P >= 0`` and ``q*`` is non-decreasing in ``P``, and rounding
+          is monotone, so for ``m >= a``, ``T(m) >= (m/a)(1 - eps) T(a)``
+          and ``sum P(m) <= (m/a)(1 + eps) sum P(a)``; for ``m <= a``
+          the same holds with the inequalities reversed.
+
+        Together, the reference spending at ``m >= a`` is at least
+        ``(m/a)(S - 65 eps T(a) - 17 eps sum P(a))`` to first order, and
+        at ``m <= a`` at most ``(m/a)(S + 65 eps T(a) + 17 eps sum P(a))``.
+        As ``q* <= q_max <= 1``, ``T <= sum P``, so ``margin * sigma``
+        covers both error terms with room for the second-order ones.
+        With ``S > B > 0`` the first bound exceeds ``B`` for ``m/a >= 1``,
+        and with ``S < B`` the second stays below ``B`` for ``m/a <= 1``.
+        A probe that falls back to the reference certifies nothing.
+        """
+        prices, payments = self._settled(level)
         spend = float(np.sum(payments))
         scale = float(np.sum(np.abs(payments)) + np.sum(np.abs(prices)))
         if abs(spend - self.budget) > self.margin * scale:
-            return spend
+            return spend, True
         q = best_response_vector(prices, self.population, self.contributions)
-        return float(np.sum(prices * q))
+        return float(np.sum(prices * q)), False
+
+    def spending(self, level: float) -> float:
+        """Total payment ``sum_n P_n q_n`` at ``P = level * shape``."""
+        return self.probe(level)[0]
+
+    def search(self, hint: float) -> Callable[[float], float]:
+        """The spending a level search probes, replayed near ``hint``.
+
+        A certified bracket (:func:`_certified_bracket`) comes from
+        settled probes stepping up from ``hint`` and an Illinois estimate
+        on them, then two screened probes beside the estimate. The
+        returned stand-in for :meth:`spending` decides every level outside
+        that bracket without a probe (:func:`_replay`); the search returns
+        the same bits. With ``replay=False`` it is :meth:`spending`.
+        """
+        if not self.replay:
+            return self.spending
+        # Level 0 prices nothing and so spends 0.
+        bracket = _certified_bracket(
+            self.settled, self.probe, self.budget, 0.0, 0.0, hint,
+            _LEVEL_TOLERANCE,
+        )
+        return _replay(self.spending, bracket)
 
 
 def _budget_tight_level(
@@ -185,13 +260,15 @@ def _budget_tight_level(
 def _approx_budget_level(
     problem: ServerProblem,
     shape: np.ndarray,
-    exact_spend: Callable[[float], float],
+    search: Callable[[float], Callable[[float], float]],
 ) -> float:
     """Fast-tier budget-tight level: bucketed search + bounded refinement.
 
     Runs :func:`_budget_tight_level` on a <= 256-client surrogate fleet
     (each bisection probe solves O(buckets) cubics instead of O(N)), then
-    polishes the level with a bounded number of *exact* spending probes.
+    polishes the level with a bounded number of *exact* spending probes,
+    ``search(guess)`` (:meth:`_LevelFamily.search`, replayed near the
+    surrogate's guess).
     The returned level is the feasible side of the final bracket, level 0
     (zero price, zero spend) at worst, so the approximate tier never
     overspends the real fleet's budget; the bucketing error only steers
@@ -213,7 +290,8 @@ def _approx_budget_level(
 
     guess = _budget_tight_level(bucketed_spend, problem.budget)
     return _refine(
-        exact_spend, problem.budget, guess, 0.0, _LEVEL_PROBES, _LEVEL_TOLERANCE
+        search(guess), problem.budget, guess, 0.0, _LEVEL_PROBES,
+        _LEVEL_TOLERANCE,
     )
 
 
@@ -256,19 +334,22 @@ class _LevelPricing(PricingScheme):
     def apply(self, problem: ServerProblem) -> PricingOutcome:
         return self._apply(problem, _SCREEN_MARGIN)
 
-    def _apply(self, problem: ServerProblem, margin: float) -> PricingOutcome:
+    def _apply(
+        self, problem: ServerProblem, margin: float, replay: bool = True
+    ) -> PricingOutcome:
         """:meth:`apply` with the screen's relative ``margin``.
 
         Any margin gives the same bytes; ``math.inf`` sends every probe
-        to the reference solver.
+        to the reference solver and certifies none. ``replay=False``
+        probes every step of the search, for the same bytes again.
         """
         shape = self.shape(problem.population)
-        spend_at = _LevelFamily(problem, shape, margin).spending
+        family = _LevelFamily(problem, shape, margin, replay)
         if self.method == "approx":
-            level = _approx_budget_level(problem, shape, spend_at)
+            level = _approx_budget_level(problem, shape, family.search)
         else:
-            level = _budget_tight_level(spend_at, problem.budget)
-        del spend_at  # frees the family's arrays before the final solve
+            level = _budget_tight_level(family.search(1.0), problem.budget)
+        del family  # frees its arrays before the final solve
         return evaluate_posted_prices(problem, level * shape, self.name)
 
 

@@ -220,9 +220,14 @@ class _KKTFamily:
 # Stage I and the budget-matched benchmarks (repro.game.pricing) ask where
 # a non-decreasing spending curve meets the budget. Every search is built
 # from three steps: expand a bracket, bisect it, and refine a surrogate's
-# guess with a bounded number of exact probes.
+# guess with a bounded number of exact probes. A search whose curve has a
+# cheap estimate can also replay them (see _replay): the same steps, with
+# the probes a certified bracket decides taken without a probe.
 
 _Spend = Callable[[float], float]
+# A probe that also says whether its answer certifies a side
+# (see _certified_bracket).
+_Probe = Callable[[float], Tuple[float, bool]]
 
 _MAX_DOUBLINGS = 200
 _MAX_BISECTIONS = 500
@@ -232,6 +237,8 @@ _APPROX_TOLERANCE = 1e-12
 # The approximate solver's bucket count and exact probes past its guess.
 _APPROX_BUCKETS = 64
 _APPROX_PROBES = 30
+# Illinois steps allowed for the estimate that steers a replayed search.
+_ESTIMATE_STEPS = 32
 
 
 def _expand(spend: _Spend, budget: float, hi: float) -> float:
@@ -306,6 +313,124 @@ def _refine(
     return _bisect(spend, budget, lo, hi, tolerance, remaining)[0]
 
 
+def _illinois(
+    spend: _Spend,
+    budget: float,
+    lo: float,
+    f_lo: float,
+    hi: float,
+    f_hi: float,
+    tolerance: float,
+) -> float:
+    """Estimate where ``spend`` meets ``budget`` in ``[lo, hi]``.
+
+    Illinois regula falsi, from ``f_lo = spend(lo) <= budget < f_hi =
+    spend(hi)``: a secant step inside the bracket, halving the far end's
+    value whenever the same end moves twice. It stops once the bracket is
+    ``tolerance * max(1, |hi|) / 4`` wide, or after ``_ESTIMATE_STEPS``
+    steps (a step that leaves the bracket bisects it), and returns the
+    bracket's midpoint.
+    """
+    below, above = f_lo - budget, f_hi - budget
+    side = 0
+    for _ in range(_ESTIMATE_STEPS):
+        if hi - lo <= 0.25 * tolerance * max(1.0, abs(hi)):
+            break
+        x = hi - above * (hi - lo) / (above - below)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        value = spend(x) - budget
+        if value > 0:
+            hi, above = x, value
+            if side > 0:
+                below *= 0.5
+            side = 1
+        else:
+            lo, below = x, value
+            if side < 0:
+                above *= 0.5
+            side = -1
+    return 0.5 * (lo + hi)
+
+
+def _certified_bracket(
+    settled: _Spend,
+    probe: _Probe,
+    budget: float,
+    lo: float,
+    f_lo: float,
+    hi: float,
+    tolerance: float,
+) -> Tuple[float, float]:
+    """A bracket ``(low, high)`` on the exact curve, for :func:`_replay`.
+
+    ``probe(x)`` returns the exact curve at ``x`` and whether that answer
+    certifies its side beyond ``x``: every point above ``x`` lies above
+    the budget too if ``x`` does, every point in ``(lo, x]`` at or below
+    it if ``x`` does. ``settled`` is a cheap estimate of the curve, used
+    only to steer. From ``lo``, where the curve is ``f_lo < budget``,
+    secant steps on it (doublings where it does not rise) move ``hi`` up
+    until it reaches the budget, and :func:`_illinois` estimates the root
+    ``x``. Then ``probe`` runs at ``x - d`` and ``x + d`` (skipping a
+    point at or below ``lo``), ``d = tolerance * max(1, |x|) / 4``, so
+    the bracket is half as wide as the one at which a search stops. A
+    probe that certifies its side moves that end of the bracket to it.
+    The estimate only steers, so a poor one costs probes, not bits: it
+    leaves the bracket wider, up to ``(-inf, inf)``.
+    """
+    low, high = -math.inf, math.inf
+    if not (f_lo < budget and hi > lo):
+        return low, high
+    floor = lo
+    f_hi = settled(hi)
+    for _ in range(_MAX_DOUBLINGS):
+        if f_hi >= budget:
+            break
+        # A secant through the last two points, overshot by a quarter
+        # step; doubling where the curve does not rise.
+        step = hi
+        if f_hi > f_lo:
+            step = 1.25 * (budget - f_hi) * (hi - lo) / (f_hi - f_lo)
+        lo, f_lo = hi, f_hi
+        hi += step if math.isfinite(step) else lo
+        f_hi = settled(hi)
+    else:
+        return low, high
+    estimate = _illinois(settled, budget, lo, f_lo, hi, f_hi, tolerance)
+    delta = 0.25 * tolerance * max(1.0, abs(estimate))
+    for point in (estimate - delta, estimate + delta):
+        if point <= floor:
+            continue
+        spend, certified = probe(point)
+        if certified and spend > budget:
+            high = min(high, point)
+        elif certified:
+            low = max(low, point)
+    return low, high
+
+
+def _replay(spend: _Spend, bracket: Tuple[float, float]) -> _Spend:
+    """``spend``, with the sides a certified ``bracket`` decides.
+
+    A stand-in for ``spend`` in :func:`_expand`, :func:`_bisect` and
+    :func:`_refine`, which only compare a probe with the budget: at or
+    below ``low`` it answers ``-inf`` and at or above ``high`` ``inf``,
+    with no probe. Those are the sides ``spend`` itself lands on, so a
+    search over the stand-in takes every branch the plain search takes
+    and returns the same bits; only probes inside the bracket run.
+    """
+    low, high = bracket
+
+    def replayed(x: float) -> float:
+        if x >= high:
+            return math.inf
+        if x <= low:
+            return -math.inf
+        return spend(x)
+
+    return replayed
+
+
 # -- Stage I along the KKT family ---------------------------------------------
 
 
@@ -359,6 +484,12 @@ def _kkt_search(
     # The feasible side of the bracket: spending(q(t_lo)) <= B is a
     # bisection invariant, so the solution never overshoots the budget
     # even when spending is extremely sensitive to t (clients near q = 0).
+    # Every midpoint is probed: no certified bracket (_certified_bracket)
+    # comes with the KKT family. Its spending mixes signs, so a rounding
+    # bound must cover sum v A / q down to t_floor, where clients at the
+    # 1e-9 floor add v A * 1e9 and the bound would rarely certify a side;
+    # and q(t) goes through np.cbrt, whose error NumPy does not document.
+    # A probe costs about 0.73 ms on 100k clients.
     return _bisect(
         family.spending, problem.budget, t_floor, t_hi, _KKT_TOLERANCE
     )[0]

@@ -17,8 +17,9 @@ Families:
 * ``game`` — solved-price properties: q bounds, budget feasibility,
   individual rationality, the best-response fixed point, the Eq.-(13)
   first-order condition, Theorem-2 constancy, Proposition-1 budget
-  monotonicity, and screened level searches pricing the same bytes as
-  all-reference ones.
+  monotonicity, screened level searches pricing the same bytes as
+  all-reference ones, and replayed budget searches returning plain
+  bisection's bracket.
 * ``estimator`` — Lemma-1 unbiasedness under the case's *participation
   process* (exact enumeration over a sub-economy) plus bias-mass
   accounting — including under every non-default local-update algorithm
@@ -50,10 +51,18 @@ from repro.fl.participation import ParticipationSpec
 from repro.fl.trainer import FederatedTrainer
 from repro.game.best_response import best_response_vector, surrogate_utility
 from repro.game.mechanisms import build_mechanism, estimator_bias_mass
-from repro.game.pricing import PricingOutcome, UniformPricing, WeightedPricing
+from repro.game.pricing import (
+    _SCREEN_MARGIN,
+    PricingOutcome,
+    UniformPricing,
+    WeightedPricing,
+)
 from repro.game.properties import theorem2_invariant
 from repro.game.server_problem import (
+    _KKT_TOLERANCE,
     ServerProblem,
+    _bisect,
+    _solve_stage1,
     solve_stage1_approx,
     solve_stage1_kkt,
 )
@@ -576,6 +585,27 @@ def check_budget_monotonicity(
     return []
 
 
+def _differing_fields(first, second, names) -> List[str]:
+    """The ``names`` whose values in ``first`` and ``second`` differ as
+    bytes."""
+    return [
+        name
+        for name in names
+        if np.asarray(getattr(first, name)).tobytes()
+        != np.asarray(getattr(second, name)).tobytes()
+    ]
+
+
+def _level_schemes():
+    """The level-searched benchmarks, exact and approximate."""
+    return (
+        UniformPricing(),
+        UniformPricing(method="approx"),
+        WeightedPricing(),
+        WeightedPricing(method="approx"),
+    )
+
+
 @register_invariant(
     "level-search-screening",
     claim="The budget-matched benchmarks P^u and P^w (Sec. VI) price the "
@@ -586,20 +616,12 @@ def check_budget_monotonicity(
 )
 def check_level_search_screening(ctx: InvariantContext) -> List[Violation]:
     violations = []
-    for scheme in (
-        UniformPricing(),
-        UniformPricing(method="approx"),
-        WeightedPricing(),
-        WeightedPricing(method="approx"),
-    ):
-        screened = scheme.apply(ctx.problem)
-        reference = scheme._apply(ctx.problem, math.inf)
-        differ = [
-            name
-            for name in ("prices", "q", "spending")
-            if np.asarray(getattr(screened, name)).tobytes()
-            != np.asarray(getattr(reference, name)).tobytes()
-        ]
+    for scheme in _level_schemes():
+        differ = _differing_fields(
+            scheme.apply(ctx.problem),
+            scheme._apply(ctx.problem, math.inf),
+            ("prices", "q", "spending"),
+        )
         if differ:
             violations.append(
                 _violation(
@@ -608,6 +630,59 @@ def check_level_search_screening(ctx: InvariantContext) -> List[Violation]:
                     "all-reference one",
                     scheme=scheme.name,
                     method=scheme.method,
+                    fields=differ,
+                )
+            )
+    return violations
+
+
+def _plain_kkt_search(problem, family, t_floor, t_hi) -> float:
+    """Stage I's search with every midpoint probed. The KKT search passes
+    no certified bracket today, so this pins that it stays plain."""
+    return _bisect(
+        family.spending, problem.budget, t_floor, t_hi, _KKT_TOLERANCE
+    )[0]
+
+
+@register_invariant(
+    "bisection-replay",
+    claim="The budget searches behind P^u and P^w (Sec. VI) and the "
+    "Stage-I KKT solve (Eq. 22) return plain bisection's bracket, to the "
+    "bit, when they replay it through a certified bracket",
+    module="repro.game.server_problem / repro.game.pricing",
+    family="game",
+)
+def check_bisection_replay(ctx: InvariantContext) -> List[Violation]:
+    violations = []
+    pairs = [
+        (
+            scheme.name,
+            scheme.method,
+            scheme.apply(ctx.problem),
+            scheme._apply(ctx.problem, _SCREEN_MARGIN, replay=False),
+            ("prices", "q", "spending"),
+        )
+        for scheme in _level_schemes()
+    ]
+    pairs.append(
+        (
+            "proposed",
+            "kkt",
+            solve_stage1_kkt(ctx.problem),
+            _solve_stage1(ctx.problem, "kkt", _plain_kkt_search),
+            ("q", "prices", "lambda_star", "spending"),
+        )
+    )
+    for scheme, method, replayed, plain, names in pairs:
+        differ = _differing_fields(replayed, plain, names)
+        if differ:
+            violations.append(
+                _violation(
+                    "bisection-replay",
+                    "a replayed budget search returned another bracket "
+                    "than plain bisection",
+                    scheme=scheme,
+                    method=method,
                     fields=differ,
                 )
             )

@@ -17,6 +17,7 @@ The facade's contract has three legs, and each gets pinned here:
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -105,6 +106,34 @@ class TestRequestValidation:
     def test_best_response_prices_must_be_numbers(self, prices):
         with pytest.raises(api.ApiError, match="'prices'") as info:
             api.BestResponseRequest(prices=prices, scenario=SCENARIO)
+        assert info.value.status == 400
+
+    # JSON admits NaN and Infinity, and integers of any size.
+    @pytest.mark.parametrize(
+        "prices",
+        [
+            [math.nan, 1.0],
+            [1.0, math.inf],
+            [-math.inf],
+            [10**400, 1],
+            np.array([1.0, np.nan]),
+        ],
+    )
+    def test_best_response_prices_must_be_finite(self, prices):
+        with pytest.raises(api.ApiError, match="must be finite") as info:
+            api.BestResponseRequest(prices=prices, scenario=SCENARIO)
+        assert info.value.status == 400
+
+    @pytest.mark.parametrize(
+        "request_type", [api.PriceRequest, api.EquilibriumRequest]
+    )
+    @pytest.mark.parametrize(
+        "ref", [{"scenario": [SCENARIO]}, {"setup": {"name": "setup1"}}]
+    )
+    def test_economy_ref_must_be_a_string(self, request_type, ref):
+        (field,) = ref
+        with pytest.raises(api.ApiError, match=f"'{field}'") as info:
+            request_type(**ref)
         assert info.value.status == 400
 
     def test_unknown_scenario_maps_to_404(self, runtime):

@@ -5,6 +5,11 @@ and ``P^w`` (exact and approximate) each used to run their own expand /
 bisect / refine loops. The oracles below keep those loops as they were;
 on economies where the approximate Stage-I surrogate reaches the budget
 inside the exact bracket, the shared search must return the same bits.
+
+The level searches replay those loops through a certified bracket
+(``_certified_bracket`` / ``_replay``): the tests at the end pin that a
+replayed search returns plain bisection's bracket whatever its estimate,
+and that a good estimate leaves only a few probes.
 """
 
 import math
@@ -21,7 +26,15 @@ from repro.game import (
     solve_stage1_kkt,
 )
 from repro.game.best_response import _raw_responses, bucket_representatives
-from repro.game.server_problem import _Q_FLOOR, StageIResult, _KKTFamily
+from repro.game.server_problem import (
+    _Q_FLOOR,
+    StageIResult,
+    _bisect,
+    _certified_bracket,
+    _expand,
+    _KKTFamily,
+    _replay,
+)
 from repro.scenarios import ScenarioRunner, get_scenario
 
 # -- Oracles: the four searches as they were --------------------------------
@@ -266,9 +279,17 @@ def _assert_same_bits(problem, monkeypatch):
     )
     shared = _level_schemes_bytes(problem)
     with monkeypatch.context() as patch:
+        # The oracles probe every step through the plain screened spending.
+        patch.setattr(
+            pricing._LevelFamily, "search", lambda self, hint: self.spending
+        )
         patch.setattr(pricing, "_budget_tight_level", oracle_budget_tight_level)
         patch.setattr(
-            pricing, "_approx_budget_level", oracle_approx_budget_level
+            pricing,
+            "_approx_budget_level",
+            lambda problem, shape, search: oracle_approx_budget_level(
+                problem, shape, search(None)
+            ),
         )
         oracle = _level_schemes_bytes(problem)
     assert shared == oracle
@@ -304,3 +325,173 @@ class TestSharedSearchBitIdentity:
         runner = ScenarioRunner(scale="ci", seed=seed)
         problem = runner.prepare(get_scenario("megafleet")).problem
         _assert_same_bits(problem, monkeypatch)
+
+
+# -- The replayed search -----------------------------------------------------
+
+
+def _cubic_curve(x):
+    """A non-decreasing curve with one crossing of ``BUDGET``."""
+    return x**3 - 2.0 * x
+
+
+BUDGET = 5.0
+
+
+def _counted(spend):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return spend(x)
+
+    return counted, calls
+
+
+def _exact_probe(x):
+    # The curve is computed exactly enough that every probe certifies.
+    return _cubic_curve(x), True
+
+
+class TestReplayedBisection:
+    """``_bisect`` over ``_replay``'s stand-in returns plain ``_bisect``'s
+    bracket, however good or bad the estimate behind the bracket."""
+
+    def _plain(self):
+        hi = _expand(_cubic_curve, BUDGET, 1.0)
+        return _bisect(_cubic_curve, BUDGET, 0.0, hi, 1e-12)
+
+    def _replayed(self, settled):
+        bracket = _certified_bracket(
+            settled, _exact_probe, BUDGET, 0.0, 0.0, 1.0, 1e-12
+        )
+        spend, calls = _counted(_cubic_curve)
+        replayed = _replay(spend, bracket)
+        hi = _expand(replayed, BUDGET, 1.0)
+        return _bisect(replayed, BUDGET, 0.0, hi, 1e-12), calls
+
+    def test_a_good_estimate_leaves_few_probes(self):
+        bracket, calls = self._replayed(_cubic_curve)
+        assert [x.hex() for x in bracket] == [
+            x.hex() for x in self._plain()
+        ]
+        assert len(calls) <= 2
+
+    @pytest.mark.parametrize(
+        "settled",
+        [
+            lambda x: _cubic_curve(x / 40.0),  # estimate far above [lo, hi]
+            lambda x: _cubic_curve(x * 40.0),  # far below the root
+            lambda x: _cubic_curve(x) + 1e-3,  # near, but off by > delta
+            lambda x: -1.0,  # never reaches the budget
+        ],
+    )
+    def test_an_adversarial_estimate_returns_plain_bisection(self, settled):
+        bracket, calls = self._replayed(settled)
+        assert [x.hex() for x in bracket] == [
+            x.hex() for x in self._plain()
+        ]
+        # A bad estimate costs probes, never more than plain bisection's.
+        plain_spend, plain_calls = _counted(_cubic_curve)
+        hi = _expand(plain_spend, BUDGET, 1.0)
+        _bisect(plain_spend, BUDGET, 0.0, hi, 1e-12)
+        assert len(calls) <= len(plain_calls)
+
+    def test_an_uncertified_probe_decides_nothing(self):
+        bracket = _certified_bracket(
+            _cubic_curve,
+            lambda x: (_cubic_curve(x), False),
+            BUDGET, 0.0, 0.0, 1.0, 1e-12,
+        )
+        assert bracket == (-math.inf, math.inf)
+
+
+def _misleading_family(factor):
+    """A level family whose settled estimate sits at ``factor`` times the
+    true level."""
+
+    class Misleading(pricing._LevelFamily):
+        def settled(self, level):
+            return super().settled(level / factor)
+
+    return Misleading
+
+
+def _level_bytes(outcome):
+    return (
+        outcome.prices.tobytes(),
+        outcome.q.tobytes(),
+        float(outcome.spending).hex(),
+    )
+
+
+LEVEL_SCHEMES = [
+    scheme_cls(method=method)
+    for scheme_cls in (UniformPricing, WeightedPricing)
+    for method in (None, "approx")
+]
+
+
+class TestReplayedLevelSearch:
+    @pytest.mark.parametrize("factor", [1e-3, 0.5, 3.0, 1e4])
+    @pytest.mark.parametrize(
+        "scheme", LEVEL_SCHEMES, ids=lambda s: f"{s.name}-{s.method}"
+    )
+    def test_a_misleading_estimate_prices_the_same_bytes(
+        self, small_problem, monkeypatch, scheme, factor
+    ):
+        plain = scheme._apply(
+            small_problem, pricing._SCREEN_MARGIN, replay=False
+        )
+        monkeypatch.setattr(
+            pricing, "_LevelFamily", _misleading_family(factor)
+        )
+        assert _level_bytes(scheme.apply(small_problem)) == _level_bytes(
+            plain
+        )
+
+    @pytest.mark.parametrize(
+        "scheme", LEVEL_SCHEMES, ids=lambda s: f"{s.name}-{s.method}"
+    )
+    def test_margins_zero_and_inf_give_the_same_bytes(
+        self, small_problem, scheme
+    ):
+        """Margin 0 certifies every settled probe, margin inf none."""
+        assert (
+            _level_bytes(scheme._apply(small_problem, 0.0))
+            == _level_bytes(scheme._apply(small_problem, math.inf))
+            == _level_bytes(
+                scheme._apply(small_problem, math.inf, replay=False)
+            )
+        )
+
+    def test_megafleet_100k_uniform_search_makes_few_screened_probes(
+        self, monkeypatch
+    ):
+        problem = (
+            ScenarioRunner(scale="ci", seed=0)
+            .prepare(get_scenario("megafleet-100k"))
+            .problem
+        )
+        counts = {"probe": 0, "settled": 0, "reference": 0}
+
+        class Counted(pricing._LevelFamily):
+            def settled(self, level):
+                counts["settled"] += 1
+                return super().settled(level)
+
+            def probe(self, level):
+                counts["probe"] += 1
+                spend, certified = super().probe(level)
+                counts["reference"] += not certified
+                return spend, certified
+
+        plain = UniformPricing()._apply(
+            problem, pricing._SCREEN_MARGIN, replay=False
+        )
+        monkeypatch.setattr(pricing, "_LevelFamily", Counted)
+        replayed = UniformPricing().apply(problem)
+        assert _level_bytes(replayed) == _level_bytes(plain)
+        assert counts["probe"] <= 4
+        assert counts["reference"] == 0
+        assert counts["settled"] <= 16

@@ -4,7 +4,9 @@ Each probe of the ``P^u``/``P^w`` level searches first prices the fleet
 with the settling cubic solve and re-solves with the reference
 ``best_response_vector`` only when the probe's spending lies within the
 screen's margin of the budget. The screen must never change a byte, and
-both of its paths must work.
+both of its paths must work. The same holds for the replay that decides
+most probes from a certified bracket (the ``bisection-replay``
+invariant).
 """
 
 import dataclasses
@@ -111,7 +113,7 @@ class TestScreenBitIdentity:
 class TestLevelSearchScreeningInvariant:
     def test_registered_in_the_game_family(self):
         assert INVARIANTS["level-search-screening"].family == "game"
-        assert len(INVARIANTS) == 16
+        assert len(INVARIANTS) == 17
 
     @pytest.mark.parametrize("index", range(6))
     def test_clean_on_fuzz_cases(self, index):
@@ -131,6 +133,35 @@ class TestLevelSearchScreeningInvariant:
             lambda price, cost, vA, cap: 0.5 * settled(price, cost, vA, cap),
         )
         invariant = INVARIANTS["level-search-screening"]
+        report = invariant.run(InvariantContext(small_problem, None, "uniform"))
+        assert report.failed
+        assert {v.details["scheme"] for v in report.violations} == {
+            "uniform",
+            "weighted",
+        }
+
+
+class TestBisectionReplayInvariant:
+    def test_registered_in_the_game_family(self):
+        assert INVARIANTS["bisection-replay"].family == "game"
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_clean_on_fuzz_cases(self, index):
+        case = draw_case(spawn_rng(17, "fuzz", str(index)), index)
+        report = check_case(case, ["bisection-replay"])["bisection-replay"]
+        assert report.passed
+
+    def test_catches_a_bracket_that_claims_too_much(
+        self, small_problem, monkeypatch
+    ):
+        certified = pricing._certified_bracket
+
+        def halved(*args):
+            low, high = certified(*args)
+            return low, 0.5 * high
+
+        monkeypatch.setattr(pricing, "_certified_bracket", halved)
+        invariant = INVARIANTS["bisection-replay"]
         report = invariant.run(InvariantContext(small_problem, None, "uniform"))
         assert report.failed
         assert {v.details["scheme"] for v in report.violations} == {

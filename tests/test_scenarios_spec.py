@@ -246,6 +246,75 @@ class TestPopulationFingerprintAudit:
                 assert _economy_bytes(changed) != reference, label
 
 
+#: One non-default value per ParticipationSpec field, for the fingerprint
+#: audit.
+PARTICIPATION_AUDIT_VALUES = {
+    "kind": "dropout",
+    "correlation": 0.9,
+    "on_to_off": 0.5,
+    "off_to_on": 0.8,
+    "dropout": 0.4,
+}
+
+
+def _fingerprint_cases():
+    """``(label, base path, changed spec)``: every population audit case
+    that changes its base spec, plus one per ``ParticipationSpec`` field
+    on each path."""
+    for label, path, changed in _audit_cases():
+        if changed != AUDIT_BASES[path]:
+            yield label, path, changed
+    for path, base in AUDIT_BASES.items():
+        for field in dataclasses.fields(ParticipationSpec):
+            participation = dataclasses.replace(
+                base.participation,
+                **{field.name: PARTICIPATION_AUDIT_VALUES[field.name]},
+            )
+            yield (
+                f"participation.{field.name}",
+                path,
+                dataclasses.replace(base, participation=participation),
+            )
+
+
+class TestScenarioFingerprintAudit:
+    """``fingerprint()`` keys the API's scenario runs. It addresses the
+    whole spec document, labels included (a run's cells carry the
+    scenario's name), so a change to any field, nested ones included,
+    must change it."""
+
+    def test_every_participation_field_has_an_audit_value(self):
+        assert {
+            field.name for field in dataclasses.fields(ParticipationSpec)
+        } == set(PARTICIPATION_AUDIT_VALUES)
+
+    @pytest.mark.parametrize(
+        "label, path, changed",
+        list(_fingerprint_cases()),
+        ids=[f"{case[1]}-{case[0]}" for case in _fingerprint_cases()],
+    )
+    def test_changed_field_changes_the_fingerprint(self, label, path, changed):
+        assert changed.fingerprint() != AUDIT_BASES[path].fingerprint(), (
+            f"{label} does not enter the {path} scenario fingerprint"
+        )
+
+    def test_every_field_is_audited_on_some_path(self):
+        labels = {case[0] for case in _fingerprint_cases()}
+        expected = (
+            {f"population.{f.name}" for f in dataclasses.fields(PopulationSpec)}
+            | {
+                f"participation.{f.name}"
+                for f in dataclasses.fields(ParticipationSpec)
+            }
+            | {
+                f.name
+                for f in dataclasses.fields(ScenarioSpec)
+                if f.name not in ("population", "participation")
+            }
+        )
+        assert labels >= expected
+
+
 class TestValidation:
     def test_bad_setup_rejected(self):
         with pytest.raises(ValueError, match="unknown setup"):

@@ -133,6 +133,16 @@ ERROR_CASES = [
     ("GET", RUN, None, 405),
     ("PUT", "/v1/price", None, 405),
     ("DELETE", "/v1/anything", None, 405),
+    # JSON admits NaN and integers no float holds; neither is a price.
+    ("POST", "/v1/best-response",
+     {"scenario": SCENARIO, "prices": [float("nan"), 1.0]}, 400),
+    ("POST", "/v1/best-response", {"scenario": SCENARIO, "prices": [10**400]},
+     400),
+    # An economy reference is a name, not any JSON value.
+    ("POST", "/v1/price", {"scenario": [SCENARIO]}, 400),
+    ("POST", "/v1/equilibrium", {"scenario": [SCENARIO]}, 400),
+    ("POST", "/v1/best-response", {"setup": ["setup1"], "prices": [1.0]},
+     400),
 ]
 
 #: ``(path, body)`` pairs a request type itself refuses, or its facade

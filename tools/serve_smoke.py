@@ -120,6 +120,9 @@ def main() -> int:
              {"setup": "setup1", "method": "bogus"}, 400),
             ("POST", "/v1/scenarios/paper-default/run",
              {"fast_suite": "false"}, 400),
+            ("POST", "/v1/best-response",
+             {"scenario": "paper-default", "prices": [float("nan")]}, 400),
+            ("POST", "/v1/price", {"scenario": ["paper-default"]}, 400),
             ("POST", "/v1/health", None, 405),
             ("GET", "/v1/scenarios/paper-default/run", None, 405),
             ("GET", "/v1/nope", None, 404),
