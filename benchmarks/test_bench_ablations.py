@@ -48,7 +48,7 @@ def _train(prepared, participation, aggregator=None, rounds=None, decay=None):
     return trainer.run(rounds or config.num_rounds)
 
 
-def test_ablation_aggregation_bias(benchmark):
+def test_ablation_aggregation_bias():
     """A1: with skewed q, only Lemma-1 aggregation stays near the optimum.
 
     Bias vs variance: the unbiased estimator is noisier (1/q amplification)
@@ -84,7 +84,7 @@ def test_ablation_aggregation_bias(benchmark):
         )
         return unbiased, biased
 
-    unbiased, biased = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    unbiased, biased = run_both()
     f_star = prepared.optima.f_star
     unbiased_gap = unbiased.final_global_loss() - f_star
     biased_gap = biased.final_global_loss() - f_star
@@ -104,7 +104,7 @@ def test_ablation_aggregation_bias(benchmark):
     assert unbiased_gap < biased_gap
 
 
-def test_ablation_bound_shape(benchmark):
+def test_ablation_bound_shape():
     """A2: the calibrated bound orders q profiles like measured gaps do."""
     prepared = get_prepared("setup1")
     levels = (0.15, 0.4, 1.0)
@@ -117,7 +117,7 @@ def test_ablation_bound_shape(benchmark):
             gaps.append(history.final_global_loss() - prepared.optima.f_star)
         return gaps
 
-    measured = benchmark.pedantic(measure, rounds=1, iterations=1)
+    measured = measure()
     predicted = [
         prepared.problem.objective_gap(
             np.full(prepared.federated.num_clients, level)
@@ -142,7 +142,7 @@ def test_ablation_bound_shape(benchmark):
     assert measured[0] > measured[-1]
 
 
-def test_ablation_solvers(benchmark):
+def test_ablation_solvers():
     """A3: the two Stage-I solvers agree; KKT is faster."""
     prepared = get_prepared("setup1")
     problem = prepared.problem
@@ -155,9 +155,7 @@ def test_ablation_solvers(benchmark):
         t2 = time.perf_counter()
         return kkt, msearch, t1 - t0, t2 - t1
 
-    kkt, msearch, kkt_s, msearch_s = benchmark.pedantic(
-        solve_both, rounds=1, iterations=1
-    )
+    kkt, msearch, kkt_s, msearch_s = solve_both()
     print()
     print(
         render_table(
@@ -181,7 +179,7 @@ def test_ablation_solvers(benchmark):
     assert kkt_s < msearch_s
 
 
-def test_ablation_fixed_subset_bias(benchmark):
+def test_ablation_fixed_subset_bias():
     """A4: paying a fixed 'valuable' subset yields a biased model.
 
     The deterministic-subset mechanisms of refs [7]-[14] select the
@@ -207,7 +205,7 @@ def test_ablation_fixed_subset_bias(benchmark):
         randomized = run_history(prepared, outcome.q, seed=0)
         return fixed, randomized
 
-    fixed, randomized = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    fixed, randomized = run_both()
     f_star = prepared.optima.f_star
     fixed_gap = fixed.final_global_loss() - f_star
     randomized_gap = randomized.final_global_loss() - f_star
@@ -230,7 +228,7 @@ def test_ablation_fixed_subset_bias(benchmark):
     assert randomized_gap < fixed_gap
 
 
-def test_ablation_bayesian_information(benchmark):
+def test_ablation_bayesian_information():
     """A5: how much the server loses when (c_n, v_n) are private.
 
     The Bayesian server knows only the exponential means of costs and
@@ -262,9 +260,7 @@ def test_ablation_bayesian_information(benchmark):
         )
         return complete, expected_profile, monte_carlo
 
-    complete, expected_profile, monte_carlo = benchmark.pedantic(
-        run_all, rounds=1, iterations=1
-    )
+    complete, expected_profile, monte_carlo = run_all()
     rows = [
         [outcome.scheme, outcome.objective_gap, outcome.spending]
         for outcome in (complete, expected_profile, monte_carlo)

@@ -60,9 +60,7 @@ def _check_and_export(setup_name: str, comparison: dict) -> None:
 
 
 @pytest.mark.parametrize("setup_name", ["setup1", "setup2", "setup3"])
-def test_fig4(benchmark, setup_name):
-    comparison = benchmark.pedantic(
-        lambda: get_comparison(setup_name), rounds=1, iterations=1
-    )
+def test_fig4(setup_name):
+    comparison = get_comparison(setup_name)
     _print_series(setup_name, comparison)
     _check_and_export(setup_name, comparison)

@@ -45,15 +45,11 @@ def _print_sweep(title: str, parameter_name: str, series: dict) -> None:
     )
 
 
-def test_fig5_intrinsic_value(benchmark):
+def test_fig5_intrinsic_value():
     """Fig. 5: larger v -> better model (clients self-motivate)."""
     prepared = get_prepared("setup1")
     values = (0.0, 4_000.0, 80_000.0)
-    points = benchmark.pedantic(
-        lambda: sweep_mean_value(prepared, values, repeats=2),
-        rounds=1,
-        iterations=1,
-    )
+    points = sweep_mean_value(prepared, values, repeats=2)
     series = sweep_series(points)
     _print_sweep("Fig. 5 — intrinsic value sweep (Setup 1)", "mean v", series)
     export_sweep(series, results_dir() / "fig5_value_sweep.csv")
@@ -65,16 +61,12 @@ def test_fig5_intrinsic_value(benchmark):
     assert mean_q[-1] >= mean_q[0] - 1e-9
 
 
-def test_fig6_local_cost(benchmark):
+def test_fig6_local_cost():
     """Fig. 6: smaller c -> better model (participation is cheaper)."""
     prepared = get_prepared("setup2")
     base_cost = prepared.config.mean_cost
     costs = (base_cost * 2.0, base_cost, base_cost * 0.25)
-    points = benchmark.pedantic(
-        lambda: sweep_mean_cost(prepared, costs, repeats=2),
-        rounds=1,
-        iterations=1,
-    )
+    points = sweep_mean_cost(prepared, costs, repeats=2)
     series = sweep_series(points)
     _print_sweep("Fig. 6 — local cost sweep (Setup 2)", "mean c", series)
     export_sweep(series, results_dir() / "fig6_cost_sweep.csv")
@@ -83,16 +75,12 @@ def test_fig6_local_cost(benchmark):
     assert gaps == sorted(gaps, reverse=True)
 
 
-def test_fig7_budget(benchmark):
+def test_fig7_budget():
     """Fig. 7: larger B -> better model (more participation affordable)."""
     prepared = get_prepared("setup3")
     base_budget = prepared.problem.budget
     budgets = (base_budget * 0.1, base_budget * 0.5, base_budget)
-    points = benchmark.pedantic(
-        lambda: sweep_budget(prepared, budgets, repeats=2),
-        rounds=1,
-        iterations=1,
-    )
+    points = sweep_budget(prepared, budgets, repeats=2)
     series = sweep_series(points)
     _print_sweep("Fig. 7 — budget sweep (Setup 3)", "budget B", series)
     export_sweep(series, results_dir() / "fig7_budget_sweep.csv")

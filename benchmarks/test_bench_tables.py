@@ -34,8 +34,8 @@ def _all_comparisons() -> dict:
     return {name: get_comparison(name) for name in _SETUPS}
 
 
-def test_table2_time_to_loss(benchmark):
-    comparisons = benchmark.pedantic(_all_comparisons, rounds=1, iterations=1)
+def test_table2_time_to_loss():
+    comparisons = _all_comparisons()
     rows, targets = table2_rows(comparisons)
     print()
     print(render_time_table(rows, metric="loss"))
@@ -69,8 +69,8 @@ def _assert_majority_wins(rows) -> None:
     assert wins * 2 >= len(rows)
 
 
-def test_table3_time_to_accuracy(benchmark):
-    comparisons = benchmark.pedantic(_all_comparisons, rounds=1, iterations=1)
+def test_table3_time_to_accuracy():
+    comparisons = _all_comparisons()
     rows, targets = table3_rows(comparisons)
     print()
     print(render_time_table(rows, metric="accuracy"))
@@ -85,8 +85,8 @@ def test_table3_time_to_accuracy(benchmark):
     _assert_majority_wins(rows)
 
 
-def test_table4_client_utility_gain(benchmark):
-    comparisons = benchmark.pedantic(_all_comparisons, rounds=1, iterations=1)
+def test_table4_client_utility_gain():
+    comparisons = _all_comparisons()
     rows = table4_rows(comparisons)
     print()
     print(render_utility_table(rows))
@@ -99,13 +99,9 @@ def test_table4_client_utility_gain(benchmark):
         assert float(row[2]) >= -1e-9  # gain vs weighted
 
 
-def test_table5_negative_payments(benchmark):
+def test_table5_negative_payments():
     prepared = get_prepared("setup1")
-    rows = benchmark.pedantic(
-        lambda: table5_rows(prepared, mean_values=(0.0, 4_000.0, 80_000.0)),
-        rounds=1,
-        iterations=1,
-    )
+    rows = table5_rows(prepared, mean_values=(0.0, 4_000.0, 80_000.0))
     print()
     print(render_negative_payment_table(rows))
     save_json({"rows": rows}, results_dir() / "table5.json")

@@ -1,7 +1,9 @@
 """Setup shim for environments without the `wheel` package.
 
-All metadata lives in pyproject.toml; this file only enables the legacy
-editable-install path (`pip install -e . --no-use-pep517`).
+The repository declares no package metadata (there is no
+pyproject.toml): run it from the source tree with ``PYTHONPATH=src``.
+This file only keeps the legacy ``setup.py`` entry point; it passes
+``setup()`` no arguments.
 """
 
 from setuptools import setup

@@ -50,7 +50,7 @@ import argparse
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.experiments.configs import SETUPS, apply_scale, resolve_scale
 from repro.experiments.figures import fig4_grid, sweep_series
@@ -88,61 +88,6 @@ from repro.fl.execution import (
 from repro.fl.trainer import DEFAULT_CHUNK_SIZE
 from repro.utils.serialization import save_json
 from repro.utils.tables import render_table
-
-
-def add_execution_options(
-    parser: argparse.ArgumentParser, default=lambda value: value
-) -> None:
-    """Add one flag per :class:`ExecutionSpec` field, stored under the
-    field's name; ``default`` maps each default (see
-    :func:`_add_common_options`)."""
-    parser.add_argument(
-        "--backend", choices=BACKENDS,
-        default=default(DEFAULT_EXECUTION.backend),
-        help="trainer local-SGD engine (bit-identical results; "
-        "'loop' is the slow reference path)",
-    )
-    parser.add_argument(
-        "--chunk-size", type=int, default=default(None), metavar="CLIENTS",
-        help="memory-bounded stack width for training runs (bit-identical "
-        f"results; default: {DEFAULT_CHUNK_SIZE} participants per stack)",
-    )
-    parser.add_argument(
-        "--precision", choices=PRECISIONS,
-        default=default(DEFAULT_EXECUTION.precision),
-        help="kernel dtype for training runs (float32 is the fast tier's "
-        "precision; results are statistically equivalent, not bit-exact)",
-    )
-    parser.add_argument(
-        "--fast", action="store_true",
-        default=default(False),
-        help="fast tier: cached dtype-cast shard rows and sub-sampled "
-        "evaluation (statistically equivalent to the exact path, with "
-        "its own cache keys; combine with --precision float32)",
-    )
-
-
-def execution_from_args(
-    args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> ExecutionSpec:
-    """The spec the parsed execution flags describe; a value the spec
-    rejects is reported through ``parser.error`` as its flag."""
-    knobs = {f.name: getattr(args, f.name) for f in fields(ExecutionSpec)}
-    try:
-        return ExecutionSpec(**knobs)
-    except ValueError as error:
-        name, _, rest = str(error).partition(" ")
-        parser.error(f"--{name.replace('_', '-')} {rest}")
-
-
-def execution_argv(execution: ExecutionSpec) -> List[str]:
-    """The flags that rebuild ``execution`` (non-default knobs only)."""
-    argv: List[str] = []
-    for name, value in execution.non_default().items():
-        argv.append("--" + name.replace("_", "-"))
-        if value is not True:
-            argv.append(str(value))
-    return argv
 
 
 def _add_common_options(
@@ -187,7 +132,32 @@ def _add_common_options(
         "--cache-dir", type=Path, default=default(None),
         help="content-addressed result store; re-runs become near-instant",
     )
-    add_execution_options(parser, default)
+    # One flag per ExecutionSpec field, stored under the field's name:
+    # _parse_args builds the spec from them.
+    parser.add_argument(
+        "--backend", choices=BACKENDS,
+        default=default(DEFAULT_EXECUTION.backend),
+        help="trainer local-SGD engine (bit-identical results; "
+        "'loop' is the slow reference path)",
+    )
+    parser.add_argument(
+        "--chunk-size", type=int, default=default(None), metavar="CLIENTS",
+        help="memory-bounded stack width for training runs (bit-identical "
+        f"results; default: {DEFAULT_CHUNK_SIZE} participants per stack)",
+    )
+    parser.add_argument(
+        "--precision", choices=PRECISIONS,
+        default=default(DEFAULT_EXECUTION.precision),
+        help="kernel dtype for training runs (float32 is the fast tier's "
+        "precision; results are statistically equivalent, not bit-exact)",
+    )
+    parser.add_argument(
+        "--fast", action="store_true",
+        default=default(False),
+        help="fast tier: cached dtype-cast shard rows and sub-sampled "
+        "evaluation (statistically equivalent to the exact path, with "
+        "its own cache keys; combine with --precision float32)",
+    )
     parser.add_argument(
         "--algorithm", default=default(None), metavar="KIND[:P=V,...]",
         help="local-update rule for training runs: fedavg (default), "
@@ -947,7 +917,13 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    args.execution = execution_from_args(args, parser)
+    knobs = {f.name: getattr(args, f.name) for f in fields(ExecutionSpec)}
+    try:
+        args.execution = ExecutionSpec(**knobs)
+    except ValueError as error:
+        # The spec's messages lead with the field name; report its flag.
+        name, _, rest = str(error).partition(" ")
+        parser.error(f"--{name.replace('_', '-')} {rest}")
     if args.checkpoint_every < 1:
         parser.error(
             f"--checkpoint-every must be >= 1, got {args.checkpoint_every}"

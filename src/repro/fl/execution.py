@@ -74,14 +74,6 @@ class ExecutionSpec:
             )
         object.__setattr__(self, "fast", bool(self.fast))
 
-    def non_default(self) -> dict:
-        """Every knob set away from its default, in field order."""
-        return {
-            knob.name: getattr(self, knob.name)
-            for knob in fields(self)
-            if getattr(self, knob.name) != knob.default
-        }
-
     def key_fields(self) -> dict:
         """The knobs that change results, at non-default values only."""
         return {

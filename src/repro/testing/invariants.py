@@ -619,7 +619,7 @@ def check_level_search_screening(ctx: InvariantContext) -> List[Violation]:
     for scheme in _level_schemes():
         differ = _differing_fields(
             scheme.apply(ctx.problem),
-            scheme._apply(ctx.problem, math.inf),
+            scheme._apply(ctx.problem, math.inf, replay=False),
             ("prices", "q", "spending"),
         )
         if differ:

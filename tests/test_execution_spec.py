@@ -57,7 +57,6 @@ class TestValidation:
             "float64",
             False,
         )
-        assert spec.non_default() == {}
         assert spec.key_fields() == {}
 
     @pytest.mark.parametrize(

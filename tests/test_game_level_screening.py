@@ -123,6 +123,25 @@ class TestLevelSearchScreeningInvariant:
         ]
         assert report.passed
 
+    def test_the_reference_side_makes_no_settled_probes(
+        self, small_problem, monkeypatch
+    ):
+        """The all-reference side is plain bisection: no replay steering."""
+        settled = {"screened": 0, "reference": 0}
+
+        class Counted(pricing._LevelFamily):
+            def settled(self, level):
+                side = "reference" if self.margin == math.inf else "screened"
+                settled[side] += 1
+                return super().settled(level)
+
+        monkeypatch.setattr(pricing, "_LevelFamily", Counted)
+        invariant = INVARIANTS["level-search-screening"]
+        report = invariant.run(InvariantContext(small_problem, None, "uniform"))
+        assert report.passed
+        assert settled["reference"] == 0
+        assert settled["screened"] > 0
+
     def test_catches_a_comparator_that_lands_on_the_wrong_side(
         self, small_problem, monkeypatch
     ):

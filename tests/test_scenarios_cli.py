@@ -1,6 +1,8 @@
 """Tests for the ``scenarios`` CLI verb."""
 
+import dataclasses
 import json
+import math
 
 import pytest
 
@@ -96,6 +98,38 @@ class TestRun:
             == 2
         )
         assert "unknown mechanism" in capsys.readouterr().err
+
+    def test_a_non_finite_metric_fails_the_run(self, capsys, monkeypatch):
+        """The gate the CI scenario matrix relies on: exit 1, and name
+        the offending scenario/mechanism/metric."""
+        from repro import api
+
+        run_scenario = api.run_scenario
+
+        def poisoned(*args, **kwargs):
+            response = run_scenario(*args, **kwargs)
+            first = response.cells[0]
+            metrics = dict(first.metrics, estimator_bias=math.nan)
+            cells = [dataclasses.replace(first, metrics=metrics)]
+            return dataclasses.replace(
+                response, cells=cells + response.cells[1:]
+            )
+
+        monkeypatch.setattr(api, "run_scenario", poisoned)
+        code = main(
+            [
+                "scenarios",
+                "run",
+                "--name",
+                "paper-default",
+                "--mechanisms",
+                "proposed,random",
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "non-finite metrics in" in err
+        assert "paper-default/proposed/estimator_bias" in err
 
 
 class TestCompare:
