@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -64,9 +64,11 @@ class Dataset:
         The accessor lazy shard views share: on a
         :class:`~repro.datasets.streaming.LazyShard` it regenerates the
         shard exactly once, where reading ``.features`` and ``.labels``
-        separately regenerates it twice. Every consumer that needs both
-        arrays (local updates, gradient-norm sampling, the chunked trainer
-        gather, chunked evaluation) reads shards through this.
+        separately regenerates it twice. Every consumer that needs one
+        shard's two arrays (local updates, gradient-norm sampling) reads
+        it through this; the chunked trainer gather and chunked
+        evaluation fetch many shards at once through the federation's
+        ``stacked_arrays``.
         """
         return self.features, self.labels
 
@@ -122,4 +124,34 @@ def concatenate(datasets: Sequence[Dataset]) -> Dataset:
         features=np.concatenate([dataset.features for dataset in datasets]),
         labels=np.concatenate([dataset.labels for dataset in datasets]),
         num_classes=num_classes,
+    )
+
+
+def check_client_ids(client_ids: Sequence[int], num_clients: int) -> List[int]:
+    """``client_ids`` as ints, each checked to lie in ``[0, num_clients)``.
+
+    Raises :class:`IndexError` on the first id out of range (negative ids
+    included: a federation never wraps them around).
+    """
+    ids = [int(client_id) for client_id in client_ids]
+    for client_id in ids:
+        if not 0 <= client_id < num_clients:
+            raise IndexError(
+                f"client_id must lie in [0, {num_clients}), got {client_id}"
+            )
+    return ids
+
+
+def stack_rows(
+    pairs: Sequence[Tuple[np.ndarray, np.ndarray]], num_features: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Row-stack ``(features, labels)`` pairs into one fresh pair, in order.
+
+    An empty list stacks to ``(0, num_features)`` features and no labels.
+    """
+    if not pairs:
+        return np.empty((0, num_features)), np.empty(0, dtype=int)
+    return (
+        np.concatenate([features for features, _ in pairs]),
+        np.concatenate([labels for _, labels in pairs]),
     )

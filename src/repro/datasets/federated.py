@@ -4,11 +4,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.datasets.base import Dataset, concatenate
+from repro.datasets.base import (
+    Dataset,
+    check_client_ids,
+    concatenate,
+    stack_rows,
+)
 
 
 @dataclass(frozen=True)
@@ -70,6 +75,23 @@ class FederatedDataset:
     def total_samples(self) -> int:
         """Total training samples across all clients."""
         return int(self.sizes.sum())
+
+    def stacked_arrays(
+        self, client_ids: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The listed clients' training rows, stacked in list order.
+
+        A fresh concatenation of the resident shards (a repeated id
+        appears once per listing): the eager form of
+        :meth:`~repro.datasets.streaming.StreamingFederatedDataset.stacked_arrays`,
+        so chunked evaluation and the trainer's kernel pools fetch the same
+        way whatever the storage.
+        """
+        ids = check_client_ids(client_ids, self.num_clients)
+        return stack_rows(
+            [self.client_datasets[client_id].arrays() for client_id in ids],
+            self.num_features,
+        )
 
     @cached_property
     def _pooled(self) -> Dataset:

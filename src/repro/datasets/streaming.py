@@ -11,12 +11,22 @@ is regenerated on demand, bit-identical every time, from nothing but
 The provider contract
 =====================
 
-* **Pure regeneration.** ``provider.shard(n)`` derives a private generator
-  ``spawn_rng(seed, "shard", str(n))`` and replays the client's generative
-  recipe from scratch. Two calls — seconds or processes apart, before or
-  after any other client — return bit-identical arrays. There is no hidden
-  sequential state: the provider pickles as a few integers plus the size
-  vector, never as data.
+* **Pure regeneration.** Client ``n``'s shard is replayed from scratch
+  from its private generator, ``spawn_rng(seed, "shard", str(n))``
+  (:meth:`SyntheticShardProvider.shard_rng` builds it straight from its
+  spawn key). Two fetches — seconds or processes apart, before or after
+  any other client, alone or in any group — return bit-identical rows.
+  There is no hidden sequential state: the provider pickles as a few
+  integers plus the size vector, never as data or generator state.
+* **Stacked fetches.** ``provider.stacked_arrays(client_ids)`` synthesizes
+  the training rows of a whole list of clients in one call of the
+  recipe, into one fresh ``(sum of sizes, dim)`` stack in list order;
+  ``shard_arrays(n)`` is the one-id case. Every id is range-checked
+  before anything is drawn, and ``regenerations`` counts shards, not
+  calls. A training fetch draws only the training rows: they are a
+  prefix of the client's full draw, because the feature rows are the
+  recipe's last draw. Chunked evaluation fetches one stack per chunk and
+  the trainer one per kernel group.
 * **Bounded residency.** The provider keeps no shard: every fetch
   regenerates from ``(seed, client_id)`` and the arrays live only as long
   as the caller holds them. Under the paper's independent Bernoulli(q_n)
@@ -24,18 +34,22 @@ The provider contract
   recency cache here would only hold memory.
 * **Eager twin.** :meth:`StreamingFederatedDataset.materialize` assembles
   the conventional eager :class:`FederatedDataset` holding *the same
-  arrays*. The twin is what the bit-identity tests (and small-fleet
+  arrays*, synthesized one client per call, so comparing it with the
+  provider also checks stacked synthesis against single-client
+  synthesis. The twin is what the bit-identity tests (and small-fleet
   callers that prefer simplicity) use; at megafleet sizes it is exactly
   the allocation streaming exists to avoid.
 
-The per-client recipe is the Synthetic(alpha, beta) generator of
-:mod:`repro.datasets.synthetic`, re-keyed: where the eager builder walks
-one sequential generator across clients (so client ``n``'s draw depends on
-every earlier client's), the streaming recipe gives each client its own
-derived stream. The two recipes therefore produce *different* (equally
-distributed) federations — streaming is a new dataset family, not a lazy
-view of ``synthetic_federated`` — but within the streaming family the
-eager twin and the provider agree bitwise by construction.
+The recipe is the Synthetic(alpha, beta) generator of
+:mod:`repro.datasets.synthetic` (:func:`client_shard_arrays`, always
+called through this module's global, which ``perf/trace.py`` wraps),
+re-keyed: where the eager builder walks one sequential generator across
+clients (so client ``n``'s draw depends on every earlier client's), the
+streaming recipe gives each client its own derived stream. The two
+recipes therefore produce *different* (equally distributed) federations —
+streaming is a new dataset family, not a lazy view of
+``synthetic_federated`` — but within the streaming family the eager twin
+and the provider agree bitwise by construction.
 
 The global test set stays eager and bounded: a deterministic subsample of
 clients (``test_clients`` of them) contributes its held-out rows, so test
@@ -44,11 +58,12 @@ evaluation covers the client mixture without scaling with ``N``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+import zlib
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.datasets.base import Dataset, concatenate
+from repro.datasets.base import Dataset, check_client_ids, concatenate
 from repro.datasets.federated import FederatedDataset
 from repro.datasets.partition import power_law_sizes
 from repro.datasets.synthetic import client_shard_arrays
@@ -57,6 +72,12 @@ from repro.utils.validation import check_nonnegative
 
 #: Default number of clients whose held-out rows form the global test set.
 DEFAULT_TEST_CLIENTS = 128
+
+#: The ``"shard"`` label's spawn-key word, hashed once: client ``n``'s
+#: stream is ``SeedSequence(seed, spawn_key=(_SHARD_KEY, crc32(str(n))))``,
+#: the stream ``spawn_rng(seed, "shard", str(n))`` derives, without its
+#: throwaway root sequence and label re-hashing on every fetch.
+_SHARD_KEY = zlib.crc32(b"shard")
 
 
 class SyntheticShardProvider:
@@ -72,10 +93,11 @@ class SyntheticShardProvider:
         beta: Feature-heterogeneity level.
         dim: Feature dimension.
         num_classes: Number of classes.
-        test_fraction: Per-client held-out fraction (the shard's stream
-            draws ``size + test_size`` rows; the trailing rows are the
-            held-out part, so train arrays are independent of whether the
-            client ever contributes to a test set).
+        test_fraction: Per-client held-out fraction (the shard's full
+            stream draws ``size + test_size`` rows; the trailing rows are
+            the held-out part, so train arrays are independent of whether
+            the client ever contributes to a test set, and a training
+            fetch draws only the ``size``-row prefix).
     """
 
     def __init__(
@@ -124,61 +146,78 @@ class SyntheticShardProvider:
         """Number of clients ``N``."""
         return int(self.sizes.size)
 
-    def _check_client(self, client_id: int) -> int:
-        client_id = int(client_id)
-        if not 0 <= client_id < self.num_clients:
-            raise IndexError(
-                f"client_id must lie in [0, {self.num_clients}), "
-                f"got {client_id}"
-            )
-        return client_id
+    def shard_rng(self, client_id: int) -> np.random.Generator:
+        """A fresh generator at the start of client ``n``'s private stream.
 
-    def _full_arrays(self, client_id: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The client's full (train + held-out) draw, regenerated."""
-        client_id = self._check_client(client_id)
-        generator = spawn_rng(self.seed, "shard", str(client_id))
-        features, labels = client_shard_arrays(
-            int(self.sizes[client_id] + self.test_sizes[client_id]),
+        The stream ``spawn_rng(seed, "shard", str(n))`` derives, built
+        straight from its spawn key (see :data:`_SHARD_KEY`). ``client_id``
+        is not range-checked here.
+        """
+        label = zlib.crc32(str(int(client_id)).encode())
+        return np.random.default_rng(
+            np.random.SeedSequence(
+                entropy=self.seed, spawn_key=(_SHARD_KEY, label)
+            )
+        )
+
+    def _synthesize(
+        self, client_ids: List[int], sizes: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One synthesis call over checked ids: ``sizes[k]`` rows each."""
+        arrays = client_shard_arrays(
+            sizes,
             self.alpha,
             self.beta,
             self.dim,
             self.num_classes,
-            generator,
+            [self.shard_rng(client_id) for client_id in client_ids],
         )
-        self.regenerations += 1
-        return features, labels
+        self.regenerations += len(client_ids)
+        return arrays
+
+    def stacked_arrays(
+        self, client_ids: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The listed clients' training rows, stacked in list order.
+
+        One synthesis call regenerates every listed shard (a repeated id
+        is regenerated once per listing) into one fresh
+        ``(sum of sizes, dim)`` array, byte-equal to concatenating
+        :meth:`shard_arrays` of each id. Every id is checked before
+        anything is drawn.
+        """
+        ids = check_client_ids(client_ids, self.num_clients)
+        return self._synthesize(ids, self.sizes[ids])
 
     def shard_arrays(self, client_id: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(features, labels)`` views of client ``n``'s training rows.
+        """``(features, labels)`` of client ``n``'s training rows.
 
-        Every call regenerates the shard, so callers that need both arrays
-        take them from one call. The returned arrays are views into the
-        fresh full draw; callers must treat them as immutable (the
-        library-wide shard contract).
+        The one-id case of :meth:`stacked_arrays`: every call regenerates
+        the shard, so callers that need both arrays take them from one
+        call.
         """
-        features, labels = self._full_arrays(client_id)
-        size = int(self.sizes[client_id])
-        return features[:size], labels[:size]
+        return self.stacked_arrays([client_id])
 
     def shard(self, client_id: int) -> Dataset:
         """Client ``n``'s training shard as a materialized :class:`Dataset`."""
         features, labels = self.shard_arrays(client_id)
+        # shard_arrays returns a fresh stack the caller owns: no copy.
         return Dataset(
-            features=features.copy(),
-            labels=labels.copy(),
-            num_classes=self.num_classes,
+            features=features, labels=labels, num_classes=self.num_classes
         )
 
     def heldout_shard(self, client_id: int) -> Dataset:
         """Client ``n``'s held-out rows (the test-set contribution)."""
-        client_id = self._check_client(client_id)
+        [client_id] = check_client_ids([client_id], self.num_clients)
         if self.test_sizes[client_id] == 0:
             raise ValueError(
                 f"client {client_id} has no held-out rows "
                 "(test_fraction is 0)"
             )
-        features, labels = self._full_arrays(client_id)
         size = int(self.sizes[client_id])
+        features, labels = self._synthesize(
+            [client_id], [size + int(self.test_sizes[client_id])]
+        )
         return Dataset(
             features=features[size:].copy(),
             labels=labels[size:].copy(),
@@ -293,6 +332,16 @@ class StreamingFederatedDataset:
         self.test_dataset = test_dataset
         self.name = name
         self.test_client_ids = tuple(int(i) for i in test_client_ids)
+
+    def stacked_arrays(
+        self, client_ids: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The listed clients' training rows, regenerated in one stack.
+
+        :meth:`SyntheticShardProvider.stacked_arrays`: one synthesis call
+        for the whole list, byte-equal to the eager twin's concatenation.
+        """
+        return self.provider.stacked_arrays(client_ids)
 
     @property
     def client_datasets(self) -> _LazyShardSequence:

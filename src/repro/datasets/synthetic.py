@@ -18,7 +18,7 @@ Generative recipe (per client ``k``):
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -39,31 +39,66 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 
 def client_shard_arrays(
-    size: int,
+    sizes: Sequence[int],
     alpha: float,
     beta: float,
     dim: int,
     num_classes: int,
-    generator: np.random.Generator,
-) -> tuple:
-    """One client's ``(features, labels)`` draw from its private model.
+    generators: Sequence[np.random.Generator],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Stacked ``(features, labels)`` of a group of clients.
 
-    This is the whole per-client generative recipe as one function of a
-    generator, shared by the eager builder (which walks one sequential
-    generator across clients) and the streaming shard provider (which
-    hands each client its own derived stream and replays this recipe on
-    every regeneration — so regenerated shards are bit-identical).
+    Client ``k`` draws ``sizes[k]`` rows from its private model, every
+    draw from its own ``generators[k]`` in the recipe's order: ``u_k``,
+    ``B_k``, ``W_k``, ``b_k`` and the mean ``v_k`` as one run of standard
+    normals (``normal(loc, scale)`` is ``loc + scale * z`` on the same
+    ``z``), then the feature rows straight into the client's slice of one
+    preallocated ``(sum(sizes), dim)`` stack. The location shifts, the
+    covariance scale, the mean and bias shifts and the softmax + argmax
+    then run once over the whole group; only the ``x @ W_k.T`` GEMM
+    stays per client, at the client's own shape. Each row's bytes are
+    therefore the same whatever group it is drawn in, and a one-element
+    group is the single-client recipe.
+
+    The feature rows are the recipe's last draw, so the first ``s`` rows
+    of a client drawing ``s' > s`` rows are exactly its ``s``-row draw:
+    callers that need only a prefix (the streaming provider's training
+    rows) draw only the prefix. The eager builder walks one sequential
+    generator across clients, one single-client group at a time; the
+    streaming provider hands each client its own derived stream.
     """
-    u_k = generator.normal(0.0, np.sqrt(alpha)) if alpha > 0 else 0.0
-    big_b_k = generator.normal(0.0, np.sqrt(beta)) if beta > 0 else 0.0
-    weight = generator.normal(u_k, 1.0, size=(num_classes, dim))
-    bias = generator.normal(u_k, 1.0, size=num_classes)
-    mean = generator.normal(big_b_k, 1.0, size=dim)
-    covariance_diag = np.arange(1, dim + 1, dtype=float) ** (-1.2)
+    sizes = [int(size) for size in sizes]
+    ends = np.cumsum(sizes, dtype=int).tolist()
+    blocks = [slice(end - size, end) for end, size in zip(ends, sizes)]
+    heads = int(alpha > 0) + int(beta > 0)
+    model_draws = np.empty(
+        (len(sizes), heads + num_classes * dim + num_classes + dim)
+    )
+    features = np.empty((sum(sizes), dim))
+    for generator, draws, block in zip(generators, model_draws, blocks):
+        generator.standard_normal(out=draws)
+        generator.standard_normal(out=features[block])
 
-    features = mean + generator.normal(size=(size, dim)) * np.sqrt(covariance_diag)
-    probabilities = _softmax_rows(features @ weight.T + bias)
-    labels = probabilities.argmax(axis=1)
+    u = np.zeros((len(sizes), 1))
+    big_b = np.zeros((len(sizes), 1))
+    if alpha > 0:
+        u = 0.0 + np.sqrt(alpha) * model_draws[:, :1]
+    if beta > 0:
+        big_b = 0.0 + np.sqrt(beta) * model_draws[:, heads - 1:heads]
+    bias_at = heads + num_classes * dim
+    weights = (model_draws[:, heads:bias_at] + u).reshape(
+        len(sizes), num_classes, dim
+    )
+    biases = model_draws[:, bias_at:bias_at + num_classes] + u
+    means = model_draws[:, bias_at + num_classes:] + big_b
+
+    features *= np.sqrt(np.arange(1, dim + 1, dtype=float) ** (-1.2))
+    features += np.repeat(means, sizes, axis=0)
+    logits = np.empty((features.shape[0], num_classes))
+    for weight, block in zip(weights, blocks):
+        np.matmul(features[block], weight.T, out=logits[block])
+    logits += np.repeat(biases, sizes, axis=0)
+    labels = _softmax_rows(logits).argmax(axis=1)
     return features, labels
 
 
@@ -77,7 +112,7 @@ def _client_shard(
 ) -> Dataset:
     """Generate one client's local dataset from its private model."""
     features, labels = client_shard_arrays(
-        size, alpha, beta, dim, num_classes, generator
+        [size], alpha, beta, dim, num_classes, [generator]
     )
     return Dataset(features=features, labels=labels, num_classes=num_classes)
 

@@ -26,19 +26,20 @@ each stack slice is bit-identical to the scalar path, any chunking
 produces the same histories; chunking is a pure memory/speed dial. How a
 federation stores its shards never enters: a streaming federation
 (:class:`~repro.datasets.streaming.StreamingFederatedDataset`) regenerates
-each shard inside the chunk gather that asks for it, an eager one hands
-out its resident arrays.
+a kernel group's shards in the one stacked fetch that gathers them, an
+eager one concatenates its resident arrays.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.algorithms import DEFAULT_ALGORITHM, AlgorithmSpec, build_algorithm
+from repro.datasets.base import stack_rows
 from repro.datasets.federated import FederatedDataset
 from repro.fl.aggregation import Aggregator, UnbiasedDeltaAggregator
 from repro.fl.checkpoint import (
@@ -170,6 +171,7 @@ class FederatedTrainer:
         self.last_subsampled_loss = None
         self.model = model
         self.federated = federated
+        self._sizes = np.asarray(federated.sizes, dtype=int)
         self.participation = participation
         self.schedule = schedule or ExponentialDecaySchedule()
         self.local_steps = int(local_steps)
@@ -224,7 +226,7 @@ class FederatedTrainer:
                 params,
                 self.federated,
                 self._eval_panel,
-                arrays=self._rows_by_id,
+                arrays=self._stacked_rows,
                 dtype=None if self.dtype == np.float64 else self.dtype,
             )
             self.last_subsampled_loss = subsampled
@@ -239,59 +241,57 @@ class FederatedTrainer:
 
     # Shard staging ----------------------------------------------------------
 
-    def _client_rows(self, client: FLClient) -> Tuple[np.ndarray, np.ndarray]:
-        """A client's shard rows, dtype-cast and LRU-cached in fast mode.
+    def _stacked_rows(
+        self, client_ids: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The listed clients' shard rows, stacked in list order.
 
-        The exact path goes straight to the shard (one ``arrays()`` call);
-        the fast tier keeps up to :data:`FAST_ROW_CACHE_CLIENTS` clients'
-        cast rows resident across rounds — repeat participants skip both
-        the regeneration and the cast. The streaming provider itself
-        caches nothing.
+        The exact path is one ``federated.stacked_arrays`` fetch (a
+        streaming federation regenerates the whole list in one synthesis
+        call). The fast tier keeps up to :data:`FAST_ROW_CACHE_CLIENTS`
+        clients' dtype-cast rows resident across rounds: the LRU serves
+        its hits and fetches every miss in one stacked call, so repeat
+        participants skip both the regeneration and the cast. Each miss is
+        cached as its own cast copy, so no cached entry keeps a whole
+        stack alive. The streaming provider itself caches nothing.
         """
         if not self.fast:
-            return client.dataset.arrays()
-        cached = self._row_cache.get(client.client_id)
-        if cached is not None:
-            self._row_cache.move_to_end(client.client_id)
-            return cached
-        features, labels = client.dataset.arrays()
-        if features.dtype != self.dtype:
-            features = features.astype(self.dtype)
-        self._row_cache[client.client_id] = (features, labels)
+            return self.federated.stacked_arrays(client_ids)
+        ids = [int(client_id) for client_id in client_ids]
+        rows = {i: self._row_cache[i] for i in ids if i in self._row_cache}
+        misses = [i for i in dict.fromkeys(ids) if i not in rows]
+        if misses:
+            features, labels = self.federated.stacked_arrays(misses)
+            sizes = self._sizes[misses]
+            for client_id, end, size in zip(misses, np.cumsum(sizes), sizes):
+                rows[client_id] = (
+                    features[end - size:end].astype(self.dtype),
+                    labels[end - size:end].copy(),
+                )
+        # Same recency order as serving the list one client at a time.
+        for client_id in ids:
+            self._row_cache[client_id] = rows[client_id]
+            self._row_cache.move_to_end(client_id)
         while len(self._row_cache) > FAST_ROW_CACHE_CLIENTS:
             self._row_cache.popitem(last=False)
-        return features, labels
-
-    def _rows_by_id(self, client_id: int) -> Tuple[np.ndarray, np.ndarray]:
-        return self._client_rows(self.clients[client_id])
+        return stack_rows(
+            [rows[client_id] for client_id in ids],
+            self.federated.num_features,
+        )
 
     def _member_pool(self, members) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Stacked ``(features, labels, offsets)`` pool for a kernel group.
 
-        Only the group's shards are staged (one sequential copy per
-        member, amortized over ``E`` steps), so the kernel's per-step
-        gathers read a region sized to the group rather than the fleet.
-        The pool follows the working precision (assignment casts), so a
-        float32 trainer runs float32 GEMMs even over float64 shards.
+        One stacked fetch stages just the group's shards (amortized over
+        ``E`` steps), so the kernel's per-step gathers read a region sized
+        to the group rather than the fleet. The pool follows the working
+        precision, so a float32 trainer runs float32 GEMMs even over
+        float64 shards.
         """
-        shard_sizes = [client.num_samples for client, _ in members]
-        pool_size = int(np.sum(shard_sizes))
-        pool_features = np.empty(
-            (pool_size, self.federated.num_features), dtype=self.dtype
-        )
-        pool_labels = np.empty(pool_size, dtype=int)
-        pool_offsets = np.empty(len(members), dtype=int)
-        position = 0
-        for row, (client, _) in enumerate(members):
-            size = shard_sizes[row]
-            # One fetch per shard: every fetch of a lazy shard
-            # regenerates it.
-            features, labels = self._client_rows(client)
-            pool_features[position:position + size] = features
-            pool_labels[position:position + size] = labels
-            pool_offsets[row] = position
-            position += size
-        return pool_features, pool_labels, pool_offsets
+        ids = [client.client_id for client, _ in members]
+        features, labels = self._stacked_rows(ids)
+        offsets = np.cumsum(self._sizes[ids]) - self._sizes[ids]
+        return features.astype(self.dtype, copy=False), labels, offsets
 
     # Local-update engines ---------------------------------------------------
 

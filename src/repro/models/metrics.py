@@ -8,11 +8,11 @@ its evaluation panel — scores clients through
 :meth:`~repro.models.base.Model.sample_losses` in **client-aligned
 chunks**: consecutive clients are grouped until a chunk reaches
 :data:`EVAL_CHUNK_SAMPLES` samples, each chunk is one stacked pass over
-rows fetched with one ``arrays()`` call per shard, and every client's mean
-is read off its own contiguous slice. No evaluation ever materializes more
-than one chunk of samples. Chunk boundaries depend only on the shard-size
-vector, never on how shards are stored, so an eager federation and its
-streaming twin produce bit-identical losses.
+rows fetched with one ``stacked_arrays`` call per chunk, and every
+client's mean is read off its own contiguous slice. No evaluation ever
+materializes more than one chunk of samples. Chunk boundaries depend only
+on the shard-size vector, never on how shards are stored, so an eager
+federation and its streaming twin produce bit-identical losses.
 """
 
 from __future__ import annotations
@@ -31,6 +31,10 @@ from repro.models.base import Model
 #: from one contiguous slice in either storage mode); a single shard
 #: larger than the target gets its own chunk.
 EVAL_CHUNK_SAMPLES = 4096
+
+#: A stacked row fetch: client ids -> their ``(features, labels)`` rows,
+#: stacked in list order.
+StackedFetch = Callable[[Sequence[int]], Tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -100,7 +104,7 @@ def losses_for_clients(
     federated: FederatedDataset,
     client_ids: Sequence[int],
     *,
-    arrays: Optional[Callable[[int], Tuple[np.ndarray, np.ndarray]]] = None,
+    arrays: Optional[StackedFetch] = None,
     dtype: Optional[np.dtype] = None,
 ) -> np.ndarray:
     """Local losses ``F_n(w)`` for the listed clients, in the given order.
@@ -110,35 +114,28 @@ def losses_for_clients(
     :meth:`~repro.models.base.Model.sample_losses` pass over its clients'
     concatenated rows, and every client's mean is read off its own
     contiguous slice. One chunk of samples is resident at a time, so cost
-    and memory scale with the list, not the fleet. ``arrays`` optionally
-    overrides how a client's rows are fetched (the fast tier passes its
-    trainer-level row cache). ``dtype`` optionally casts the parameter
-    vector so the scoring matmuls run in that precision — with the fast
-    tier's float32 row cache this keeps the whole panel pass on the
-    float32 pool instead of silently upcasting every product to float64;
-    ``None`` (the default) leaves the parameter vector as passed.
+    and memory scale with the list, not the fleet. Each chunk's rows come
+    from one stacked fetch, ``federated.stacked_arrays(chunk_ids)`` (a
+    streaming federation regenerates the whole chunk in one synthesis
+    call). ``arrays`` optionally replaces that fetch with another
+    function of a list of ids returning the stacked ``(features,
+    labels)`` (the fast tier passes its trainer-level row cache).
+    ``dtype`` optionally casts the parameter vector so the scoring
+    matmuls run in that precision — with the fast tier's float32 row
+    cache this keeps the whole panel pass on the float32 pool instead of
+    silently upcasting every product to float64; ``None`` (the default)
+    leaves the parameter vector as passed.
     """
     if dtype is not None:
         params = np.asarray(params, dtype=dtype)
     if arrays is None:
-        shards = federated.client_datasets
-
-        def arrays(client_id):
-            # One arrays() call per shard: every fetch of a lazy shard
-            # regenerates it.
-            return shards[client_id].arrays()
-
+        arrays = federated.stacked_arrays
     ids = [int(i) for i in client_ids]
     sizes = np.asarray(federated.sizes, dtype=int)[ids]
     penalty = model.penalty(params)
     losses = np.empty(len(ids))
     for start, end in eval_client_chunks(sizes):
-        rows = [arrays(client_id) for client_id in ids[start:end]]
-        samples = model.sample_losses(
-            params,
-            np.concatenate([row[0] for row in rows]),
-            np.concatenate([row[1] for row in rows]),
-        )
+        samples = model.sample_losses(params, *arrays(ids[start:end]))
         ends = np.cumsum(sizes[start:end])
         starts = np.concatenate(([0], ends[:-1]))
         for offset in range(end - start):
@@ -207,7 +204,7 @@ def subsampled_global_loss(
     federated: FederatedDataset,
     panel: EvaluationPanel,
     *,
-    arrays: Optional[Callable[[int], Tuple[np.ndarray, np.ndarray]]] = None,
+    arrays: Optional[StackedFetch] = None,
     dtype: Optional[np.dtype] = None,
 ) -> SubsampledLoss:
     """Estimate ``F(w)`` from a panel, with a normal-theory 95% interval.

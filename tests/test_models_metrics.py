@@ -110,14 +110,14 @@ def test_losses_for_no_clients_is_empty(tiny_federation, model):
 def test_row_source_override_is_fetched_once_per_client(
     tiny_federation, model
 ):
-    """``arrays`` replaces the shard fetch, and ``dtype`` casts the
-    parameters to the precision of the rows it supplies."""
+    """``arrays`` replaces the stacked fetch of each chunk, and ``dtype``
+    casts the parameters to the precision of the rows it supplies."""
     params = np.random.default_rng(5).normal(size=model.num_params)
     fetched = []
 
-    def arrays(client_id):
-        fetched.append(client_id)
-        features, labels = tiny_federation.client_datasets[client_id].arrays()
+    def arrays(client_ids):
+        fetched.extend(client_ids)
+        features, labels = tiny_federation.stacked_arrays(client_ids)
         return features.astype(np.float32), labels
 
     ids = [1, 2]
