@@ -50,7 +50,9 @@ def main() -> None:
     step, local_steps = 0.1, 10
     local_params = {}
     for n, shard in enumerate(federated.client_datasets):
-        client = FLClient(n, shard, model, rng_factory=factory)
+        client = FLClient(
+            n, shard, model, rng=factory.make("client", str(n), "sgd")
+        )
         local_params[n] = client.local_update(
             global_params, step_size=step, num_steps=local_steps
         )

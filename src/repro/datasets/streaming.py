@@ -12,12 +12,19 @@ The provider contract
 =====================
 
 * **Pure regeneration.** Client ``n``'s shard is replayed from scratch
-  from its private generator, ``spawn_rng(seed, "shard", str(n))``
-  (:meth:`SyntheticShardProvider.shard_rng` builds it straight from its
-  spawn key). Two fetches — seconds or processes apart, before or after
-  any other client, alone or in any group — return bit-identical rows.
-  There is no hidden sequential state: the provider pickles as a few
-  integers plus the size vector, never as data or generator state.
+  from its private generator, ``spawn_rng(seed, "shard", str(n))``. Two
+  fetches — seconds or processes apart, before or after any other client,
+  alone or in any group — return bit-identical rows. There is no hidden
+  sequential state: the provider pickles as a few integers plus the size
+  vector, never as data or generator state.
+* **One stream derivation per fetch.** The provider mixes the ``(seed,
+  "shard")`` prefix of every shard stream once, when it is built (a
+  :class:`~repro.utils.rng.StreamPrefix`: five integers), and each
+  synthesis call derives all its listed shards' streams in one
+  :meth:`~repro.utils.rng.StreamPrefix.spawn`, which mixes only each
+  id's own label word and expands every pool into its PCG64 seed words
+  in one NumPy pass. :meth:`SyntheticShardProvider.shard_rng` is the
+  one-id case.
 * **Stacked fetches.** ``provider.stacked_arrays(client_ids)`` synthesizes
   the training rows of a whole list of clients in one call of the
   recipe, into one fresh ``(sum of sizes, dim)`` stack in list order;
@@ -53,12 +60,14 @@ and the provider agree bitwise by construction.
 
 The global test set stays eager and bounded: a deterministic subsample of
 clients (``test_clients`` of them) contributes its held-out rows, so test
-evaluation covers the client mixture without scaling with ``N``.
+evaluation covers the client mixture without scaling with ``N``. The rows
+are fetched with :meth:`SyntheticShardProvider.stacked_heldout` in
+whole-client stacks of at most
+:data:`~repro.models.metrics.EVAL_CHUNK_SAMPLES` drawn rows.
 """
 
 from __future__ import annotations
 
-import zlib
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -67,17 +76,12 @@ from repro.datasets.base import Dataset, check_client_ids, concatenate
 from repro.datasets.federated import FederatedDataset
 from repro.datasets.partition import power_law_sizes
 from repro.datasets.synthetic import client_shard_arrays
-from repro.utils.rng import spawn_rng
+from repro.models.metrics import eval_client_chunks
+from repro.utils.rng import StreamPrefix, spawn_rng
 from repro.utils.validation import check_nonnegative
 
 #: Default number of clients whose held-out rows form the global test set.
 DEFAULT_TEST_CLIENTS = 128
-
-#: The ``"shard"`` label's spawn-key word, hashed once: client ``n``'s
-#: stream is ``SeedSequence(seed, spawn_key=(_SHARD_KEY, crc32(str(n))))``,
-#: the stream ``spawn_rng(seed, "shard", str(n))`` derives, without its
-#: throwaway root sequence and label re-hashing on every fetch.
-_SHARD_KEY = zlib.crc32(b"shard")
 
 
 class SyntheticShardProvider:
@@ -137,6 +141,8 @@ class SyntheticShardProvider:
         self.test_sizes = np.maximum(
             1, np.round(sizes * test_fraction).astype(int)
         ) if test_fraction > 0 else np.zeros_like(sizes)
+        # Every shard stream's shared ``(seed, "shard")`` prefix, mixed once.
+        self._streams = StreamPrefix(self.seed, "shard")
         # Shards synthesized by this instance; a copy or unpickled twin
         # starts again at 0.
         self.regenerations = 0
@@ -146,19 +152,25 @@ class SyntheticShardProvider:
         """Number of clients ``N``."""
         return int(self.sizes.size)
 
+    def shard_rngs(
+        self, client_ids: Sequence[int]
+    ) -> List[np.random.Generator]:
+        """Fresh generators at the start of the listed clients' streams.
+
+        Client ``n``'s is ``spawn_rng(seed, "shard", str(n))``, bit for
+        bit; all are derived in one pass over the provider's mixed prefix.
+        Ids are not range-checked here.
+        """
+        return self._streams.spawn(
+            [str(int(client_id)) for client_id in client_ids]
+        )
+
     def shard_rng(self, client_id: int) -> np.random.Generator:
         """A fresh generator at the start of client ``n``'s private stream.
 
-        The stream ``spawn_rng(seed, "shard", str(n))`` derives, built
-        straight from its spawn key (see :data:`_SHARD_KEY`). ``client_id``
-        is not range-checked here.
+        The one-id case of :meth:`shard_rngs`.
         """
-        label = zlib.crc32(str(int(client_id)).encode())
-        return np.random.default_rng(
-            np.random.SeedSequence(
-                entropy=self.seed, spawn_key=(_SHARD_KEY, label)
-            )
-        )
+        return self.shard_rngs([client_id])[0]
 
     def _synthesize(
         self, client_ids: List[int], sizes: Sequence[int]
@@ -170,7 +182,7 @@ class SyntheticShardProvider:
             self.beta,
             self.dim,
             self.num_classes,
-            [self.shard_rng(client_id) for client_id in client_ids],
+            self.shard_rngs(client_ids),
         )
         self.regenerations += len(client_ids)
         return arrays
@@ -206,23 +218,41 @@ class SyntheticShardProvider:
             features=features, labels=labels, num_classes=self.num_classes
         )
 
-    def heldout_shard(self, client_id: int) -> Dataset:
-        """Client ``n``'s held-out rows (the test-set contribution)."""
-        [client_id] = check_client_ids([client_id], self.num_clients)
-        if self.test_sizes[client_id] == 0:
-            raise ValueError(
-                f"client {client_id} has no held-out rows "
-                "(test_fraction is 0)"
-            )
-        size = int(self.sizes[client_id])
-        features, labels = self._synthesize(
-            [client_id], [size + int(self.test_sizes[client_id])]
+    def stacked_heldout(self, client_ids: Sequence[int]) -> Dataset:
+        """The listed clients' held-out rows, stacked in list order.
+
+        One synthesis call draws each listed client's full ``size +
+        test_size`` rows; its held-out rows are the tail of that draw.
+        Every id is checked before anything is drawn.
+        """
+        ids = check_client_ids(client_ids, self.num_clients)
+        for client_id in ids:
+            if self.test_sizes[client_id] == 0:
+                raise ValueError(
+                    f"client {client_id} has no held-out rows "
+                    "(test_fraction is 0)"
+                )
+        test_sizes = self.test_sizes[ids]
+        full_sizes = self.sizes[ids] + test_sizes
+        features, labels = self._synthesize(ids, full_sizes)
+        # Output row i, the j-th held-out row of listed client k, is row
+        # ends[k] - test_sizes[k] + j of the draw.
+        ends = np.cumsum(full_sizes)
+        rows = np.arange(int(test_sizes.sum())) + np.repeat(
+            ends - np.cumsum(test_sizes), test_sizes
         )
         return Dataset(
-            features=features[size:].copy(),
-            labels=labels[size:].copy(),
+            features=features[rows],
+            labels=labels[rows],
             num_classes=self.num_classes,
         )
+
+    def heldout_shard(self, client_id: int) -> Dataset:
+        """Client ``n``'s held-out rows (the test-set contribution).
+
+        The one-id case of :meth:`stacked_heldout`.
+        """
+        return self.stacked_heldout([client_id])
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
@@ -545,8 +575,14 @@ def streaming_synthetic_federated(
     chooser = spawn_rng(seed, "streaming", "test-clients")
     count = min(int(test_clients), num_clients)
     test_ids = np.sort(chooser.choice(num_clients, size=count, replace=False))
+    # Held-out rows in stacked fetches of whole clients, each drawing at
+    # most EVAL_CHUNK_SAMPLES rows (a lone larger client alone).
+    draws = provider.sizes[test_ids] + provider.test_sizes[test_ids]
     test_dataset = concatenate(
-        [provider.heldout_shard(int(i)) for i in test_ids]
+        [
+            provider.stacked_heldout(test_ids[start:end])
+            for start, end in eval_client_chunks(draws)
+        ]
     )
     return StreamingFederatedDataset(
         provider,

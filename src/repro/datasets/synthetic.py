@@ -32,12 +32,6 @@ _DEFAULT_DIM = 60
 _DEFAULT_CLASSES = 10
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
-
-
 def client_shard_arrays(
     sizes: Sequence[int],
     alpha: float,
@@ -54,11 +48,12 @@ def client_shard_arrays(
     normals (``normal(loc, scale)`` is ``loc + scale * z`` on the same
     ``z``), then the feature rows straight into the client's slice of one
     preallocated ``(sum(sizes), dim)`` stack. The location shifts, the
-    covariance scale, the mean and bias shifts and the softmax + argmax
-    then run once over the whole group; only the ``x @ W_k.T`` GEMM
-    stays per client, at the client's own shape. Each row's bytes are
-    therefore the same whatever group it is drawn in, and a one-element
-    group is the single-client recipe.
+    covariance scale and the softmax + argmax then run once over the whole
+    group, the softmax in place on the logits buffer; the mean shift, the
+    ``x @ W_k.T`` GEMM at the client's own shape and the bias shift run
+    per client on its own block, so no group-sized temporary is built.
+    Each row's bytes are therefore the same whatever group it is drawn in,
+    and a one-element group is the single-client recipe.
 
     The feature rows are the recipe's last draw, so the first ``s`` rows
     of a client drawing ``s' > s`` rows are exactly its ``s``-row draw:
@@ -93,13 +88,18 @@ def client_shard_arrays(
     means = model_draws[:, bias_at + num_classes:] + big_b
 
     features *= np.sqrt(np.arange(1, dim + 1, dtype=float) ** (-1.2))
-    features += np.repeat(means, sizes, axis=0)
     logits = np.empty((features.shape[0], num_classes))
-    for weight, block in zip(weights, blocks):
-        np.matmul(features[block], weight.T, out=logits[block])
-    logits += np.repeat(biases, sizes, axis=0)
-    labels = _softmax_rows(logits).argmax(axis=1)
-    return features, labels
+    for mean, weight, bias, block in zip(means, weights, biases, blocks):
+        rows, scores = features[block], logits[block]
+        rows += mean
+        np.matmul(rows, weight.T, out=scores)
+        scores += bias
+    # The row softmax, in place: shift by the row max, exponentiate,
+    # normalize. argmax reads its output, as the recipe defines.
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return features, logits.argmax(axis=1)
 
 
 def _client_shard(

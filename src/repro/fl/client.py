@@ -9,7 +9,7 @@ import numpy as np
 from repro.datasets.base import Dataset
 from repro.models.base import Model
 from repro.models.optim import sgd_steps
-from repro.utils.rng import RngFactory, restore_rng_state, rng_state_doc
+from repro.utils.rng import restore_rng_state, rng_state_doc, spawn_rng
 
 
 class FLClient:
@@ -24,7 +24,11 @@ class FLClient:
         dataset: Local training shard.
         model: Shared model architecture (stateless).
         batch_size: Local mini-batch size (paper: 24).
-        rng_factory: Source of this client's private randomness.
+        rng: This client's private SGD stream, conventionally
+            ``RngFactory(seed).make("client", str(n), "sgd")``; a federation
+            derives all its clients' streams in one
+            :meth:`~repro.utils.rng.RngFactory.make_many` call. ``None``
+            takes that stream under root seed ``n``.
     """
 
     def __init__(
@@ -34,7 +38,7 @@ class FLClient:
         model: Model,
         *,
         batch_size: int = 24,
-        rng_factory: Optional[RngFactory] = None,
+        rng: Optional[np.random.Generator] = None,
     ):
         if len(dataset) == 0:
             raise ValueError(f"client {client_id} has an empty dataset")
@@ -42,8 +46,11 @@ class FLClient:
         self.dataset = dataset
         self.model = model
         self.batch_size = int(batch_size)
-        factory = rng_factory or RngFactory(client_id)
-        self._rng = factory.make("client", str(client_id), "sgd")
+        self._rng = (
+            spawn_rng(client_id, "client", str(client_id), "sgd")
+            if rng is None
+            else rng
+        )
 
     @property
     def num_samples(self) -> int:

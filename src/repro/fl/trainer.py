@@ -179,15 +179,16 @@ class FederatedTrainer:
         self.round_timer = round_timer or _unit_round_timer
         factory = rng_factory or RngFactory(0)
         self._rng_factory = factory
+        # Every client's SGD stream, ("client", str(n), "sgd"), derived in
+        # one pass.
+        streams = factory.make_many(
+            "client", [str(n) for n in range(federated.num_clients)], "sgd"
+        )
         self.clients = [
-            FLClient(
-                client_id,
-                shard,
-                model,
-                batch_size=batch_size,
-                rng_factory=factory,
+            FLClient(client_id, shard, model, batch_size=batch_size, rng=rng)
+            for client_id, (shard, rng) in enumerate(
+                zip(federated.client_datasets, streams)
             )
-            for client_id, shard in enumerate(federated.client_datasets)
         ]
         params0 = (
             model.init_params() if initial_params is None else initial_params

@@ -190,9 +190,11 @@ def synthetic_problem(
     Weights are normalized unit-exponential draws (heavy-tailed shard
     sizes), gradient bounds uniform on ``[1, 5]``, costs exponential at the
     scenario's mean with its spread transform, and intrinsic values are
-    unit-calibrated with :func:`calibrate_value_scale` — the same Table-V
-    anchor the full pipeline uses, so synthetic economies are comparable
-    with calibrated ones. Deterministic in ``(spec, config, seed)``.
+    unit-calibrated with :func:`calibrate_value_scale` at the setup's mean
+    value — the same Table-V anchor the full pipeline uses, so synthetic
+    economies are comparable with calibrated ones — then scaled by the
+    population's ``value_factor``. Deterministic in ``(spec, config,
+    seed)``.
 
     ``weights`` overrides the exponential weight draw with externally
     supplied data weights (the streaming-training path passes the actual
@@ -241,10 +243,14 @@ def synthetic_problem(
     # the solver's q-floor regime, which makes spending comparisons
     # meaningless. Synthetic scenarios stress scale; the bi-directional
     # payment economy is covered by the calibrated (training) scenarios.
-    mean_value = config.mean_value * population_spec.value_factor
+    # The units are calibrated at the base mean value and the value factor
+    # applies after, as PreparedSetup.with_mean_value does for eager
+    # scenarios: the grid is centred on the mean it is given, so
+    # calibrating at the scaled mean would cancel the factor.
     scale = calibrate_value_scale(
-        base, raw_values, mean_value, target_fraction=0.0
+        base, raw_values, config.mean_value, target_fraction=0.0
     )
+    mean_value = config.mean_value * population_spec.value_factor
     return ServerProblem(
         population=cost_side.with_values(raw_values * mean_value * scale),
         alpha=SYNTHETIC_ALPHA,

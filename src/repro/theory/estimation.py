@@ -137,10 +137,13 @@ def estimate_gradient_bounds(
     """
     factory = rng_factory or RngFactory(1)
     bounds = np.empty(federated.num_clients)
-    for index, shard in enumerate(federated.client_datasets):
-        client = FLClient(
-            index, shard, model, batch_size=batch_size, rng_factory=factory
-        )
+    streams = factory.make_many(
+        "client", [str(n) for n in range(federated.num_clients)], "sgd"
+    )
+    for index, (shard, rng) in enumerate(
+        zip(federated.client_datasets, streams)
+    ):
+        client = FLClient(index, shard, model, batch_size=batch_size, rng=rng)
         norms = np.concatenate(
             [
                 client.sample_gradient_norms(
@@ -165,9 +168,13 @@ def estimate_gradient_variances(
     """Estimate ``sigma_n^2 = E || g_n - grad F_n ||^2`` at ``params``."""
     factory = rng_factory or RngFactory(2)
     variances = np.empty(federated.num_clients)
-    for index, shard in enumerate(federated.client_datasets):
+    streams = factory.make_many(
+        "sigma", [str(n) for n in range(federated.num_clients)]
+    )
+    for index, (shard, generator) in enumerate(
+        zip(federated.client_datasets, streams)
+    ):
         full_grad = model.dataset_gradient(params, shard)
-        generator = factory.make("sigma", str(index))
         batch = min(batch_size, len(shard))
         indices = generator.integers(
             0, len(shard), size=(num_samples, batch)

@@ -132,11 +132,11 @@ class TestClientVectorization:
         the draw inside :func:`sgd_steps` (the loop path)."""
         pre = FLClient(
             0, small_federated.client_datasets[0], small_model,
-            batch_size=10, rng_factory=RngFactory(4),
+            batch_size=10, rng=RngFactory(4).make("client", "0", "sgd"),
         )
         loop = FLClient(
             0, small_federated.client_datasets[0], small_model,
-            batch_size=10, rng_factory=RngFactory(4),
+            batch_size=10, rng=RngFactory(4).make("client", "0", "sgd"),
         )
         drawn = pre.draw_batch_indices(6)
         expected = loop._rng.integers(
@@ -155,10 +155,12 @@ class TestClientVectorization:
     ):
         shard = small_federated.client_datasets[1]
         batched = FLClient(
-            1, shard, small_model, batch_size=24, rng_factory=RngFactory(6)
+            1, shard, small_model, batch_size=24,
+            rng=RngFactory(6).make("client", "1", "sgd"),
         )
         reference = FLClient(
-            1, shard, small_model, batch_size=24, rng_factory=RngFactory(6)
+            1, shard, small_model, batch_size=24,
+            rng=RngFactory(6).make("client", "1", "sgd"),
         )
         params = np.random.default_rng(8).normal(size=small_model.num_params)
         norms = batched.sample_gradient_norms(params, num_samples=12)

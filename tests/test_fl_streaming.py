@@ -145,7 +145,7 @@ class TestChunkedBitIdentity:
                 federated.client_datasets[3],
                 model,
                 batch_size=8,
-                rng_factory=RngFactory(5),
+                rng=RngFactory(5).make("client", "3", "sgd"),
             )
             before = streaming.provider.regenerations
             norms[name] = client.sample_gradient_norms(params, num_samples=6)

@@ -23,7 +23,7 @@ class TestFLClient:
             0,
             small_federated.client_datasets[0],
             small_model,
-            rng_factory=RngFactory(0),
+            rng=RngFactory(0).make("client", "0", "sgd"),
         )
         start = small_model.init_params()
         out = client.local_update(start, step_size=0.05, num_steps=20)
@@ -40,7 +40,7 @@ class TestFLClient:
     def test_gradient_norm_sampling_positive(self, small_federated, small_model):
         client = FLClient(
             1, small_federated.client_datasets[1], small_model,
-            rng_factory=RngFactory(1),
+            rng=RngFactory(1).make("client", "1", "sgd"),
         )
         norms = client.sample_gradient_norms(
             small_model.init_params(), num_samples=8

@@ -4,7 +4,9 @@
 return exactly the concatenation of the listed clients' own shards, in
 list order, whatever the list looks like (unsorted, repeated, single,
 empty). The streaming provider synthesizes the whole list in one call
-from each client's own stream, derived straight from its spawn key. The
+from each client's own stream, all derived in one batch; held-out rows
+stack the same way, and the streaming test set is built from such
+stacks. The
 fast tier's row LRU serves its hits and fetches every miss in one
 stacked call; the rows it hands the kernel must not depend on which
 clients were resident.
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 
 import repro.datasets.streaming as streaming
+import repro.models.metrics as metrics
 from repro.datasets import (
     SyntheticShardProvider,
     streaming_synthetic_federated,
@@ -149,11 +152,66 @@ class TestShardStreams:
                 == expected
             )
 
+    def test_shard_rngs_derive_the_listed_streams(self):
+        provider = SyntheticShardProvider(np.full(12, 3), seed=9)
+        ids = [7, 0, 7, 11, 3]
+        for n, generator in zip(ids, provider.shard_rngs(ids)):
+            expected = spawn_rng(9, "shard", str(n)).bit_generator.state
+            assert generator.bit_generator.state == expected
+        assert provider.shard_rngs([]) == []
+
     def test_provider_pickles_without_generator_state(self):
         provider = SyntheticShardProvider(np.array([4, 9, 2]), seed=5)
         before = len(pickle.dumps(provider))
         provider.stacked_arrays([0, 1, 2])
         assert len(pickle.dumps(provider)) == before
+
+
+class TestStackedHeldout:
+    def test_stack_equals_concatenation(self):
+        provider = SyntheticShardProvider(np.array([4, 9, 2, 6, 5]), seed=3)
+        ids = [4, 0, 2, 2]
+        heldout = provider.stacked_heldout(ids)
+        expected = [provider.heldout_shard(n).arrays() for n in ids]
+        _assert_same_bytes(heldout.arrays(), _concatenated(expected, 60))
+        assert len(provider.stacked_heldout([])) == 0
+
+    def test_no_heldout_rows_refused_before_drawing(self):
+        provider = SyntheticShardProvider(
+            np.array([4, 9]), seed=3, test_fraction=0.0
+        )
+        with pytest.raises(ValueError, match="no held-out rows"):
+            provider.stacked_heldout([0, 1])
+        assert provider.regenerations == 0
+
+    def test_test_set_is_the_per_client_concatenation(self, monkeypatch):
+        """The builder fetches held-out rows in whole-client stacks of at
+        most EVAL_CHUNK_SAMPLES drawn rows; the bytes are those of the
+        per-client held-out shards, concatenated in test-client order."""
+        monkeypatch.setattr(metrics, "EVAL_CHUNK_SAMPLES", 120)
+        drawn = []
+        recipe = streaming.client_shard_arrays
+
+        def spy(sizes, *args):
+            drawn.append(list(sizes))
+            return recipe(sizes, *args)
+
+        monkeypatch.setattr(streaming, "client_shard_arrays", spy)
+        federated = streaming_synthetic_federated(
+            40, total_samples=1200, test_clients=20, seed=6
+        )
+        assert len(drawn) > 1
+        # A client drawing more than the bound is fetched alone.
+        assert all(sum(sizes) <= 120 or len(sizes) == 1 for sizes in drawn)
+        assert federated.provider.regenerations == 20
+        provider = federated.provider
+        expected = [
+            provider.heldout_shard(n).arrays()
+            for n in federated.test_client_ids
+        ]
+        _assert_same_bytes(
+            federated.test_dataset.arrays(), _concatenated(expected, 60)
+        )
 
 
 class TestFastTierRows:
