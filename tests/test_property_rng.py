@@ -110,7 +110,13 @@ def test_many_streams_one_prefix():
 
 class TestSeedLike:
     def test_sequence_entropy_seeds(self):
-        for entropy in ([1, 2**40, 3], (0,), range(3), [np.uint8(7), 2**33]):
+        for entropy in (
+            [1, 2**40, 3],
+            (0,),
+            range(3),
+            [np.uint8(7), 2**33],
+            ["0x1f", "12"],
+        ):
             expected = np.random.default_rng(
                 np.random.SeedSequence(
                     entropy, spawn_key=(zlib.crc32(b"x"),)
