@@ -21,7 +21,6 @@ from repro.datasets import synthetic_federated
 from repro.fl import (
     BernoulliParticipation,
     FederatedTrainer,
-    FLClient,
     NaiveInverseAggregator,
     ParticipantsOnlyAggregator,
 )
@@ -29,6 +28,7 @@ from repro.models import (
     ExponentialDecaySchedule,
     MultinomialLogisticRegression,
     minimize_loss,
+    sgd_steps,
 )
 from repro.theory import (
     empirical_aggregation_moments,
@@ -50,11 +50,15 @@ def main() -> None:
     step, local_steps = 0.1, 10
     local_params = {}
     for n, shard in enumerate(federated.client_datasets):
-        client = FLClient(
-            n, shard, model, rng=factory.make("client", str(n), "sgd")
-        )
-        local_params[n] = client.local_update(
-            global_params, step_size=step, num_steps=local_steps
+        local_params[n] = sgd_steps(
+            model,
+            global_params,
+            shard.features,
+            shard.labels,
+            step_size=step,
+            num_steps=local_steps,
+            batch_size=24,
+            rng=factory.make("client", str(n), "sgd"),
         )
     weights = federated.weights
     q = np.array([0.2, 0.9, 0.5, 0.7, 0.35, 0.6])

@@ -1,4 +1,4 @@
-"""Federated learning engine: clients, participation, aggregation, training.
+"""Federated learning engine: participation, aggregation, training.
 
 Implements Sec. III-A of the paper: ``R`` communication rounds in which
 client ``n`` joins independently with probability ``q_n``, runs ``E`` local
@@ -7,15 +7,19 @@ corrected rule that keeps the global update unbiased for *any* ``q``.
 
 Public symbols and their paper correspondence:
 
-* :class:`FLClient` — local SGD worker (the ``E`` local iterations of
-  Algorithm 1's client side).
 * :class:`FLServer` — holds ``w^r`` and applies aggregated deltas.
 * :class:`FederatedTrainer` — the synchronous training loop producing one
   Fig.-4 curve; wall-clock comes from a pluggable round timer (the
-  simulated Raspberry-Pi testbed of Sec. VI-A). Local SGD executes on a
-  ``backend``: ``"vectorized"`` (default) stacks every participant's
-  round into batched model kernels, ``"loop"`` is the per-client
-  reference; both produce bit-identical histories.
+  simulated Raspberry-Pi testbed of Sec. VI-A). Each client's ``E``
+  local iterations (Algorithm 1's client side) are
+  :func:`~repro.models.optim.sgd_steps` on its shard with its own
+  stream. Local SGD executes on a ``backend``: ``"vectorized"``
+  (default) stacks every participant's round into batched model
+  kernels, ``"loop"`` is the per-client reference; both produce
+  bit-identical histories.
+* :class:`RunState` — everything one training mutates (participation
+  process, client SGD streams, server, algorithm state, clock, history);
+  its document form is the trainer's checkpoint.
 * :class:`ExecutionSpec` — the trainer's execution knobs (engine, stack
   width, precision, fast tier) as one frozen object that states which of
   them enter cache keys.
@@ -62,7 +66,6 @@ from repro.fl.audit import (
     empirical_participation_counts,
 )
 from repro.fl.checkpoint import CheckpointConfig, CheckpointManager
-from repro.fl.client import FLClient
 from repro.fl.execution import ExecutionSpec
 from repro.fl.history import RoundRecord, TrainingHistory, average_histories
 from repro.fl.participation import (
@@ -77,12 +80,13 @@ from repro.fl.participation import (
     UniformSamplingParticipation,
 )
 from repro.fl.server import FLServer
+from repro.fl.state import RunState
 from repro.fl.trainer import FederatedTrainer
 
 __all__ = [
-    "FLClient",
     "FLServer",
     "FederatedTrainer",
+    "RunState",
     "ExecutionSpec",
     "TrainingHistory",
     "RoundRecord",

@@ -1,12 +1,15 @@
 """Deterministic round checkpoints for :class:`~repro.fl.trainer.FederatedTrainer`.
 
-A checkpoint is one JSON document capturing *every* piece of mutable
+A checkpoint is one JSON document: the document form of the trainer's
+:class:`~repro.fl.state.RunState`, written by :meth:`RunState.to_doc
+<repro.fl.state.RunState.to_doc>`. It captures *every* piece of mutable
 training state:
 
 * the global model parameters and the server's round counter,
-* each client's SGD RNG stream position (the only client-side state),
+* each client's SGD RNG stream position,
 * the participation model's state (its RNG position plus model extras
   such as the intermittent availability vector),
+* the algorithm state when the algorithm is not plain FedAvg,
 * the partial :class:`~repro.fl.history.TrainingHistory` and simulated
   clock, and
 * a fingerprint of the trainer configuration so a checkpoint cannot be

@@ -38,28 +38,28 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.algorithms import DEFAULT_ALGORITHM, AlgorithmSpec, build_algorithm
+from repro.algorithms import AlgorithmSpec, build_algorithm
 from repro.datasets.base import stack_rows
 from repro.datasets.federated import FederatedDataset
 from repro.fl.aggregation import Aggregator, UnbiasedDeltaAggregator
-from repro.fl.checkpoint import (
-    ACCEPTED_CHECKPOINT_FORMATS,
-    CHECKPOINT_FORMAT,
-    CheckpointConfig,
-    CheckpointManager,
-)
-from repro.fl.client import FLClient
+from repro.fl.checkpoint import CheckpointConfig, CheckpointManager
 from repro.fl.execution import DEFAULT_EXECUTION, ExecutionSpec
 from repro.fl.history import RoundRecord, TrainingHistory
 from repro.fl.participation import ParticipationModel
 from repro.fl.server import FLServer
+from repro.fl.state import RunState
 from repro.models.base import Model
 from repro.models.metrics import (
     draw_evaluation_panel,
     global_loss,
     subsampled_global_loss,
 )
-from repro.models.optim import ExponentialDecaySchedule, LearningRateSchedule
+from repro.models.optim import (
+    ExponentialDecaySchedule,
+    LearningRateSchedule,
+    draw_batch_indices,
+    sgd_steps,
+)
 from repro.utils.rng import RngFactory
 
 # (participant_mask, round_index) -> seconds the round takes.
@@ -88,10 +88,16 @@ def _unit_round_timer(mask: np.ndarray, round_index: int) -> float:
 class FederatedTrainer:
     """End-to-end federated training with randomized participation.
 
+    The trainer holds the shared inputs of a training; everything one
+    training mutates lives in :attr:`state`, a
+    :class:`~repro.fl.state.RunState` that is also the checkpoint
+    document.
+
     Args:
         model: Shared model architecture.
         federated: Client shards plus the global test set.
-        participation: Which clients show up each round.
+        participation: Which clients show up each round (moves into
+            :attr:`state`).
         aggregator: Aggregation rule (default: Lemma-1 unbiased).
         schedule: Per-round learning rate; defaults to the paper's
             experimental schedule (0.1 decayed by 0.996).
@@ -161,49 +167,44 @@ class FederatedTrainer:
             if execution.chunk_size is None
             else execution.chunk_size
         )
+        self._sizes = np.asarray(federated.sizes, dtype=int)
+        empty = np.flatnonzero(self._sizes == 0)
+        if empty.size:
+            raise ValueError(f"client {empty[0]} has an empty dataset")
         # Fast-tier row cache (see the class docstring); empty and
         # untouched on the exact path.
         self._row_cache: "OrderedDict[int, Tuple[np.ndarray, np.ndarray]]"
         self._row_cache = OrderedDict()
         self._eval_panel = None
-        #: Diagnostics of the most recent sub-sampled evaluation (None on
-        #: the exact path).
-        self.last_subsampled_loss = None
         self.model = model
         self.federated = federated
-        self._sizes = np.asarray(federated.sizes, dtype=int)
-        self.participation = participation
         self.schedule = schedule or ExponentialDecaySchedule()
         self.local_steps = int(local_steps)
+        self.batch_size = int(batch_size)
         self.eval_every = int(eval_every)
         self.round_timer = round_timer or _unit_round_timer
         factory = rng_factory or RngFactory(0)
         self._rng_factory = factory
-        # Every client's SGD stream, ("client", str(n), "sgd"), derived in
-        # one pass.
-        streams = factory.make_many(
-            "client", [str(n) for n in range(federated.num_clients)], "sgd"
-        )
-        self.clients = [
-            FLClient(client_id, shard, model, batch_size=batch_size, rng=rng)
-            for client_id, (shard, rng) in enumerate(
-                zip(federated.client_datasets, streams)
-            )
-        ]
-        params0 = (
-            model.init_params() if initial_params is None else initial_params
-        )
-        self.server = FLServer(
-            params0,
+        server = FLServer(
+            model.init_params() if initial_params is None else initial_params,
             federated.weights,
             aggregator or UnbiasedDeltaAggregator(),
         )
         # The algorithm strategy (plain FedAvg unless asked otherwise).
         # Bound to the fleet up front so FedDyn's per-client state exists
         # before any checkpoint restore shape-checks against it.
-        self._algorithm = build_algorithm(algorithm)
-        self._algorithm.bind(federated.num_clients, len(self.server.params))
-        self.algorithm_spec = self._algorithm.spec
+        strategy = build_algorithm(algorithm)
+        strategy.bind(federated.num_clients, len(server.params))
+        self.state = RunState(
+            participation,
+            # Every client's SGD stream, ("client", str(n), "sgd"),
+            # derived in one pass.
+            factory.make_many(
+                "client", [str(n) for n in range(federated.num_clients)], "sgd"
+            ),
+            server,
+            strategy,
+        )
 
     def _evaluate(self, params: np.ndarray) -> dict:
         test = self.federated.test_dataset
@@ -230,7 +231,7 @@ class FederatedTrainer:
                 arrays=self._stacked_rows,
                 dtype=None if self.dtype == np.float64 else self.dtype,
             )
-            self.last_subsampled_loss = subsampled
+            self.state.last_subsampled_loss = subsampled
             objective = subsampled.estimate
         else:
             objective = global_loss(self.model, params, self.federated)
@@ -280,7 +281,9 @@ class FederatedTrainer:
             self.federated.num_features,
         )
 
-    def _member_pool(self, members) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _member_pool(
+        self, ids: List[int]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Stacked ``(features, labels, offsets)`` pool for a kernel group.
 
         One stacked fetch stages just the group's shards (amortized over
@@ -289,7 +292,6 @@ class FederatedTrainer:
         precision, so a float32 trainer runs float32 GEMMs even over
         float64 shards.
         """
-        ids = [client.client_id for client, _ in members]
         features, labels = self._stacked_rows(ids)
         offsets = np.cumsum(self._sizes[ids]) - self._sizes[ids]
         return features.astype(self.dtype, copy=False), labels, offsets
@@ -297,104 +299,101 @@ class FederatedTrainer:
     # Local-update engines ---------------------------------------------------
 
     def _local_updates_loop(
-        self, global_params: np.ndarray, step_size: float, mask: np.ndarray
+        self, global_params: np.ndarray, step_size: float, active: List[int]
     ) -> Dict[int, np.ndarray]:
         """Reference engine: sequential per-client local SGD."""
-        if self._algorithm.has_local_terms:
-            return {
-                client.client_id: client.local_update(
-                    global_params,
-                    step_size=step_size,
-                    num_steps=self.local_steps,
-                    **self._algorithm.loop_kwargs(
-                        global_params, client.client_id
-                    ),
-                )
-                for client in self.clients
-                if mask[client.client_id]
-            }
-        return {
-            client.client_id: client.local_update(
+        algorithm = self.state.algorithm
+        updated = {}
+        for client_id in active:
+            # One arrays() call: a streaming shard regenerates per fetch.
+            features, labels = self.federated.client_datasets[
+                client_id
+            ].arrays()
+            updated[client_id] = sgd_steps(
+                self.model,
                 global_params,
+                features,
+                labels,
                 step_size=step_size,
                 num_steps=self.local_steps,
+                batch_size=self.batch_size,
+                rng=self.state.streams[client_id],
+                **algorithm.loop_kwargs(global_params, client_id),
             )
-            for client in self.clients
-            if mask[client.client_id]
-        }
+        return updated
 
     def _local_updates_chunked(
-        self, global_params: np.ndarray, step_size: float, mask: np.ndarray
+        self, global_params: np.ndarray, step_size: float, active: List[int]
     ) -> Dict[int, np.ndarray]:
         """Stacked engine: participants' local SGD as batched kernels.
 
         Consumes exactly the loop engine's random draws: participating
         clients are visited in ascending client order, and each pre-draws
-        its whole round of mini-batch indices from its own stream in the
-        one generator call :func:`~repro.models.optim.sgd_steps` would have
-        made. The active cohort is processed ``chunk_size`` clients at a
-        time; within a chunk, clients are grouped by effective batch width
-        (shards smaller than the batch size draw narrower batches) and each
-        group's ``E`` steps run on a ``(group, width, features)`` stack over
-        a pool holding just that group's shards. Peak residency is
+        its whole round of mini-batch indices from its own stream through
+        :func:`~repro.models.optim.draw_batch_indices`, the draw
+        :func:`~repro.models.optim.sgd_steps` makes. The active cohort is
+        processed ``chunk_size`` clients at a time; within a chunk,
+        clients are grouped by effective batch width (shards smaller than
+        the batch size draw narrower batches) and each group's ``E`` steps
+        run on a ``(group, width, features)`` stack over a pool holding
+        just that group's shards. Peak residency is
         ``O(chunk_size x max shard)`` plus the kernel workspace; with a
         streaming federation the gathered shards are regenerated on demand
         and released once the chunk is done. Because every stack slice is
         bit-identical to the scalar path, every chunking returns exactly
         the loop engine's updates.
         """
-        active = [client for client in self.clients if mask[client.client_id]]
-        if not active:
-            return {}
+        algorithm = self.state.algorithm
+        streams = self.state.streams
         params0 = np.asarray(global_params, dtype=self.dtype)
         updated: Dict[int, np.ndarray] = {}
         for start in range(0, len(active), self.chunk_size):
-            chunk = active[start:start + self.chunk_size]
-            groups: Dict[int, List[Tuple[FLClient, np.ndarray]]] = {}
-            for client in chunk:
-                indices = client.draw_batch_indices(self.local_steps)
-                groups.setdefault(indices.shape[1], []).append(
-                    (client, indices)
+            groups: Dict[int, Tuple[List[int], List[np.ndarray]]] = {}
+            for client_id in active[start:start + self.chunk_size]:
+                indices = draw_batch_indices(
+                    streams[client_id],
+                    self._sizes[client_id],
+                    self.local_steps,
+                    self.batch_size,
                 )
-            for members in groups.values():
+                ids, draws = groups.setdefault(indices.shape[1], ([], []))
+                ids.append(client_id)
+                draws.append(indices)
+            for ids, draws in groups.values():
                 pool_features, pool_labels, pool_offsets = self._member_pool(
-                    members
-                )
-                pool_indices = (
-                    np.stack([indices for _, indices in members])
-                    + pool_offsets[:, None, None]
+                    ids
                 )
                 algorithm_kwargs = {}
-                if self._algorithm.has_local_terms:
-                    algorithm_kwargs = self._algorithm.stacked_kwargs(
-                        params0,
-                        [client.client_id for client, _ in members],
-                        self.dtype,
+                if algorithm.has_local_terms:
+                    algorithm_kwargs = algorithm.stacked_kwargs(
+                        params0, ids, self.dtype
                     )
                 params_stack = self.model.batched_sgd_steps(
-                    np.repeat(params0[None, :], len(members), axis=0),
+                    np.repeat(params0[None, :], len(ids), axis=0),
                     pool_features,
                     pool_labels,
-                    pool_indices,
+                    np.stack(draws) + pool_offsets[:, None, None],
                     step_size=step_size,
                     **algorithm_kwargs,
                 )
-                for row, (client, _) in enumerate(members):
-                    updated[client.client_id] = params_stack[row]
+                for row, client_id in enumerate(ids):
+                    updated[client_id] = params_stack[row]
         # Ascending client id, like the loop engine (the sequential delta
         # aggregation depends on this order for bit-identity).
-        return {client.client_id: updated[client.client_id] for client in active}
+        return {client_id: updated[client_id] for client_id in active}
 
     def _local_updates(
-        self, global_params: np.ndarray, step_size: float, mask: np.ndarray
+        self, global_params: np.ndarray, step_size: float, active: List[int]
     ) -> Dict[int, np.ndarray]:
         # The server holds float64 state regardless of precision; cast the
         # broadcast parameters once per round so every engine's kernels run
         # in the working dtype (a float64 -> float64 cast is a no-op).
         global_params = np.asarray(global_params, dtype=self.dtype)
         if self.backend == "vectorized":
-            return self._local_updates_chunked(global_params, step_size, mask)
-        return self._local_updates_loop(global_params, step_size, mask)
+            return self._local_updates_chunked(
+                global_params, step_size, active
+            )
+        return self._local_updates_loop(global_params, step_size, active)
 
     def run(
         self,
@@ -405,7 +404,10 @@ class FederatedTrainer:
         """Train for ``num_rounds`` rounds and return the recorded history.
 
         The round-0 state (before any update) is recorded first so
-        time-to-target queries see the full curve.
+        time-to-target queries see the full curve. Each call advances
+        :attr:`state` one round at a time from a fresh clock and history
+        at round index 0; the model, streams, participation and algorithm
+        state carry over from the previous call.
 
         Args:
             num_rounds: Communication rounds to run.
@@ -423,75 +425,70 @@ class FederatedTrainer:
         manager = (
             CheckpointManager(checkpoint) if checkpoint is not None else None
         )
-        history = TrainingHistory()
-        sim_time = 0.0
-        start_round = 0
+        state = self.state
+        shape = {
+            "precision": self.dtype.name,
+            "fingerprint": self._config_fingerprint(),
+        }
         resumed = None
         if manager is not None and checkpoint.resume:
             resumed = manager.latest_doc()
         if resumed is not None:
-            start_round, sim_time, history = self._restore_checkpoint(
-                resumed, num_rounds
-            )
+            state.restore(resumed, num_rounds, **shape)
         else:
-            initial_metrics = self._evaluate(self.server.params)
-            history.append(
+            state.restart()
+            state.history.append(
                 RoundRecord(
                     round_index=-1,
                     sim_time=0.0,
                     num_participants=0,
                     step_size=float(self.schedule(0)),
-                    **initial_metrics,
+                    **self._evaluate(state.server.params),
                 )
             )
-        q = self.participation.inclusion_probabilities
-        for round_index in range(start_round, num_rounds):
+        algorithm = state.algorithm
+        q = state.participation.inclusion_probabilities
+        for round_index in range(state.next_round, num_rounds):
             step_size = float(self.schedule(round_index))
-            mask = self.participation.sample_round(round_index)
-            global_params = self.server.params
+            mask = state.participation.sample_round(round_index)
+            active = np.flatnonzero(mask).tolist()
+            global_params = state.server.params
             local_params = self._local_updates(
-                global_params, step_size, mask
+                global_params, step_size, active
             )
-            if not self._algorithm.is_plain:
+            if not algorithm.is_plain:
                 # FedDyn advances each participant's h-state from its
                 # float64 local update (state evolves in float64 like the
                 # server does, whatever the kernel precision).
-                self._algorithm.post_local(global_params, local_params)
-            self.server.apply_round(local_params, q)
-            if self._algorithm.spec.beta > 0:
-                adjusted = self._algorithm.server_update(
-                    global_params, self.server.params
+                algorithm.post_local(global_params, local_params)
+            state.server.apply_round(local_params, q)
+            if algorithm.spec.beta > 0:
+                adjusted = algorithm.server_update(
+                    global_params, state.server.params
                 )
                 if adjusted is not None:
-                    self.server.restore(adjusted, self.server.round_index)
-            sim_time += float(self.round_timer(mask, round_index))
+                    state.server.restore(adjusted, state.server.round_index)
+            state.sim_time += float(self.round_timer(mask, round_index))
 
             is_last = round_index == num_rounds - 1
             if round_index % self.eval_every == 0 or is_last:
-                metrics = self._evaluate(self.server.params)
+                metrics = self._evaluate(state.server.params)
             else:
                 metrics = {}
-            history.append(
+            state.history.append(
                 RoundRecord(
                     round_index=round_index,
-                    sim_time=sim_time,
-                    num_participants=int(mask.sum()),
+                    sim_time=state.sim_time,
+                    num_participants=len(active),
                     step_size=step_size,
-                    participants=tuple(
-                        int(i) for i in np.flatnonzero(mask)
-                    ),
+                    participants=tuple(active),
                     **metrics,
                 )
             )
+            state.next_round = round_index + 1
             if manager is not None and manager.due(round_index, num_rounds):
-                manager.save(
-                    self._checkpoint_doc(
-                        round_index + 1, sim_time, history, num_rounds
-                    )
-                )
-        return history
-
-    # Checkpoint / resume ----------------------------------------------------
+                manager.save(state.to_doc(num_rounds, **shape))
+        return state.history
 
     def _config_fingerprint(self) -> dict:
         """Trainer shape a checkpoint must match to be resumable.
@@ -502,110 +499,8 @@ class FederatedTrainer:
         bit-identically on any other.
         """
         return {
-            "num_clients": len(self.clients),
+            "num_clients": self.federated.num_clients,
             "local_steps": self.local_steps,
             "eval_every": self.eval_every,
-            "batch_size": self.clients[0].batch_size,
+            "batch_size": self.batch_size,
         }
-
-    def _checkpoint_doc(
-        self,
-        next_round: int,
-        sim_time: float,
-        history: TrainingHistory,
-        num_rounds: int,
-    ) -> dict:
-        """Snapshot of all mutable training state entering ``next_round``."""
-        from repro.utils.serialization import history_to_doc
-
-        doc = {
-            "format": CHECKPOINT_FORMAT,
-            "next_round": int(next_round),
-            "num_rounds": int(num_rounds),
-            "sim_time": float(sim_time),
-            # The working precision travels with the snapshot (outside the
-            # config fingerprint, so pre-fast-tier checkpoints — which
-            # lack the key and implicitly ran float64 — stay readable).
-            "precision": self.dtype.name,
-            "params": [float(v) for v in self.server.params],
-            "server_round": int(self.server.round_index),
-            "history": history_to_doc(history),
-            "participation": self.participation.state_doc(),
-            "clients": [client.rng_state() for client in self.clients],
-            "trainer": self._config_fingerprint(),
-        }
-        # The algorithm block exists only at non-default values (like the
-        # key itself in scenario docs and cache keys): a v1-era reader of
-        # a default-algorithm v2 document sees exactly the fields it
-        # always did, and FedDyn's h / the momentum buffer travel with
-        # the snapshot so a resumed run replays them bit-exactly.
-        if not self._algorithm.is_plain:
-            doc["algorithm"] = {
-                "spec": self._algorithm.spec.to_doc(),
-                "state": self._algorithm.state_doc(),
-            }
-        return doc
-
-    def _restore_checkpoint(self, doc: dict, num_rounds: int):
-        """Load a checkpoint document into live trainer state.
-
-        Returns ``(next_round, sim_time, history)`` for :meth:`run` to
-        continue from.
-        """
-        from repro.utils.serialization import history_from_doc
-
-        if doc.get("format") not in ACCEPTED_CHECKPOINT_FORMATS:
-            raise ValueError(
-                f"not a checkpoint document: {doc.get('format')!r}"
-            )
-        fingerprint = self._config_fingerprint()
-        recorded = doc.get("trainer", {})
-        if recorded != fingerprint:
-            raise ValueError(
-                "checkpoint was taken by a differently-configured trainer: "
-                f"checkpoint {recorded}, this trainer {fingerprint}"
-            )
-        next_round = int(doc["next_round"])
-        if next_round >= num_rounds:
-            raise ValueError(
-                f"checkpoint is at round {next_round} but the run is only "
-                f"{num_rounds} rounds; nothing to resume"
-            )
-        if len(doc["clients"]) != len(self.clients):
-            raise ValueError(
-                f"checkpoint covers {len(doc['clients'])} clients, trainer "
-                f"has {len(self.clients)}"
-            )
-        recorded_precision = doc.get("precision", "float64")
-        if recorded_precision != self.dtype.name:
-            raise ValueError(
-                f"checkpoint was taken at precision {recorded_precision!r} "
-                f"but this trainer runs {self.dtype.name!r}; resume with "
-                "the matching --precision"
-            )
-        # A document without an algorithm block (every v1 checkpoint, and
-        # v2 ones written at the default) recorded a plain-FedAvg run.
-        algorithm_entry = doc.get("algorithm")
-        recorded_algorithm = (
-            AlgorithmSpec.from_doc(algorithm_entry["spec"])
-            if algorithm_entry
-            else DEFAULT_ALGORITHM
-        )
-        if recorded_algorithm != self._algorithm.spec:
-            raise ValueError(
-                "checkpoint was taken with algorithm "
-                f"{recorded_algorithm.canonical()!r} but this trainer runs "
-                f"{self._algorithm.spec.canonical()!r}; resume with the "
-                "matching --algorithm"
-            )
-        if algorithm_entry is not None:
-            self._algorithm.restore_state(algorithm_entry.get("state"))
-        self.server.restore(
-            np.asarray(doc["params"], dtype=float), int(doc["server_round"])
-        )
-        self.participation.restore_state(doc["participation"])
-        for client, state in zip(self.clients, doc["clients"]):
-            client.restore_rng(state)
-        return next_round, float(doc["sim_time"]), history_from_doc(
-            doc["history"]
-        )

@@ -68,6 +68,22 @@ def constant_schedule(step_size: float) -> LearningRateSchedule:
     return lambda round_index: step_size
 
 
+def draw_batch_indices(
+    rng: np.random.Generator, num_samples: int, num_steps: int, batch_size: int
+) -> np.ndarray:
+    """One round's mini-batch indices, drawn in one generator call.
+
+    Returns a ``(num_steps, min(batch_size, num_samples))`` matrix of
+    indices sampled uniformly with replacement. :func:`sgd_steps`, the
+    trainer's stacked engine and the gradient-norm sampler all draw their
+    batches here, so every path consumes the same random numbers from a
+    client's stream.
+    """
+    return rng.integers(
+        0, num_samples, size=(num_steps, min(batch_size, num_samples))
+    )
+
+
 def sgd_steps(
     model: Model,
     params: np.ndarray,
@@ -117,13 +133,9 @@ def sgd_steps(
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if prox_coeff is not None and prox_center is None:
         raise ValueError("prox_coeff requires prox_center")
-    generator = spawn_rng(rng)
-    num_samples = features.shape[0]
-    effective_batch = min(batch_size, num_samples)
     current = np.array(params, dtype=float, copy=True)
-    # Draw all batch indices at once: one RNG call instead of num_steps.
-    batch_indices = generator.integers(
-        0, num_samples, size=(num_steps, effective_batch)
+    batch_indices = draw_batch_indices(
+        spawn_rng(rng), features.shape[0], num_steps, batch_size
     )
     for step in range(num_steps):
         batch = batch_indices[step]

@@ -30,8 +30,15 @@ semantic change bumps ``vN`` and keeps the old decoder working for one
 deprecation cycle. Decoders reject unknown kinds loudly
 (:class:`SchemaError`) instead of guessing.
 
-Every codec here is paired with a decoder, and round-trips exactly:
-``encode(decode(doc)) == doc`` for all documents the encoders produce.
+The encoders are what the library emits: the service, the CLI and the
+:mod:`repro.api` facade (a ``pricing-response/v1`` document is
+:meth:`repro.api.PriceResponse.to_doc`, whose outcome is
+:func:`~repro.utils.serialization.outcome_to_doc`). The decoders are the
+client-side half, for consumers that read those documents back; the
+library itself decodes only ``scenario-run/v1`` (its cached scenario
+runs). Decoding an emitted document and encoding the result again gives
+the same document. ``metrics-snapshot``, ``health`` and ``error`` have no
+decoder.
 """
 
 from __future__ import annotations
@@ -193,25 +200,11 @@ def problem_fingerprint(problem: Any) -> str:
 # pricing-response/v1 ---------------------------------------------------------
 
 
-def pricing_response_doc(
-    outcome: Any,
-    *,
-    population_fingerprint: Optional[str] = None,
-    trace: Optional[dict] = None,
-) -> dict:
-    """Encode one mechanism's :class:`~repro.game.pricing.PricingOutcome`."""
-    return envelope(
-        "pricing-response",
-        {"outcome": outcome_to_doc(outcome)},
-        population_fingerprint=population_fingerprint,
-        trace=trace,
-    )
-
-
 def pricing_response_from_doc(doc: dict, problem: Optional[Any] = None) -> Any:
     """Decode a ``pricing-response/v1`` envelope back to a
     :class:`~repro.game.pricing.PricingOutcome`.
 
+    The client-side half of :meth:`repro.api.PriceResponse.to_doc`.
     ``problem`` is required only when the outcome carries a nested
     equilibrium (the proposed mechanism's responses).
     """
@@ -242,7 +235,10 @@ def best_response_doc(
 
 
 def best_response_from_doc(doc: dict) -> tuple:
-    """Decode ``best-response/v1`` to ``(prices, q)`` float arrays."""
+    """Decode ``best-response/v1`` to ``(prices, q)`` float arrays.
+
+    The client-side half of :func:`best_response_doc`.
+    """
     check_envelope(doc, "best-response")
     result = doc["result"]
     return (
@@ -278,7 +274,10 @@ def equilibrium_response_doc(
 
 
 def equilibrium_response_from_doc(doc: dict, problem: Any) -> Any:
-    """Decode ``equilibrium-response/v1``, reattaching ``problem``."""
+    """Decode ``equilibrium-response/v1``, reattaching ``problem``.
+
+    The client-side half of :func:`equilibrium_response_doc`.
+    """
     check_envelope(doc, "equilibrium-response")
     return equilibrium_from_doc(doc["result"]["equilibrium"], problem)
 
@@ -329,7 +328,11 @@ def scenario_cells_doc(
 
 def scenario_cells_from_doc(doc: dict) -> List[Any]:
     """Decode ``scenario-run/v1`` back to
-    :class:`~repro.scenarios.runner.ScenarioCell` objects (history-free)."""
+    :class:`~repro.scenarios.runner.ScenarioCell` objects (history-free).
+
+    The client-side half of :func:`scenario_cells_doc`; the api facade
+    also revives its cached scenario runs with it.
+    """
     from repro.scenarios.runner import ScenarioCell
 
     check_envelope(doc, "scenario-run")
@@ -369,7 +372,10 @@ def scenario_list_doc(
 
 def scenario_list_from_doc(doc: dict) -> List[Any]:
     """Decode ``scenario-list/v1`` back to
-    :class:`~repro.scenarios.spec.ScenarioSpec` objects."""
+    :class:`~repro.scenarios.spec.ScenarioSpec` objects.
+
+    The client-side half of :func:`scenario_list_doc`.
+    """
     from repro.scenarios.spec import ScenarioSpec
 
     check_envelope(doc, "scenario-list")
@@ -401,7 +407,10 @@ def comparison_summary_doc(
 
 
 def comparison_summary_from_doc(doc: dict) -> Dict[str, dict]:
-    """Decode ``comparison-summary/v1`` back to ``{scheme: scalars}``."""
+    """Decode ``comparison-summary/v1`` back to ``{scheme: scalars}``.
+
+    The client-side half of :func:`comparison_summary_doc`.
+    """
     check_envelope(doc, "comparison-summary")
     return {
         name: dict(entry)
@@ -430,7 +439,10 @@ def table_rows_doc(
 
 
 def table_rows_from_doc(doc: dict) -> List[list]:
-    """Decode ``table-rows/v1`` back to its row lists."""
+    """Decode ``table-rows/v1`` back to its row lists.
+
+    The client-side half of :func:`table_rows_doc`.
+    """
     check_envelope(doc, "table-rows")
     return [list(row) for row in doc["result"]["rows"]]
 

@@ -24,12 +24,11 @@ import numpy as np
 from scipy.optimize import nnls
 
 from repro.datasets.federated import FederatedDataset
-from repro.fl.client import FLClient
 from repro.fl.participation import BernoulliParticipation, FullParticipation
 from repro.fl.trainer import FederatedTrainer
 from repro.models.base import Model
 from repro.models.metrics import global_loss
-from repro.models.optim import minimize_loss
+from repro.models.optim import draw_batch_indices, minimize_loss
 from repro.theory.assumptions import ProblemConstants
 from repro.theory.bound import heterogeneity_term
 from repro.utils.rng import RngFactory
@@ -109,15 +108,46 @@ def pilot_trajectory(
         eval_every=max(1, num_rounds),
         rng_factory=factory,
     )
-    checkpoints = [trainer.server.params]
+    checkpoints = [trainer.state.server.params]
     rounds_per_checkpoint = max(1, num_rounds // max(1, num_checkpoints - 1))
     done = 0
     while done < num_rounds:
         chunk = min(rounds_per_checkpoint, num_rounds - done)
         trainer.run(chunk)
-        checkpoints.append(trainer.server.params)
+        checkpoints.append(trainer.state.server.params)
         done += chunk
     return checkpoints
+
+
+def sample_gradient_norms(
+    model: Model,
+    features: np.ndarray,
+    labels: np.ndarray,
+    params: np.ndarray,
+    rng: np.random.Generator,
+    *,
+    batch_size: int,
+    num_samples: int,
+) -> np.ndarray:
+    """Norms of ``num_samples`` stochastic gradients at ``params``.
+
+    The client-side half of the paper's ``G_n`` protocol: one client
+    reports the norms of mini-batch gradients drawn from its own SGD
+    stream. All gradients are evaluated as one batched-model call.
+    """
+    indices = draw_batch_indices(
+        rng, features.shape[0], num_samples, batch_size
+    )
+    params = np.asarray(params, dtype=float)
+    gradients = model.batched_gradient(
+        np.repeat(params[None, :], num_samples, axis=0),
+        features[indices],
+        labels[indices],
+    )
+    norms = np.empty(num_samples)
+    for row in range(num_samples):
+        norms[row] = np.linalg.norm(gradients[row])
+    return norms
 
 
 def estimate_gradient_bounds(
@@ -143,11 +173,19 @@ def estimate_gradient_bounds(
     for index, (shard, rng) in enumerate(
         zip(federated.client_datasets, streams)
     ):
-        client = FLClient(index, shard, model, batch_size=batch_size, rng=rng)
+        # One arrays() call per client: a streaming shard regenerates on
+        # every fetch.
+        features, labels = shard.arrays()
         norms = np.concatenate(
             [
-                client.sample_gradient_norms(
-                    params, num_samples=samples_per_checkpoint
+                sample_gradient_norms(
+                    model,
+                    features,
+                    labels,
+                    params,
+                    rng,
+                    batch_size=batch_size,
+                    num_samples=samples_per_checkpoint,
                 )
                 for params in checkpoints
             ]

@@ -396,8 +396,12 @@ class RngFactory:
     """
 
     def __init__(self, seed: SeedLike = 0):
+        # A generator or ``None`` resolves to an integer root once, so one
+        # label path always names one stream and ``seed`` is recordable.
         if isinstance(seed, np.random.Generator):
             seed = int(seed.integers(0, 2**32))
+        elif seed is None:
+            seed = int(np.random.SeedSequence().entropy)
         self._seed = seed
 
     @property

@@ -110,7 +110,7 @@ class TestDtypeThreading:
         assert first.digest() == second.digest()
         trainer = make_trainer()
         trainer.run(NUM_ROUNDS)
-        assert trainer.last_subsampled_loss is None
+        assert trainer.state.last_subsampled_loss is None
 
 
 class TestFastTierTolerance:

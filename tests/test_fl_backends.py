@@ -26,10 +26,11 @@ from repro.experiments.orchestrator import (
 from repro.experiments.runner import run_history
 from repro.experiments.setup import prepare_setup
 from repro.fl import BernoulliParticipation, ExecutionSpec, FederatedTrainer
-from repro.fl.client import FLClient
 from repro.game import OptimalPricing
 from repro.models import MultinomialLogisticRegression
 from repro.models.linear import RidgeRegression
+from repro.models.optim import draw_batch_indices
+from repro.theory.estimation import sample_gradient_norms
 from repro.utils.rng import RngFactory
 
 
@@ -67,7 +68,7 @@ def _run_both(model, federated, q, *, seed, local_steps=4, batch_size=24):
             backend=backend,
         )
         histories[backend] = trainer.run(7)
-        finals[backend] = trainer.server.params
+        finals[backend] = trainer.state.server.params
     return histories, finals
 
 
@@ -130,44 +131,37 @@ class TestClientVectorization:
     def test_draw_batch_indices_consumes_sgd_stream(self, small_federated, small_model):
         """Pre-drawing indices advances the client stream exactly like
         the draw inside :func:`sgd_steps` (the loop path)."""
-        pre = FLClient(
-            0, small_federated.client_datasets[0], small_model,
-            batch_size=10, rng=RngFactory(4).make("client", "0", "sgd"),
-        )
-        loop = FLClient(
-            0, small_federated.client_datasets[0], small_model,
-            batch_size=10, rng=RngFactory(4).make("client", "0", "sgd"),
-        )
-        drawn = pre.draw_batch_indices(6)
-        expected = loop._rng.integers(
-            0, len(loop.dataset), size=(6, loop.effective_batch_size)
-        )
+        shard = small_federated.client_datasets[0]
+        pre = RngFactory(4).make("client", "0", "sgd")
+        loop = RngFactory(4).make("client", "0", "sgd")
+        drawn = draw_batch_indices(pre, len(shard), 6, 10)
+        expected = loop.integers(0, len(shard), size=(6, min(10, len(shard))))
         assert np.array_equal(drawn, expected)
         # Both streams are at the same point afterwards.
         assert np.array_equal(
-            pre.draw_batch_indices(3), loop._rng.integers(
-                0, len(loop.dataset), size=(3, loop.effective_batch_size)
-            )
+            draw_batch_indices(pre, len(shard), 3, 10),
+            loop.integers(0, len(shard), size=(3, min(10, len(shard)))),
         )
 
     def test_sample_gradient_norms_matches_historical_loop(
         self, small_federated, small_model
     ):
         shard = small_federated.client_datasets[1]
-        batched = FLClient(
-            1, shard, small_model, batch_size=24,
-            rng=RngFactory(6).make("client", "1", "sgd"),
-        )
-        reference = FLClient(
-            1, shard, small_model, batch_size=24,
-            rng=RngFactory(6).make("client", "1", "sgd"),
-        )
+        reference = RngFactory(6).make("client", "1", "sgd")
         params = np.random.default_rng(8).normal(size=small_model.num_params)
-        norms = batched.sample_gradient_norms(params, num_samples=12)
+        norms = sample_gradient_norms(
+            small_model,
+            shard.features,
+            shard.labels,
+            params,
+            RngFactory(6).make("client", "1", "sgd"),
+            batch_size=24,
+            num_samples=12,
+        )
         # The pre-vectorization implementation, verbatim.
         data_size = len(shard)
         batch = min(24, data_size)
-        indices = reference._rng.integers(0, data_size, size=(12, batch))
+        indices = reference.integers(0, data_size, size=(12, batch))
         expected = np.empty(12)
         for row in range(12):
             grad = small_model.gradient(

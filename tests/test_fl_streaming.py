@@ -24,14 +24,10 @@ from repro.datasets import streaming_synthetic_federated
 from repro.experiments.configs import SCALES, SETUPS, apply_scale
 from repro.experiments.orchestrator import TrainJob, job_key
 from repro.experiments.setup import prepare_setup
-from repro.fl import (
-    BernoulliParticipation,
-    ExecutionSpec,
-    FederatedTrainer,
-    FLClient,
-)
+from repro.fl import BernoulliParticipation, ExecutionSpec, FederatedTrainer
 from repro.fl.trainer import DEFAULT_CHUNK_SIZE
 from repro.models import MultinomialLogisticRegression
+from repro.theory.estimation import estimate_gradient_bounds
 from repro.utils.rng import RngFactory
 
 
@@ -74,7 +70,7 @@ def _run(
         chunk_size=chunk_size,
     )
     history = trainer.run(num_rounds)
-    return history, trainer.server.params
+    return history, trainer.state.server.params
 
 
 class TestChunkedBitIdentity:
@@ -132,26 +128,31 @@ class TestChunkedBitIdentity:
         )
 
     def test_gradient_norm_sample_fetches_once(self):
+        """The ``G_n`` estimate reads each client's shard once, however
+        many checkpoints it samples at."""
         streaming = streaming_synthetic_federated(
             6, total_samples=180, seed=2, test_clients=2
         )
         eager = streaming.materialize()
         model = _model(eager)
-        params = np.random.default_rng(0).normal(size=model.num_params)
-        norms = {}
+        checkpoints = np.random.default_rng(0).normal(
+            size=(3, model.num_params)
+        )
+        bounds = {}
         for name, federated in (("eager", eager), ("streaming", streaming)):
-            client = FLClient(
-                3,
-                federated.client_datasets[3],
-                model,
-                batch_size=8,
-                rng=RngFactory(5).make("client", "3", "sgd"),
-            )
             before = streaming.provider.regenerations
-            norms[name] = client.sample_gradient_norms(params, num_samples=6)
+            bounds[name] = estimate_gradient_bounds(
+                model,
+                federated,
+                checkpoints,
+                batch_size=8,
+                samples_per_checkpoint=6,
+                rng_factory=RngFactory(5),
+            )
             fetched = streaming.provider.regenerations - before
-            assert fetched == (name == "streaming"), (name, fetched)
-        assert np.array_equal(norms["eager"], norms["streaming"])
+            expected = federated.num_clients if name == "streaming" else 0
+            assert fetched == expected, (name, fetched)
+        assert np.array_equal(bounds["eager"], bounds["streaming"])
 
     def test_identity_holds_across_eval_chunk_boundaries(self, monkeypatch):
         """Multi-chunk evaluation (fleets beyond EVAL_CHUNK_SAMPLES) must

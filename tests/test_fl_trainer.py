@@ -3,47 +3,62 @@
 import numpy as np
 import pytest
 
-from repro.datasets import Dataset
+from repro.datasets import Dataset, FederatedDataset
 from repro.fl import (
     BernoulliParticipation,
     FederatedTrainer,
     FixedSubsetParticipation,
-    FLClient,
     FLServer,
     FullParticipation,
     ParticipantsOnlyAggregator,
 )
-from repro.models import MultinomialLogisticRegression, constant_schedule
+from repro.models import (
+    MultinomialLogisticRegression,
+    constant_schedule,
+    sgd_steps,
+)
+from repro.theory.estimation import sample_gradient_norms
 from repro.utils.rng import RngFactory
 
 
-class TestFLClient:
+class TestClientSide:
     def test_local_update_moves_params(self, small_federated, small_model):
-        client = FLClient(
-            0,
-            small_federated.client_datasets[0],
+        shard = small_federated.client_datasets[0]
+        start = small_model.init_params()
+        out = sgd_steps(
             small_model,
+            start,
+            shard.features,
+            shard.labels,
+            step_size=0.05,
+            num_steps=20,
+            batch_size=24,
             rng=RngFactory(0).make("client", "0", "sgd"),
         )
-        start = small_model.init_params()
-        out = client.local_update(start, step_size=0.05, num_steps=20)
         assert not np.allclose(out, start)
 
-    def test_empty_dataset_rejected(self, small_model):
+    def test_empty_dataset_rejected(self, small_federated, small_model):
         empty = Dataset(
             features=np.zeros((0, 12)), labels=np.zeros(0, dtype=int),
             num_classes=4,
         )
-        with pytest.raises(ValueError, match="empty"):
-            FLClient(0, empty, small_model)
+        federated = FederatedDataset(
+            [small_federated.client_datasets[0], empty],
+            small_federated.test_dataset,
+        )
+        with pytest.raises(ValueError, match="client 1 has an empty"):
+            FederatedTrainer(small_model, federated, FullParticipation(2))
 
     def test_gradient_norm_sampling_positive(self, small_federated, small_model):
-        client = FLClient(
-            1, small_federated.client_datasets[1], small_model,
-            rng=RngFactory(1).make("client", "1", "sgd"),
-        )
-        norms = client.sample_gradient_norms(
-            small_model.init_params(), num_samples=8
+        shard = small_federated.client_datasets[1]
+        norms = sample_gradient_norms(
+            small_model,
+            shard.features,
+            shard.labels,
+            small_model.init_params(),
+            RngFactory(1).make("client", "1", "sgd"),
+            batch_size=24,
+            num_samples=8,
         )
         assert norms.shape == (8,)
         assert np.all(norms > 0)

@@ -216,7 +216,8 @@ def test_trainer_client_streams_are_the_factory_streams(storage):
         BernoulliParticipation(np.full(federated.num_clients, 0.5)),
         rng_factory=RngFactory(21),
     )
-    for n, client in enumerate(trainer.clients):
+    assert len(trainer.state.streams) == federated.num_clients
+    for n, stream in enumerate(trainer.state.streams):
         expected = RngFactory(21).make("client", str(n), "sgd")
-        assert client.rng_state() == expected.bit_generator.state
-        assert_same_stream(client._rng, expected)
+        assert stream.bit_generator.state == expected.bit_generator.state
+        assert_same_stream(stream, expected)

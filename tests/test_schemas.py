@@ -2,9 +2,10 @@
 
 Every machine-readable payload travels in one envelope shape
 (``schema_version`` / ``population_fingerprint`` / ``result`` / ``trace``),
-and every encoder in :mod:`repro.schemas` is paired with a decoder that
-round-trips exactly: ``encode(decode(doc)) == doc``. These tests pin both
-halves — the shape checks (so service clients get loud, actionable
+and every document the library emits decodes exactly: the decoders in
+:mod:`repro.schemas` invert the encoders there and, for
+``pricing-response/v1``, the :func:`repro.api.price` envelope. These tests
+pin both halves — the shape checks (so service clients get loud, actionable
 failures) and the round-trips (so CLI artifacts, service responses, and
 the CI matrix document never drift apart silently).
 """
@@ -16,11 +17,14 @@ import json
 import numpy as np
 import pytest
 
-from repro import schemas
+from repro import api, schemas
 from repro.game import MECHANISMS, ServerProblem, solve_cpl_game
 from repro.scenarios import list_scenarios
 from repro.scenarios.runner import ScenarioCell
 from repro.utils.serialization import equilibrium_to_doc, outcome_to_doc
+
+#: A game-only scenario: its economy materializes in milliseconds.
+SCENARIO = "homogeneous-cheap"
 
 
 @pytest.fixture()
@@ -133,32 +137,41 @@ class TestProblemFingerprint:
         ) != schemas.problem_fingerprint(small_problem)
 
 
-class TestPricingResponseRoundTrip:
-    @pytest.mark.parametrize("mechanism", ["uniform", "proposed"])
-    def test_encode_decode_encode_is_exact(
-        self, small_problem, fingerprint, mechanism
-    ):
-        outcome = MECHANISMS[mechanism]().apply(small_problem)
-        doc = schemas.pricing_response_doc(
-            outcome, population_fingerprint=fingerprint
-        )
-        schemas.check_envelope(doc, "pricing-response")
-        decoded = schemas.pricing_response_from_doc(doc, small_problem)
-        assert schemas.pricing_response_doc(
-            decoded, population_fingerprint=fingerprint
-        ) == doc
+#: ``(mechanism, method)`` pairs priced through :func:`repro.api.price`:
+#: every mechanism at its default method, plus the approximate solvers.
+PRICED = [(name, None) for name in sorted(MECHANISMS)] + [
+    ("proposed", "approx"),
+    ("uniform", "approx"),
+]
 
-    def test_decoded_outcome_matches_numerically(
-        self, small_problem, fingerprint
-    ):
-        outcome = MECHANISMS["uniform"]().apply(small_problem)
-        doc = schemas.pricing_response_doc(
-            outcome, population_fingerprint=fingerprint
+
+@pytest.fixture(scope="module")
+def runtime():
+    return api.ApiRuntime(scale="ci", seed=0)
+
+
+class TestPricingResponseRoundTrip:
+    """A ``pricing-response/v1`` document as the service emits it decodes
+    back to the outcome it encodes."""
+
+    @pytest.mark.parametrize(
+        "mechanism, method", PRICED, ids=lambda value: str(value)
+    )
+    def test_api_document_decodes_exactly(self, runtime, mechanism, method):
+        response = api.price(
+            api.PriceRequest(
+                scenario=SCENARIO, mechanism=mechanism, method=method
+            ),
+            runtime,
         )
-        decoded = schemas.pricing_response_from_doc(doc)
-        np.testing.assert_array_equal(decoded.prices, outcome.prices)
-        np.testing.assert_array_equal(decoded.q, outcome.q)
-        assert decoded.spending == outcome.spending
+        doc = json.loads(json.dumps(response.to_doc()))
+        schemas.check_envelope(doc, "pricing-response")
+        problem = runtime.economy(SCENARIO, None)[0]
+        decoded = schemas.pricing_response_from_doc(doc, problem)
+        assert outcome_to_doc(decoded) == response.result["outcome"]
+        np.testing.assert_array_equal(decoded.prices, response.outcome.prices)
+        np.testing.assert_array_equal(decoded.q, response.outcome.q)
+        assert decoded.spending == response.outcome.spending
 
 
 class TestBestResponseRoundTrip:
@@ -216,24 +229,6 @@ class TestEquilibriumResponseRoundTrip:
         for value in doc["result"]["summary"].values():
             if isinstance(value, float):
                 assert np.isfinite(value)
-
-
-class TestCompareSchemesRoundTrip:
-    def test_every_scheme_outcome_round_trips(
-        self, small_problem, fingerprint
-    ):
-        """``compare_schemes`` results travel as ``pricing-response/v1``
-        envelopes, one per scheme — no ad-hoc dict shapes."""
-        from repro.game import compare_schemes
-
-        for outcome in compare_schemes(small_problem).values():
-            doc = schemas.pricing_response_doc(
-                outcome, population_fingerprint=fingerprint
-            )
-            decoded = schemas.pricing_response_from_doc(doc, small_problem)
-            assert schemas.pricing_response_doc(
-                decoded, population_fingerprint=fingerprint
-            ) == doc
 
 
 class TestScenarioCellsRoundTrip:

@@ -264,8 +264,7 @@ class TestFastTierRows:
 
     def test_member_pool_equals_per_client_build(self, trainer, streamed):
         trainer._stacked_rows([2])
-        members = [(trainer.clients[n], None) for n in (4, 2, 6)]
-        features, labels, offsets = trainer._member_pool(members)
+        features, labels, offsets = trainer._member_pool([4, 2, 6])
         expected = self._per_client(streamed, [4, 2, 6])
         _assert_same_bytes((features, labels), expected)
         sizes = streamed.sizes[[4, 2, 6]]

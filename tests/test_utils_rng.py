@@ -66,3 +66,38 @@ def test_seedsequence_accepted():
     a = spawn_rng(sequence, "a").random()
     b = spawn_rng(np.random.SeedSequence(9), "a").random()
     assert a == b
+
+
+def test_unseeded_factory_keeps_one_stream_per_label():
+    """``RngFactory(None)`` draws its OS entropy once: the same label
+    names the same stream on every call, and the root is a recordable
+    integer that rebuilds the factory."""
+    factory = RngFactory(None)
+    assert isinstance(factory.seed, int)
+    first, second = factory.make("a"), factory.make("a")
+    assert first.bit_generator.state == second.bit_generator.state
+    assert np.array_equal(first.random(4), second.random(4))
+    rebuilt = RngFactory(factory.seed)
+    assert (
+        rebuilt.make("a").bit_generator.state
+        == factory.make("a").bit_generator.state
+    )
+    assert [g.bit_generator.state for g in factory.make_many(["x", "y"])] == [
+        g.bit_generator.state for g in rebuilt.make_many(["x", "y"])
+    ]
+    assert RngFactory(None).seed != factory.seed
+
+
+def test_seeded_factories_are_unchanged():
+    for seed in (0, 7, 2**70):
+        factory = RngFactory(seed)
+        assert factory.seed == seed
+        assert (
+            factory.make("p", "1").bit_generator.state
+            == spawn_rng(seed, "p", "1").bit_generator.state
+        )
+    assert RngFactory().seed == 0
+    from_generator = RngFactory(np.random.default_rng(3))
+    assert from_generator.seed == int(
+        np.random.default_rng(3).integers(0, 2**32)
+    )
