@@ -4,8 +4,8 @@ The paper's unbiasedness guarantee (Lemma 1 / Theorem 2) is proved for
 plain local SGD. This package opens the update rule itself as a study
 axis: a frozen :class:`AlgorithmSpec` describes *which* rule trains a
 round, an :class:`Algorithm` strategy supplies the rule's gradient terms
-and state hooks to every trainer execution path (loop, vectorized,
-chunked — bit-identical to each other per algorithm), and the spec
+and state hooks to the trainer's one local-update engine (bit-identical
+across chunk widths and lockstep groupings per algorithm), and the spec
 travels through scenario docs, orchestrator cache keys, and trainer
 checkpoints. See :mod:`repro.algorithms.spec` for the wire format and
 :mod:`repro.algorithms.strategies` for the strategy contract.

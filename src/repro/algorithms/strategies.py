@@ -1,18 +1,18 @@
 """Algorithm strategy objects: the pluggable local-update seam.
 
-An :class:`Algorithm` supplies everything the trainer's three execution
-paths need beyond plain SGD, in a form that keeps the PR-3 determinism
+An :class:`Algorithm` supplies everything the trainer's local-update
+engine needs beyond plain SGD, in a form that keeps the determinism
 contract intact:
 
-* **Gradient terms.** :meth:`Algorithm.loop_kwargs` (per client) and
-  :meth:`Algorithm.stacked_kwargs` (per batched call) return the
+* **Gradient terms.** :meth:`Algorithm.stacked_kwargs` returns the
   ``prox_coeff`` / ``prox_center`` / ``linear_term`` keyword arguments
-  the SGD kernels fold into every step's gradient. The terms are pure
-  functions of the round's global parameters and the algorithm state —
-  they consume **zero RNG draws** — so the loop, vectorized, and chunked
-  engines see exactly the same batch indices they always did, and the
-  loop fallback stays bit-identical to the stacked kernels per
-  algorithm.
+  the batched SGD kernel folds into every step's gradient, one row per
+  stacked client. The terms are pure functions of each row's round-start
+  global parameters and the algorithm state — they consume **zero RNG
+  draws** — so every chunking and every lockstep grouping sees exactly
+  the same batch indices, and each row stays bit-identical to the
+  per-client reference :func:`~repro.models.optim.sgd_steps` given the
+  same terms.
 * **State evolution.** :meth:`Algorithm.post_local` advances per-client
   state (FedDyn's ``h_n`` vectors) from the round's local updates, and
   :meth:`Algorithm.server_update` applies server-side momentum to the
@@ -74,20 +74,18 @@ class Algorithm:
 
     # Gradient terms ----------------------------------------------------------
 
-    def loop_kwargs(self, global_params: np.ndarray, client_id: int) -> dict:
-        """Kernel kwargs for one client's per-client (loop) update."""
-        return {}
-
     def stacked_kwargs(
         self,
-        global_params: np.ndarray,
+        centers: np.ndarray,
         client_ids: Sequence[int],
         dtype: np.dtype,
     ) -> dict:
-        """Kernel kwargs for one stacked/batched call over ``client_ids``.
+        """Kernel kwargs for stacked rows of this run's clients.
 
-        ``global_params`` arrives already cast to the kernel ``dtype``;
-        per-client rows are returned in ``client_ids`` order.
+        Row ``k`` trains client ``client_ids[k]`` from ``centers[k]``, the
+        run's round-start global parameters, already cast to the kernel
+        ``dtype``; every array returned has one row per entry of
+        ``client_ids``, in that order.
         """
         return {}
 
@@ -146,13 +144,10 @@ class ServerMomentum(Algorithm):
 class FedProx(Algorithm):
     """Proximal local objective ``F_n(w) + mu/2 ||w - w_global||^2``."""
 
-    def loop_kwargs(self, global_params, client_id):
-        return {"prox_coeff": self.spec.mu, "prox_center": global_params}
-
-    def stacked_kwargs(self, global_params, client_ids, dtype):
+    def stacked_kwargs(self, centers, client_ids, dtype):
         return {
             "prox_coeff": self.spec.mu,
-            "prox_center": np.asarray(global_params, dtype=dtype),
+            "prox_center": np.asarray(centers, dtype=dtype),
         }
 
 
@@ -177,18 +172,11 @@ class FedDyn(Algorithm):
         if self._h is None:
             self._h = np.zeros((int(num_clients), int(dim)), dtype=float)
 
-    def loop_kwargs(self, global_params, client_id):
-        return {
-            "prox_coeff": self.spec.alpha,
-            "prox_center": global_params,
-            "linear_term": -self._h[int(client_id)],
-        }
-
-    def stacked_kwargs(self, global_params, client_ids, dtype):
+    def stacked_kwargs(self, centers, client_ids, dtype):
         linear = -self._h[[int(i) for i in client_ids]]
         return {
             "prox_coeff": self.spec.alpha,
-            "prox_center": np.asarray(global_params, dtype=dtype),
+            "prox_center": np.asarray(centers, dtype=dtype),
             "linear_term": linear.astype(dtype, copy=False),
         }
 

@@ -95,11 +95,43 @@ def client_shard_arrays(
         np.matmul(rows, weight.T, out=scores)
         scores += bias
     # The row softmax, in place: shift by the row max, exponentiate,
-    # normalize. argmax reads its output, as the recipe defines.
-    logits -= logits.max(axis=1, keepdims=True)
+    # normalize. argmax reads its output, as the recipe defines. The row
+    # max and argmax run column by column over the few classes (NumPy's
+    # row reductions are slow on short rows): a max is exact in any order,
+    # and a strict ``>`` scan keeps the first maximum, as argmax does.
+    logits -= _row_max(logits)[:, None]
     np.exp(logits, out=logits)
     logits /= logits.sum(axis=1, keepdims=True)
-    return features, logits.argmax(axis=1)
+    return features, _row_argmax(logits)
+
+
+def _row_max(matrix: np.ndarray) -> np.ndarray:
+    """``matrix.max(axis=1)``, one column at a time."""
+    result = matrix[:, 0].copy()
+    for column in range(1, matrix.shape[1]):
+        np.maximum(result, matrix[:, column], out=result)
+    return result
+
+
+def _row_argmax(matrix: np.ndarray) -> np.ndarray:
+    """``matrix.argmax(axis=1)`` on NaN-free rows, one column at a time.
+
+    Column ``c`` takes a row only where it is strictly larger than the
+    row's maximum so far, and ``c`` exceeds every earlier index, so the
+    running ``maximum(index, c * larger)`` keeps the first maximum.
+    """
+    rows = matrix.shape[0]
+    best = matrix[:, 0].copy()
+    index = np.zeros(rows, dtype=np.intp)
+    larger = np.empty(rows, dtype=bool)
+    taken = np.empty(rows, dtype=np.intp)
+    for column in range(1, matrix.shape[1]):
+        values = matrix[:, column]
+        np.greater(values, best, out=larger)
+        np.multiply(larger, column, out=taken)
+        np.maximum(index, taken, out=index)
+        np.maximum(best, values, out=best)
+    return index
 
 
 def _client_shard(

@@ -27,9 +27,10 @@ Parallelism and caching apply to every experiment verb (``table``, ``fig``,
 ``equilibrium``): ``--jobs N`` fans independent equilibrium/training jobs
 across ``N`` worker processes and ``--cache-dir DIR`` memoizes each job on
 disk (see :mod:`repro.experiments.orchestrator`). Results are
-bit-identical to a serial, uncached run for the same ``--seed`` — and to
-either ``--backend`` (vectorized is the default; ``loop`` is the reference
-per-client engine).
+bit-identical to a serial, uncached run for the same ``--seed``, at any
+``--chunk-size``; the scheduler trains a comparison's due train jobs as
+lockstep groups (one stacked kernel call per round across the group's
+runs), which changes no number.
 
 No verb measures performance: the benchmark is ``python3 perf/run.py``
 (workloads, metrics and the comparison recipe are in ``perf/README.md``).
@@ -79,12 +80,7 @@ from repro.experiments.tables import (
     table5_rows,
 )
 from repro.fl.checkpoint import CheckpointConfig
-from repro.fl.execution import (
-    BACKENDS,
-    DEFAULT_EXECUTION,
-    PRECISIONS,
-    ExecutionSpec,
-)
+from repro.fl.execution import DEFAULT_EXECUTION, PRECISIONS, ExecutionSpec
 from repro.fl.trainer import DEFAULT_CHUNK_SIZE
 from repro.utils.serialization import save_json
 from repro.utils.tables import render_table
@@ -135,12 +131,6 @@ def _add_common_options(
     # One flag per ExecutionSpec field, stored under the field's name:
     # _parse_args builds the spec from them.
     parser.add_argument(
-        "--backend", choices=BACKENDS,
-        default=default(DEFAULT_EXECUTION.backend),
-        help="trainer local-SGD engine (bit-identical results; "
-        "'loop' is the slow reference path)",
-    )
-    parser.add_argument(
         "--chunk-size", type=int, default=default(None), metavar="CLIENTS",
         help="memory-bounded stack width for training runs (bit-identical "
         f"results; default: {DEFAULT_CHUNK_SIZE} participants per stack)",
@@ -162,7 +152,7 @@ def _add_common_options(
         "--algorithm", default=default(None), metavar="KIND[:P=V,...]",
         help="local-update rule for training runs: fedavg (default), "
         "fedprox[:mu=...], feddyn[:alpha=...], server_momentum[:beta=...] "
-        "(beta composes onto fedprox/feddyn). Unlike --backend this "
+        "(beta composes onto fedprox/feddyn). Unlike --chunk-size this "
         "changes results, so non-default algorithms get their own cache "
         "keys",
     )
@@ -357,7 +347,7 @@ def _orchestrator(args) -> Optional[ExperimentOrchestrator]:
 def _api_runtime(args):
     """The warm :class:`~repro.api.ApiRuntime` the global flags describe.
 
-    Built on :func:`_orchestrator`, so ``--cache-dir``/``--jobs``/backend
+    Built on :func:`_orchestrator`, so ``--cache-dir``/``--jobs``/execution
     flags reach the facade — and the facade's cache keys match the batch
     pipeline's, making the store one shared tier across every surface.
     """

@@ -17,6 +17,12 @@ Job kinds
   :class:`~repro.game.pricing.PricingOutcome`.
 * :class:`TrainJob` — one FL training run at a fixed participation vector
   ``q`` and seed; produces a :class:`~repro.fl.history.TrainingHistory`.
+  Due train jobs that share ``(execution, algorithm)`` are submitted
+  together as one *lockstep group* (one trainer advancing all their runs
+  with shared kernel calls, see
+  :func:`~repro.experiments.runner.run_histories`); each member is still
+  keyed, cached and checkpointed on its own, and its history equals its
+  solo run's.
 
 A pricing comparison is the two-level DAG ``equilibrium -> {train(seed)}``
 per scheme; a Figs.-5-7 sweep is the same DAG once per swept value. The
@@ -88,8 +94,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
 
 import repro
 from repro import faults
@@ -539,50 +543,64 @@ def _build_scheme(spec: "EquilibriumJob"):
     return cls(**kwargs)
 
 
-def _execute_spec(prepared: PreparedSetup, spec: JobSpec) -> dict:
-    """Run one job and return its *encoded* payload.
+def _job_checkpoint(spec: TrainJob) -> TrainJob:
+    """``spec`` checkpointing into its own key-derived subdirectory.
 
-    Both inline and pool jobs return encoded documents, and the
-    orchestrator always decodes before handing results to callers — so
-    fresh, parallel, and cache-hit results pass through the exact same
-    codec and are indistinguishable.
+    Keyed by the job's own identity, so concurrent jobs, the members of a
+    lockstep group and retries of one job each land in a stable,
+    collision-free location.
     """
-    if isinstance(spec, EquilibriumJob):
+    if spec.checkpoint is None:
+        return spec
+    digest = content_address({"kind": spec.kind, **spec.key_fields()})
+    return dataclasses.replace(
+        spec,
+        checkpoint=dataclasses.replace(
+            spec.checkpoint,
+            directory=str(Path(spec.checkpoint.directory) / digest[:16]),
+        ),
+    )
+
+
+def _execute_spec(
+    prepared: PreparedSetup, specs: Sequence[JobSpec]
+) -> List[dict]:
+    """Run one scheduled unit and return one *encoded* payload per spec.
+
+    A unit is one equilibrium job, or a lockstep group of train jobs that
+    share ``(execution, algorithm)``: the group trains through one
+    :func:`~repro.experiments.runner.run_histories` call, and each
+    member's history equals its solo run. Both inline and pool units
+    return encoded documents, and the orchestrator always decodes before
+    handing results to callers — so fresh, parallel, grouped and
+    cache-hit results pass through the exact same codec and are
+    indistinguishable.
+    """
+    if all(isinstance(spec, TrainJob) for spec in specs):
+        from repro.experiments.runner import run_histories
+
+        histories = run_histories(
+            prepared, [_job_checkpoint(spec) for spec in specs]
+        )
+        return [history_to_doc(history) for history in histories]
+    docs = []
+    for spec in specs:
+        if not isinstance(spec, EquilibriumJob):
+            raise TypeError(f"unknown job spec {type(spec).__name__}")
         scheme = _build_scheme(spec)
         outcome = scheme.apply(apply_variant(prepared, spec.variant).problem)
-        return outcome_to_doc(outcome)
-    if isinstance(spec, TrainJob):
-        from repro.experiments.runner import run_history
-
-        checkpoint = spec.checkpoint
-        if checkpoint is not None:
-            # Per-job subdirectory keyed by the job's own identity, so
-            # concurrent jobs (and retries of this one) land in a stable,
-            # collision-free location.
-            digest = content_address({"kind": spec.kind, **spec.key_fields()})
-            checkpoint = dataclasses.replace(
-                checkpoint,
-                directory=str(Path(checkpoint.directory) / digest[:16]),
-            )
-        history = run_history(
-            prepared,
-            np.asarray(spec.q, dtype=float),
-            seed=spec.seed,
-            participation=spec.participation,
-            exclude_zero=spec.exclude_zero,
-            algorithm=spec.algorithm,
-            execution=spec.execution,
-            checkpoint=checkpoint,
-        )
-        return history_to_doc(history)
-    raise TypeError(f"unknown job spec {type(spec).__name__}")
+        docs.append(outcome_to_doc(outcome))
+    return docs
 
 
-def _run_remote(spec: JobSpec, attempt: int = 0, key: str = "") -> dict:
+def _run_remote(
+    specs: Sequence[JobSpec], attempts: Sequence[int], keys: Sequence[str]
+) -> List[dict]:
     if _WORKER_PREPARED is None:
         raise RuntimeError("worker pool was not initialized with a setup")
-    faults.on_job(spec.kind, key, attempt)
-    return _execute_spec(_WORKER_PREPARED, spec)
+    for spec, attempt, key in zip(specs, attempts, keys):
+        faults.on_job(spec.kind, key, attempt)
+    return _execute_spec(_WORKER_PREPARED, specs)
 
 
 class _InlineExecutor(Executor):
@@ -692,11 +710,61 @@ class _Inflight:
     started: float = 0.0
 
 
+def _submission_units(
+    due: List[_Inflight], slots: int
+) -> List[List[_Inflight]]:
+    """Split the due jobs into at most ``slots`` submissions.
+
+    Each equilibrium job is a unit of its own. Train jobs that share
+    ``(execution, algorithm)`` form one lockstep group, placed where the
+    first of them is queued. Units are taken in queue order, one per
+    slot; slots left over split the taken train groups evenly (a group of
+    ``n`` over ``s`` slots runs as ``s`` contiguous pieces of ``n // s``
+    or ``n // s + 1`` jobs), so every worker gets a share of the training.
+    """
+    units: List[List[_Inflight]] = []
+    groups: Dict[tuple, List[_Inflight]] = {}
+    for job in due:
+        spec = job.spec
+        if not isinstance(spec, TrainJob):
+            units.append([job])
+            continue
+        share = (spec.execution, spec.algorithm)
+        if share not in groups:
+            groups[share] = []
+            units.append(groups[share])
+        groups[share].append(job)
+    units = units[:slots]
+    pieces = [1] * len(units)
+    spare = slots - len(units)
+    while spare > 0:
+        growable = [
+            index
+            for index, unit in enumerate(units)
+            if isinstance(unit[0].spec, TrainJob) and pieces[index] < len(unit)
+        ][:spare]
+        if not growable:
+            break
+        for index in growable:
+            pieces[index] += 1
+        spare -= len(growable)
+    split = []
+    for unit, count in zip(units, pieces):
+        size, extra = divmod(len(unit), count)
+        start = 0
+        for piece in range(count):
+            end = start + size + (piece < extra)
+            split.append(unit[start:end])
+            start = end
+    return split
+
+
 class ExperimentOrchestrator:
     """Executes job DAGs across a worker pool with result memoization.
 
     Args:
-        jobs: Jobs in flight at once. ``1`` (the default) runs each job
+        jobs: Submission units (one job, or a lockstep group of train
+            jobs) in flight at once. ``1`` (the default) runs each unit
             inline in the calling process — no pool, no pickling — which
             is also the reference order for the determinism contract;
             ``N > 1`` runs them on ``N`` worker processes. Both go through
@@ -718,9 +786,11 @@ class ExperimentOrchestrator:
             string/dict form, or ``None`` for plain FedAvg). It changes
             results, so non-default values enter every train job's key.
         job_timeout: Seconds a pool job may run before it is presumed
-            stuck; the pool is torn down (a running task cannot be
-            cancelled individually), the overdue job is retried with
-            backoff, and on-time victims are resubmitted without penalty.
+            stuck (a lockstep group of ``k`` train jobs gets ``k`` times
+            this, since it does ``k`` jobs' work); the pool is torn down
+            (a running task cannot be cancelled individually), every
+            member of the overdue unit is retried with backoff, and
+            on-time victims are resubmitted without penalty.
             An inline (``jobs=1``) job cannot be stopped, so the timeout
             applies to pooled jobs only. ``None`` (default) disables
             timeouts.
@@ -799,24 +869,30 @@ class ExperimentOrchestrator:
 
         A ready node (all dependencies resolved) joins a job already
         queued or in flight under its key, else resolves from the cache,
-        else queues a job. Queued jobs are submitted while fewer than
-        ``jobs`` are in flight: to a process pool, or at ``jobs=1`` to an
-        inline executor that runs each job in the calling process before
-        the next is submitted. Node results are deterministic, so
-        scheduling order never affects values.
+        else queues a job. Queued jobs are submitted in units while fewer
+        than ``jobs`` units are in flight: each equilibrium job alone, and
+        the due train jobs sharing ``(execution, algorithm)`` as one
+        lockstep group, split evenly across the free slots (see
+        :func:`_submission_units`). Units go to a process pool, or at
+        ``jobs=1`` to an inline executor that runs each unit in the
+        calling process before the next is submitted. Node results are
+        deterministic and a group member's history equals its solo run's,
+        so scheduling and grouping never affect values.
 
-        One loop serves every ``jobs`` count. A job that raises, or whose
+        One loop serves every ``jobs`` count. A unit that raises, or whose
         worker dies (:class:`~concurrent.futures.process.BrokenProcessPool`),
-        is retried up to ``max_retries`` times with exponential backoff
-        and seeded jitter, as is a pool job that exceeds ``job_timeout``
-        (an inline job cannot be stopped); a dead or stuck pool is
-        replaced, and the other jobs it held are resubmitted without
-        penalty. Every incident lands in :attr:`last_report`; a job that
-        exhausts its budget raises :class:`GraphFailure` from its last
-        exception. Each result is persisted as it is collected, so an
-        interrupted run keeps every finished job. The pool is always shut
-        down — forcibly (terminating workers) when jobs were still in
-        flight, as on ``KeyboardInterrupt``.
+        charges each of its jobs one attempt, and each is retried up to
+        ``max_retries`` times with exponential backoff and seeded jitter
+        (regrouped with whatever is due then), as are the jobs of a pool
+        unit that exceeds its timeout (an inline unit cannot be stopped);
+        a dead or stuck pool is replaced, and the other jobs it held are
+        resubmitted without penalty. Every incident lands in
+        :attr:`last_report`; a job that exhausts its budget raises
+        :class:`GraphFailure` from its last exception. Each result is
+        persisted as it is collected, so an interrupted run keeps every
+        finished job (every member of a finished group). The pool is
+        always shut down — forcibly (terminating workers) when jobs were
+        still in flight, as on ``KeyboardInterrupt``.
         """
         by_name = {node.name: node for node in nodes}
         if len(by_name) != len(nodes):
@@ -845,18 +921,19 @@ class ExperimentOrchestrator:
         # An inline job runs on `prepared` itself; a pool job on the copy
         # its worker's initializer unpickled.
         if self.jobs == 1:
-            def task(spec: JobSpec, attempt: int, key: str) -> dict:
-                return _execute_spec(prepared, spec)
+            def task(specs, attempts, keys) -> List[dict]:
+                return _execute_spec(prepared, specs)
         else:
             task = _run_remote
         # Every job between its cache miss and its result, by key; nodes
         # sharing a key coalesce onto it. `queue` holds those not in
-        # flight, in order; `futures` those in flight.
+        # flight, in order; `futures` the submitted units (one job, or a
+        # lockstep group of train jobs) in flight.
         open_jobs: Dict[str, _Inflight] = {}
         queue: List[_Inflight] = []
-        futures: Dict[Future, _Inflight] = {}
+        futures: Dict[Future, List[_Inflight]] = {}
 
-        def submit(job: _Inflight) -> None:
+        def submit(group: List[_Inflight]) -> None:
             nonlocal executor, payload
             if executor is None and self.jobs == 1:
                 executor = _InlineExecutor()
@@ -870,17 +947,25 @@ class ExperimentOrchestrator:
                     initializer=_init_worker,
                     initargs=(payload, self.fault_plan),
                 )
-            job.started = time.monotonic()
+            started = time.monotonic()
+            for job in group:
+                job.started = started
             try:
-                future = executor.submit(task, job.spec, job.attempt, job.key)
+                future = executor.submit(
+                    task,
+                    [job.spec for job in group],
+                    [job.attempt for job in group],
+                    [job.key for job in group],
+                )
             except BrokenProcessPool:
                 # A worker died since the last wait(); its own future
-                # reports the crash. This job never ran: queue it again
-                # at the same attempt for the fresh pool.
-                requeue(job)
+                # reports the crash. These jobs never ran: queue them
+                # again at the same attempt for the fresh pool.
+                for job in group:
+                    requeue(job)
                 return
-            futures[future] = job
-            report.submitted += 1
+            futures[future] = group
+            report.submitted += len(group)
 
         def requeue(job: _Inflight, delay: float = 0.0) -> None:
             job.ready_at = time.monotonic() + delay
@@ -964,14 +1049,16 @@ class ExperimentOrchestrator:
                             results[name] = cached
                             progressed = True
                 # Submit due jobs (new, or past their backoff) into the
-                # free slots. At most `jobs` are in flight, so an inline
-                # result is collected before the next job runs, and a pool
-                # job's timeout clock starts when a worker is free for it.
+                # free slots, train jobs as lockstep groups. At most `jobs`
+                # units are in flight, so an inline result is collected
+                # before the next unit runs, and a pool unit's timeout
+                # clock starts when a worker is free for it.
                 now = time.monotonic()
                 due = [job for job in queue if job.ready_at <= now]
-                for job in due[: self.jobs - len(futures)]:
-                    queue.remove(job)
-                    submit(job)
+                for group in _submission_units(due, self.jobs - len(futures)):
+                    for job in group:
+                        queue.remove(job)
+                    submit(group)
                 if not futures:
                     if queue:
                         time.sleep(
@@ -994,40 +1081,51 @@ class ExperimentOrchestrator:
                 )
                 pool_broken = False
                 for future in done:
-                    job = futures.pop(future)
+                    group = futures.pop(future)
                     try:
-                        doc = future.result()
+                        docs = future.result()
                     except BrokenProcessPool:
+                        # A failed group charges every member one attempt.
                         pool_broken = True
-                        fail_and_retry(job, "crash")
+                        for job in group:
+                            fail_and_retry(job, "crash")
                         continue
                     except Exception as error:
-                        fail_and_retry(job, "error", error)
+                        for job in group:
+                            fail_and_retry(job, "error", error)
                         continue
-                    del open_jobs[job.key]
-                    decoded = self._decode(prepared, job.spec, doc)
-                    store_error = cache.put(
-                        job.key,
-                        job_key_doc(prepared, job.spec, setup_doc=setup_doc),
-                        job.spec.kind,
-                        doc,
-                        decoded,
-                    )
-                    if store_error is not None:
-                        # The result is in hand; losing its memoization is
-                        # recoverable and must not kill the graph.
-                        report.record(
-                            "store-error", key=job.key, error=str(store_error)
+                    # Each member is memoized and persisted under its own
+                    # key, in group order.
+                    for job, doc in zip(group, docs):
+                        del open_jobs[job.key]
+                        decoded = self._decode(prepared, job.spec, doc)
+                        store_error = cache.put(
+                            job.key,
+                            job_key_doc(
+                                prepared, job.spec, setup_doc=setup_doc
+                            ),
+                            job.spec.kind,
+                            doc,
+                            decoded,
                         )
-                    for name in job.names:
-                        results[name] = decoded
+                        if store_error is not None:
+                            # The result is in hand; losing its memoization
+                            # is recoverable and must not kill the graph.
+                            report.record(
+                                "store-error",
+                                key=job.key,
+                                error=str(store_error),
+                            )
+                        for name in job.names:
+                            results[name] = decoded
                 if pool_broken:
                     # A dead worker poisons the whole pool: every other
                     # in-flight future fails with BrokenProcessPool too.
                     # They are victims, not culprits — resubmit them on a
                     # fresh pool at the same attempt, immediately.
-                    for victim in futures.values():
-                        requeue(victim)
+                    for victims in futures.values():
+                        for victim in victims:
+                            requeue(victim)
                     futures.clear()
                     self._shutdown_pool(executor, force=True)
                     executor = None
@@ -1047,21 +1145,25 @@ class ExperimentOrchestrator:
                 self._shutdown_pool(executor, force=bool(futures))
         return results
 
+    def _deadline(self, group: List[_Inflight]) -> float:
+        """When an in-flight unit is overdue: a group does ``len(group)``
+        jobs' work, so it gets ``job_timeout`` per member."""
+        return group[0].started + self.job_timeout * len(group)
+
     def _wait_timeout(
-        self, futures: Dict[Future, _Inflight], queue: List[_Inflight]
+        self, futures: Dict[Future, List[_Inflight]], queue: List[_Inflight]
     ) -> Optional[float]:
         """How long the scheduler may block: until the next retry leaves
-        its backoff or the oldest in-flight job would exceed
-        ``job_timeout``. A due job waiting for a slot waits for a
-        completion."""
+        its backoff or the first in-flight unit would pass its deadline.
+        A due job waiting for a slot waits for a completion."""
         timeout: Optional[float] = None
         now = time.monotonic()
         backoffs = [job.ready_at for job in queue if job.ready_at > now]
         if backoffs:
             timeout = min(backoffs) - now
         if self.job_timeout is not None:
-            oldest = min(job.started for job in futures.values())
-            until_deadline = max(0.0, oldest + self.job_timeout - now)
+            deadline = min(self._deadline(group) for group in futures.values())
+            until_deadline = max(0.0, deadline - now)
             timeout = (
                 until_deadline
                 if timeout is None
@@ -1071,36 +1173,38 @@ class ExperimentOrchestrator:
 
     def _enforce_timeouts(
         self,
-        futures: Dict[Future, _Inflight],
+        futures: Dict[Future, List[_Inflight]],
         fail_and_retry: Callable[..., None],
         requeue: Callable[..., None],
     ) -> bool:
-        """Handle jobs running past ``job_timeout``.
+        """Handle units running past their deadline (``job_timeout`` per
+        member, see :meth:`_deadline`).
 
         Returns whether the pool is now poisoned and must be replaced. A
         :class:`ProcessPoolExecutor` cannot cancel a *running* task, so
-        one overdue job costs the whole pool: overdue jobs retry with
-        backoff, on-time victims resubmit immediately at their current
-        attempt, and futures that already completed (but are not yet
-        collected) stay — their results survive the pool. Inline futures
-        are complete on return, so they never time out.
+        one overdue unit costs the whole pool: every member of an overdue
+        unit retries with backoff, on-time victims resubmit immediately at
+        their current attempt, and futures that already completed (but are
+        not yet collected) stay — their results survive the pool. Inline
+        futures are complete on return, so they never time out.
         """
         now = time.monotonic()
         overdue = {
             future
-            for future, job in futures.items()
-            if not future.done() and now - job.started >= self.job_timeout
+            for future, group in futures.items()
+            if not future.done() and now >= self._deadline(group)
         }
         if not overdue:
             return False
-        for future, job in list(futures.items()):
+        for future, group in list(futures.items()):
             if future.done():
                 continue
             del futures[future]
-            if future in overdue:
-                fail_and_retry(job, "timeout")
-            else:
-                requeue(job)
+            for job in group:
+                if future in overdue:
+                    fail_and_retry(job, "timeout")
+                else:
+                    requeue(job)
         return True
 
     def _retry_delay(self, key: str, attempt: int) -> float:

@@ -15,20 +15,23 @@ content-addressed memoization (results are bit-identical either way).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.algorithms import coerce_algorithm
 from repro.experiments.setup import PreparedSetup
 from repro.fl import (
     BernoulliParticipation,
     CheckpointConfig,
     ExecutionSpec,
     FederatedTrainer,
+    ParticipationModel,
     ParticipationSpec,
     TrainingHistory,
 )
+from repro.fl.execution import DEFAULT_EXECUTION
 from repro.fl.history import average_histories
 from repro.game import (
     OptimalPricing,
@@ -38,6 +41,7 @@ from repro.game import (
     WeightedPricing,
 )
 from repro.models import ExponentialDecaySchedule
+from repro.utils.rng import RngFactory
 
 logger = logging.getLogger(__name__)
 
@@ -73,6 +77,8 @@ def run_history(
 ) -> TrainingHistory:
     """One FL training run at participation vector ``q`` on the testbed.
 
+    The one-run case of :func:`run_histories`.
+
     ``q`` is clipped into ``[Q_MIN, 1]`` (see :data:`Q_MIN`); when clipping
     actually changes a value a warning is logged so biased-participation
     configurations are not silently masked.
@@ -102,9 +108,26 @@ def run_history(
     ``None`` for plain FedAvg — see :mod:`repro.algorithms`); it changes
     the produced history.
     """
-    requested = np.asarray(q, dtype=float)
+    from repro.experiments.orchestrator import TrainJob
+
+    job = TrainJob(
+        q=tuple(float(v) for v in np.asarray(q, dtype=float)),
+        seed=seed,
+        participation=participation,
+        exclude_zero=exclude_zero,
+        algorithm=algorithm,
+        execution=replace(execution or DEFAULT_EXECUTION, **knobs),
+        checkpoint=checkpoint,
+    )
+    [history] = run_histories(prepared, [job])
+    return history
+
+
+def _participation_model(job, factory: RngFactory) -> ParticipationModel:
+    """The round process of one train job, on its clipped ``q``."""
+    requested = np.asarray(job.q, dtype=float)
     q = np.clip(requested, Q_MIN, 1.0)
-    if exclude_zero:
+    if job.exclude_zero:
         q = np.where(requested == 0.0, 0.0, q)
     changed = q != requested
     if np.any(changed):
@@ -120,16 +143,51 @@ def run_history(
             float(requested.max()),
             Q_MIN,
         )
+    rng = factory.make("participation")
+    if job.participation is None:
+        return BernoulliParticipation(q, rng=rng)
+    return job.participation.build(q, rng=rng)
+
+
+def run_histories(
+    prepared: PreparedSetup, jobs: Sequence
+) -> List[TrainingHistory]:
+    """Train a group of runs of one prepared setup in lockstep.
+
+    ``jobs`` are :class:`~repro.experiments.orchestrator.TrainJob` specs
+    that share one ``algorithm`` and one ``execution``; each job's ``q``,
+    ``seed``, ``participation``, ``exclude_zero`` and ``checkpoint``
+    describe one run, as the matching :func:`run_history` arguments do.
+    All runs advance through one
+    :meth:`~repro.fl.FederatedTrainer.run_group`, so each round's local
+    SGD for every run is one set of stacked kernel calls. Returns one
+    history per job, in order, each bit-identical to that job's
+    :func:`run_history` alone.
+    """
+    jobs = list(jobs)
+    if not jobs:
+        return []
+    first = jobs[0]
+    algorithm = coerce_algorithm(first.algorithm)
+    for job in jobs[1:]:
+        if (coerce_algorithm(job.algorithm), job.execution) != (
+            algorithm,
+            first.execution,
+        ):
+            raise ValueError(
+                "a lockstep group shares one algorithm and one execution "
+                f"spec; got {job.algorithm!r}/{job.execution!r} beside "
+                f"{first.algorithm!r}/{first.execution!r}"
+            )
     config = prepared.config
-    child = prepared.rng_factory.child("run", str(seed))
-    if participation is None:
-        model = BernoulliParticipation(q, rng=child.make("participation"))
-    else:
-        model = participation.build(q, rng=child.make("participation"))
+    # Every stream of a run comes from the setup's ("run", seed) child.
+    factories = [
+        prepared.rng_factory.child("run", str(job.seed)) for job in jobs
+    ]
     trainer = FederatedTrainer(
         prepared.model,
         prepared.federated,
-        model,
+        _participation_model(first, factories[0]),
         schedule=ExponentialDecaySchedule(
             initial=config.initial_lr, decay=config.lr_decay
         ),
@@ -137,12 +195,19 @@ def run_history(
         batch_size=config.batch_size,
         round_timer=prepared.runtime.round_timer(),
         eval_every=prepared.eval_every,
-        rng_factory=child,
+        rng_factory=factories[0],
         algorithm=algorithm,
-        execution=execution,
-        **knobs,
+        execution=first.execution,
     )
-    return trainer.run(config.num_rounds, checkpoint=checkpoint)
+    states = [trainer.state] + [
+        trainer.make_state(_participation_model(job, factory), factory)
+        for job, factory in zip(jobs[1:], factories[1:])
+    ]
+    return trainer.run_group(
+        states,
+        config.num_rounds,
+        checkpoints=[job.checkpoint for job in jobs],
+    )
 
 
 @dataclass

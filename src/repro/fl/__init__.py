@@ -8,21 +8,23 @@ corrected rule that keeps the global update unbiased for *any* ``q``.
 Public symbols and their paper correspondence:
 
 * :class:`FLServer` — holds ``w^r`` and applies aggregated deltas.
-* :class:`FederatedTrainer` — the synchronous training loop producing one
-  Fig.-4 curve; wall-clock comes from a pluggable round timer (the
+* :class:`FederatedTrainer` — the synchronous training loop producing
+  Fig.-4 curves; wall-clock comes from a pluggable round timer (the
   simulated Raspberry-Pi testbed of Sec. VI-A). Each client's ``E``
-  local iterations (Algorithm 1's client side) are
+  local iterations (Algorithm 1's client side) run as one row of a
+  stacked batched-kernel call, bit-identical to
   :func:`~repro.models.optim.sgd_steps` on its shard with its own
-  stream. Local SGD executes on a ``backend``: ``"vectorized"``
-  (default) stacks every participant's round into batched model
-  kernels, ``"loop"`` is the per-client reference; both produce
-  bit-identical histories.
+  stream. :meth:`FederatedTrainer.run_group` advances several runs on
+  one federation in lockstep (one set of kernel calls per round across
+  all of them); :meth:`FederatedTrainer.run` is the one-run case, and
+  each run's history is the same either way.
 * :class:`RunState` — everything one training mutates (participation
-  process, client SGD streams, server, algorithm state, clock, history);
-  its document form is the trainer's checkpoint.
-* :class:`ExecutionSpec` — the trainer's execution knobs (engine, stack
-  width, precision, fast tier) as one frozen object that states which of
-  them enter cache keys.
+  process, client SGD streams, server, algorithm state, clock, history,
+  the fast tier's evaluation panel); its document form is the trainer's
+  checkpoint.
+* :class:`ExecutionSpec` — the trainer's execution knobs (stack width,
+  precision, fast tier) as one frozen object that states which of them
+  enter cache keys.
 * :class:`TrainingHistory` / :class:`RoundRecord` /
   :func:`average_histories` — per-round records with the time-to-target
   queries behind Tables II/III and the seed-averaged curves of Fig. 4.

@@ -19,8 +19,9 @@ Because JSON round-trips floats exactly (Python's ``repr`` is the
 shortest round-tripping decimal) and numpy bit-generator states restore
 bit-for-bit, a resumed run replays the remaining rounds with *exactly*
 the random draws and arithmetic the uninterrupted run would have made —
-the resumed history is bit-identical, on every backend and chunking
-(which consume identical draws by the PR-3 contract).
+the resumed history is bit-identical, at every chunking and alone or in
+a lockstep group (which consume identical draws by the determinism
+contract).
 
 Checkpoints are written atomically (temp file + ``os.replace``) into one
 directory, named ``round-<next_round>.json``; a kill at any instant

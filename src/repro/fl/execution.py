@@ -18,9 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
-#: Supported local-SGD execution strategies.
-BACKENDS = ("vectorized", "loop")
-
 #: Working precisions the trainer accepts (``--precision`` values).
 PRECISIONS = ("float64", "float32")
 
@@ -33,12 +30,15 @@ def _knob(default, *, changes_results: bool):
 class ExecutionSpec:
     """Frozen description of how the trainer executes.
 
+    There is one local-update engine: every participant's local SGD runs
+    as rows of stacked batched-kernel calls (across all the runs of a
+    lockstep group, see :meth:`repro.fl.trainer.FederatedTrainer.run_group`).
+    The knobs below say how wide those stacks are and in which precision
+    and tier they run.
+
     Attributes:
-        backend: ``"vectorized"`` (default) stacks the participants' local
-            SGD into batched model kernels; ``"loop"`` runs the reference
-            per-client loop. Histories are bit-identical either way.
-        chunk_size: Maximum participants per vectorized stack; ``None``
-            means :data:`repro.fl.trainer.DEFAULT_CHUNK_SIZE` on every
+        chunk_size: Maximum kernel rows per stack; ``None`` means
+            :data:`repro.fl.trainer.DEFAULT_CHUNK_SIZE` on every
             federation and tier. Histories are bit-identical for every
             chunking.
         precision: Working dtype of the local-SGD kernels. ``"float64"``
@@ -49,7 +49,6 @@ class ExecutionSpec:
             equivalent to the exact tier).
     """
 
-    backend: str = _knob("vectorized", changes_results=False)
     chunk_size: Optional[int] = _knob(None, changes_results=False)
     precision: str = _knob("float64", changes_results=True)
     fast: bool = _knob(False, changes_results=True)
@@ -57,10 +56,6 @@ class ExecutionSpec:
     def __post_init__(self) -> None:
         # Messages lead with the field name, which the CLI reports as the
         # matching flag.
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"backend {self.backend!r} is unknown; choose from {BACKENDS}"
-            )
         if self.chunk_size is not None:
             if self.chunk_size < 1:
                 raise ValueError(

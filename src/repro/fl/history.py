@@ -54,7 +54,7 @@ class TrainingHistory:
 
         Two histories digest equally iff they are bit-identical under the
         lossless ``history/v1`` codec — the cheap way to assert the
-        determinism contract (backends, chunkings, checkpoint/resume) in
+        determinism contract (chunkings, lockstep groups, checkpoint/resume) in
         tests and logs.
         """
         from repro.utils.serialization import content_address, history_to_doc

@@ -9,7 +9,7 @@ and reader.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from repro.fl.checkpoint import ACCEPTED_CHECKPOINT_FORMATS, CHECKPOINT_FORMAT
 from repro.fl.history import TrainingHistory
 from repro.fl.participation import ParticipationModel
 from repro.fl.server import FLServer
+from repro.models.metrics import EvaluationPanel
 from repro.utils.rng import restore_rng_state, rng_state_doc
 
 
@@ -35,6 +36,10 @@ class RunState:
         next_round: Index of the next round to play.
         sim_time: Simulated seconds elapsed.
         history: The rounds recorded so far.
+        eval_panel: The fast tier's evaluation panel, drawn once from the
+            run's own factory (``None`` on the exact path and on fleets
+            small enough to score exactly). Rebuilt from the factory, so
+            it does not travel in the checkpoint.
         last_subsampled_loss: Diagnostics of the most recent sub-sampled
             evaluation (``None`` on the exact path). A diagnostic only: it
             does not travel in the checkpoint.
@@ -46,11 +51,13 @@ class RunState:
         streams: List[np.random.Generator],
         server: FLServer,
         algorithm: Algorithm,
+        eval_panel: Optional[EvaluationPanel] = None,
     ):
         self.participation = participation
         self.streams = streams
         self.server = server
         self.algorithm = algorithm
+        self.eval_panel = eval_panel
         self.last_subsampled_loss = None
         self.restart()
 

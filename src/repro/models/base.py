@@ -11,8 +11,9 @@ Two compute granularities are exposed:
   parameter vector on one batch — the reference semantics; and
 * the batched API (:meth:`Model.batched_loss` / :meth:`Model.batched_gradient`)
   evaluates a ``(num_tasks, num_params)`` parameter *stack* against a matching
-  stack of batches in one call, which is what lets the vectorized FL backend
-  run every participating client's local SGD step as a single numpy kernel.
+  stack of batches in one call, which is what lets the FL trainer's
+  local-update engine run every participating client's local SGD step (of
+  every run in a lockstep group) as a single numpy kernel.
 
 The base-class batched implementations fall back to looping the scalar API,
 so any :class:`Model` subclass works with the vectorized trainer out of the
@@ -136,8 +137,11 @@ class Model(ABC):
             prox_coeff: Optional proximal coefficient; every step's
                 gradient gains ``prox_coeff * (w - prox_center)``
                 (the algorithm layer's FedProx/FedDyn hook).
-            prox_center: Proximal anchor, shape ``(num_params,)``
-                broadcast across tasks. Required with ``prox_coeff``.
+            prox_center: Proximal anchor: ``(num_params,)`` broadcast
+                across tasks, or ``(num_tasks, num_params)``, one anchor
+                per task (each row's own run in a lockstep group). The
+                term is element-wise per row, so a row's result is the
+                same either way. Required with ``prox_coeff``.
             linear_term: Optional per-task constant gradient offset,
                 shape ``(num_tasks, num_params)`` (FedDyn's ``-h_n``).
 

@@ -9,8 +9,8 @@ Both models implement the batched :class:`~repro.models.base.Model` API with
 stacked ``np.matmul`` kernels. Stacked matmul dispatches the same BLAS GEMM
 per 2-D slice as the scalar path does per call, so ``batched_gradient`` /
 ``batched_loss`` are **bit-identical** to looping :meth:`gradient` /
-:meth:`loss` over the slices — the property the vectorized FL backend's
-determinism contract rests on (see ``docs/ARCHITECTURE.md``).
+:meth:`loss` over the slices — the property the FL trainer's
+local-update engine's determinism contract rests on (see ``docs/ARCHITECTURE.md``).
 """
 
 from __future__ import annotations
@@ -266,12 +266,13 @@ class MultinomialLogisticRegression(Model):
             num_tasks, self.num_classes, self.num_features
         ).transpose(0, 2, 1)
         bias = current[:, split:][:, None, :]
-        # One gather for the round's labels, turned into flat positions of
-        # each step's true-label logits inside ``logits.ravel()``.
-        label_steps = labels[batch_indices]
-        positions = work["base"][None, :num_tasks * batch] + label_steps.transpose(
-            1, 0, 2
-        ).reshape(num_steps, -1)
+        # One step-major gather for the round's labels, turned in place
+        # into flat positions of each step's true-label logits inside
+        # ``logits.ravel()``.
+        positions = labels[batch_indices.transpose(1, 0, 2)].reshape(
+            num_steps, -1
+        ).astype(np.intp, copy=False)
+        positions += work["base"][:num_tasks * batch]
         logits = work["logits"][:num_tasks]
         logits_flat = logits.reshape(-1)
         logits_t = logits.transpose(0, 2, 1)

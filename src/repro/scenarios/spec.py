@@ -247,7 +247,7 @@ class ScenarioSpec:
         entries. ``streaming`` enters only when set (it selects a whole
         different preparation — synthetic economy over regenerable
         shards), keeping every pre-existing fingerprint stable. ``fast``
-        never enters: like the trainer's backend knob, the tier changes
+        never enters: like the trainer's chunk width, the tier changes
         how results are computed, not which setup they describe.
         ``algorithm`` never enters either — it changes the trained
         histories (so it lives in :meth:`fingerprint` and the train-job

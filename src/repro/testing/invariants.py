@@ -26,11 +26,12 @@ Families:
   (FedProx/FedDyn/server momentum), whose deterministic gradient terms
   must never touch the participation indicators.
 * ``codec`` — spec/JSON round-trips and fingerprint stability.
-* ``training`` — cross-implementation bit-identity (loop vs vectorized
-  vs chunked backends, eager vs streaming storage, checkpoint-resume vs
-  uninterrupted, and every :mod:`repro.algorithms` rule across engines)
-  on a tiny federation derived from the case. Expensive, so the campaign
-  runs them on a stride of cases.
+* ``training`` — bit-identity across what must not change numbers (chunk
+  widths, batched kernel rows vs the per-client reference ``sgd_steps``,
+  eager vs streaming storage, checkpoint-resume vs uninterrupted, lockstep
+  groups vs solo runs, and every :mod:`repro.algorithms` rule across all
+  of them) on a tiny federation derived from the case. Expensive, so the
+  campaign runs them on a stride of cases.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro.algorithms import AlgorithmSpec
+from repro.algorithms import AlgorithmSpec, build_algorithm
 from repro.fl.aggregation import UnbiasedDeltaAggregator
 from repro.fl.checkpoint import CheckpointConfig
 from repro.fl.execution import DEFAULT_EXECUTION, ExecutionSpec
@@ -67,6 +68,7 @@ from repro.game.server_problem import (
     solve_stage1_kkt,
 )
 from repro.models import MultinomialLogisticRegression
+from repro.models.optim import draw_batch_indices, sgd_steps
 from repro.scenarios.spec import ScenarioSpec
 from repro.testing.strategies import streaming_federation
 from repro.utils.rng import RngFactory, spawn_rng
@@ -92,6 +94,12 @@ UNBIASEDNESS_CLIENTS = 6
 #: Tiny-federation shape of the training-family checks:
 #: (samples per client, rounds, local steps, batch size).
 TRAIN_SHAPE = (30, 4, 2, 8)
+
+#: Chunk widths the engine invariants train at besides the default.
+CHUNK_WIDTHS = (1, 2)
+
+#: Step size of the kernel-vs-reference row check.
+ORACLE_STEP_SIZE = 0.05
 
 #: Relative tolerance of the approximate equilibrium tier's prices
 #: against the exact KKT bisection's, measured against the
@@ -209,6 +217,44 @@ class InvariantContext:
             self._train_setup = (federated, q)
         return self._train_setup
 
+    @staticmethod
+    def _model(federated) -> MultinomialLogisticRegression:
+        return MultinomialLogisticRegression(
+            num_features=federated.num_features,
+            num_classes=federated.num_classes,
+            l2=1e-2,
+        )
+
+    def _member(self, q: np.ndarray, seed: int):
+        """One run's participation process and stream factory."""
+        factory = RngFactory(seed)
+        participation = self.participation.build(
+            q, rng=factory.make("fuzz-participation")
+        )
+        return participation, factory
+
+    def _trainer(
+        self,
+        federated,
+        member,
+        *,
+        execution: ExecutionSpec = DEFAULT_EXECUTION,
+        algorithm: Optional[AlgorithmSpec] = None,
+    ) -> FederatedTrainer:
+        _, _, local_steps, batch_size = TRAIN_SHAPE
+        participation, factory = member
+        return FederatedTrainer(
+            self._model(federated),
+            federated,
+            participation,
+            local_steps=local_steps,
+            batch_size=batch_size,
+            eval_every=2,
+            rng_factory=factory,
+            algorithm=algorithm,
+            execution=execution,
+        )
+
     def run_training(
         self,
         execution: ExecutionSpec = DEFAULT_EXECUTION,
@@ -228,28 +274,15 @@ class InvariantContext:
         RNG draws. The spec's result-changing knobs (the fast tier) are
         held only to statistical equivalence, never bit identity.
         """
-        _, rounds, local_steps, batch_size = TRAIN_SHAPE
+        _, rounds, _, _ = TRAIN_SHAPE
         federated, q = self._training_inputs()
         if eager:
             federated = federated.materialize()
-        factory = RngFactory(self.seed)
-        model = MultinomialLogisticRegression(
-            num_features=federated.num_features,
-            num_classes=federated.num_classes,
-            l2=1e-2,
-        )
-        trainer = FederatedTrainer(
-            model,
+        trainer = self._trainer(
             federated,
-            self.participation.build(
-                q, rng=factory.make("fuzz-participation")
-            ),
-            local_steps=local_steps,
-            batch_size=batch_size,
-            eval_every=2,
-            rng_factory=factory,
-            algorithm=algorithm,
+            self._member(q, self.seed),
             execution=execution,
+            algorithm=algorithm,
         )
         if interrupt_at is not None:
             base = trainer.round_timer
@@ -261,6 +294,117 @@ class InvariantContext:
 
             trainer.round_timer = timer
         return trainer.run(rounds, checkpoint=checkpoint)
+
+    def lockstep_members(self) -> List[tuple]:
+        """``(q, seed)`` of a mixed group: the case's ``q`` at its seed,
+        the reversed ``q`` at the next seed, and a uniform 0.5 at the
+        case's seed again (common random numbers, another ``q``)."""
+        _, q = self._training_inputs()
+        return [
+            (q, self.seed),
+            (q[::-1].copy(), self.seed + 1),
+            (np.full(q.size, 0.5), self.seed),
+        ]
+
+    def run_group(
+        self,
+        members: List[tuple],
+        *,
+        eager: bool = False,
+        algorithm: Optional[AlgorithmSpec] = None,
+    ) -> list:
+        """``(q, seed)`` members trained as one lockstep group; returns one
+        history per member. A one-member group is a solo run."""
+        _, rounds, _, _ = TRAIN_SHAPE
+        federated, _ = self._training_inputs()
+        if eager:
+            federated = federated.materialize()
+        runs = [self._member(q, seed) for q, seed in members]
+        trainer = self._trainer(federated, runs[0], algorithm=algorithm)
+        states = [trainer.state] + [
+            trainer.make_state(participation, factory)
+            for participation, factory in runs[1:]
+        ]
+        return trainer.run_group(states, rounds)
+
+    def kernel_oracle_mismatches(
+        self, algorithm: Optional[AlgorithmSpec] = None
+    ) -> List[int]:
+        """Clients whose batched-kernel row differs from the per-client
+        reference :func:`~repro.models.optim.sgd_steps` on the same draws.
+
+        Every client of the tiny federation trains one round from its own
+        perturbed start (as the rows of a lockstep group do), stacked by
+        batch width, under ``algorithm``'s gradient terms (FedDyn with a
+        non-zero ``h``); each row must equal ``sgd_steps`` given the
+        row's own start, stream and terms.
+        """
+        _, _, local_steps, batch_size = TRAIN_SHAPE
+        federated, _ = self._training_inputs()
+        model = self._model(federated)
+        num_clients = federated.num_clients
+        rng = spawn_rng(self.seed, "fuzz", "kernel-oracle")
+        starts = model.init_params() + 0.1 * rng.standard_normal(
+            (num_clients, model.num_params)
+        )
+        strategy = build_algorithm(algorithm)
+        strategy.bind(num_clients, model.num_params)
+        state = strategy.state_doc()
+        if state is not None and "h" in state:
+            state["h"] = (
+                0.01 * rng.standard_normal((num_clients, model.num_params))
+            ).tolist()
+            strategy.restore_state(state)
+        factory = RngFactory(self.seed)
+        sizes = federated.sizes
+        draws = [
+            draw_batch_indices(
+                factory.make("client", str(n), "sgd"),
+                sizes[n],
+                local_steps,
+                batch_size,
+            )
+            for n in range(num_clients)
+        ]
+        widths: Dict[int, List[int]] = {}
+        for n, indices in enumerate(draws):
+            widths.setdefault(indices.shape[1], []).append(n)
+        mismatches = []
+        for ids in widths.values():
+            features, labels = federated.stacked_arrays(ids)
+            offsets = np.cumsum(sizes[ids]) - sizes[ids]
+            terms = strategy.stacked_kwargs(starts[ids], ids, np.float64)
+            rows = model.batched_sgd_steps(
+                starts[ids],
+                features,
+                labels,
+                np.stack([draws[n] for n in ids]) + offsets[:, None, None],
+                step_size=ORACLE_STEP_SIZE,
+                **terms,
+            )
+            for row, n in enumerate(ids):
+                shard_features, shard_labels = federated.client_datasets[
+                    n
+                ].arrays()
+                expected = sgd_steps(
+                    model,
+                    starts[n],
+                    shard_features,
+                    shard_labels,
+                    step_size=ORACLE_STEP_SIZE,
+                    num_steps=local_steps,
+                    batch_size=batch_size,
+                    rng=factory.make("client", str(n), "sgd"),
+                    **{
+                        name: value[row]
+                        if isinstance(value, np.ndarray)
+                        else value
+                        for name, value in terms.items()
+                    },
+                )
+                if not np.array_equal(rows[row], expected):
+                    mismatches.append(n)
+        return sorted(mismatches)
 
 
 class _Interrupted(BaseException):
@@ -836,9 +980,11 @@ def check_spec_roundtrip(ctx: InvariantContext) -> List[Violation]:
 
 @register_invariant(
     "backend-bit-identity",
-    claim="Loop, vectorized, and chunked engines produce bit-identical "
-    "histories (PR-3/PR-5 determinism contract)",
-    module="repro.fl.trainer",
+    claim="The one local-update engine trains bit-identical histories at "
+    "chunk widths 1, 2 and the default, and each batched kernel row "
+    "equals the per-client reference sgd_steps on the same draws "
+    "(the determinism contract)",
+    module="repro.fl.trainer / repro.models.linear",
     family="training",
 )
 def check_backend_identity(
@@ -846,19 +992,28 @@ def check_backend_identity(
 ) -> Optional[List[Violation]]:
     if not ctx.train:
         return None
+    violations = []
     reference = ctx.run_training()
-    for backend, chunk in (("loop", None), ("vectorized", 2)):
-        other = ctx.run_training(ExecutionSpec(backend=backend, chunk_size=chunk))
+    for chunk in CHUNK_WIDTHS:
+        other = ctx.run_training(ExecutionSpec(chunk_size=chunk))
         if other.records != reference.records:
-            return [
+            violations.append(
                 _violation(
                     "backend-bit-identity",
-                    "engine variants diverge",
-                    backend=backend,
+                    "chunk widths diverge",
                     chunk_size=chunk,
                 )
-            ]
-    return []
+            )
+    mismatches = ctx.kernel_oracle_mismatches()
+    if mismatches:
+        violations.append(
+            _violation(
+                "backend-bit-identity",
+                "batched kernel rows differ from sgd_steps on the same draws",
+                clients=mismatches,
+            )
+        )
+    return violations
 
 
 @register_invariant(
@@ -921,8 +1076,9 @@ def check_resume_identity(
 @register_invariant(
     "algorithm_backend_identity",
     claim="Every local-update rule (FedProx, FedDyn, server momentum) "
-    "trains bit-identically across the loop, vectorized, and chunked "
-    "engines — algorithm terms consume zero RNG draws",
+    "trains bit-identically at chunk widths 1, 2 and the default, and "
+    "its batched kernel rows equal sgd_steps given the same terms — "
+    "algorithm terms consume zero RNG draws",
     module="repro.algorithms / repro.fl.trainer",
     family="training",
 )
@@ -934,22 +1090,68 @@ def check_algorithm_backend_identity(
     violations = []
     for spec in ALGORITHM_VARIANTS:
         reference = ctx.run_training(algorithm=spec)
-        for backend, chunk in (("loop", None), ("vectorized", 2)):
+        for chunk in CHUNK_WIDTHS:
             other = ctx.run_training(
-                ExecutionSpec(backend=backend, chunk_size=chunk),
-                algorithm=spec,
+                ExecutionSpec(chunk_size=chunk), algorithm=spec
             )
             if other.records != reference.records:
                 violations.append(
                     _violation(
                         "algorithm_backend_identity",
-                        "engine variants diverge under a non-default "
+                        "chunk widths diverge under a non-default "
                         "algorithm",
                         algorithm=spec.canonical(),
-                        backend=backend,
                         chunk_size=chunk,
                     )
                 )
+        mismatches = ctx.kernel_oracle_mismatches(spec)
+        if mismatches:
+            violations.append(
+                _violation(
+                    "algorithm_backend_identity",
+                    "batched kernel rows differ from sgd_steps under a "
+                    "non-default algorithm",
+                    algorithm=spec.canonical(),
+                    clients=mismatches,
+                )
+            )
+    return violations
+
+
+@register_invariant(
+    "lockstep-bit-identity",
+    claim="A lockstep group of mixed-q, mixed-seed runs trains each run "
+    "bit-identically to its solo run, under every local-update rule and "
+    "on both storage kinds",
+    module="repro.fl.trainer",
+    family="training",
+)
+def check_lockstep_identity(
+    ctx: InvariantContext,
+) -> Optional[List[Violation]]:
+    if not ctx.train:
+        return None
+    violations = []
+    members = ctx.lockstep_members()
+    for spec in (None,) + ALGORITHM_VARIANTS:
+        for eager in (False, True):
+            group = ctx.run_group(members, eager=eager, algorithm=spec)
+            for index, history in enumerate(group):
+                [solo] = ctx.run_group(
+                    [members[index]], eager=eager, algorithm=spec
+                )
+                if history.records != solo.records:
+                    violations.append(
+                        _violation(
+                            "lockstep-bit-identity",
+                            "a group member diverges from its solo run",
+                            algorithm=(
+                                "fedavg" if spec is None else spec.canonical()
+                            ),
+                            storage="eager" if eager else "streaming",
+                            member=index,
+                        )
+                    )
     return violations
 
 

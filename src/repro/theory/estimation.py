@@ -297,9 +297,11 @@ def fit_bound_scale(
 ) -> Tuple[float, float]:
     """Fit surrogate ``(alpha, beta)`` to pilot loss measurements.
 
-    For each uniform participation level ``q`` in ``q_levels`` we run a short
-    FL pilot and record the final optimality gap, then solve the non-negative
-    least-squares problem
+    For each uniform participation level ``q`` in ``q_levels`` we run
+    ``seeds_per_level`` short FL pilots (all of them as one lockstep group,
+    see :meth:`~repro.fl.trainer.FederatedTrainer.run_group`) and record
+    each final optimality gap, then solve the non-negative least-squares
+    problem
 
         gap_measured(q) ~= (alpha * h(q) + beta) / R_pilot,
 
@@ -312,8 +314,9 @@ def fit_bound_scale(
         The fitted ``(alpha, beta)``, both guaranteed positive.
     """
     factory = rng_factory or RngFactory(4)
-    penalties = []
-    gaps = []
+    # Every (level, seed) pilot on its own streams; all of them train as
+    # one lockstep group, each bit-identical to a lone trainer's run.
+    penalties, pilots = [], []
     for level in q_levels:
         q = np.full(federated.num_clients, float(level))
         penalty = heterogeneity_term(
@@ -321,21 +324,31 @@ def fit_bound_scale(
         )
         for seed in range(seeds_per_level):
             child = factory.child("fit", f"{level:.3f}", str(seed))
-            trainer = FederatedTrainer(
-                model,
-                federated,
-                BernoulliParticipation(
-                    q, rng=child.make("participation")
-                ),
-                local_steps=local_steps,
-                batch_size=batch_size,
-                eval_every=pilot_rounds,
-                rng_factory=child,
-            )
-            history = trainer.run(pilot_rounds)
-            gap = max(history.final_global_loss() - f_star, 1e-9)
             penalties.append(penalty)
-            gaps.append(gap)
+            pilots.append(
+                (BernoulliParticipation(q, rng=child.make("participation")), child)
+            )
+    histories = []
+    if pilots:
+        participation, child = pilots[0]
+        trainer = FederatedTrainer(
+            model,
+            federated,
+            participation,
+            local_steps=local_steps,
+            batch_size=batch_size,
+            eval_every=pilot_rounds,
+            rng_factory=child,
+        )
+        states = [trainer.state] + [
+            trainer.make_state(participation, child)
+            for participation, child in pilots[1:]
+        ]
+        histories = trainer.run_group(states, pilot_rounds)
+    gaps = [
+        max(history.final_global_loss() - f_star, 1e-9)
+        for history in histories
+    ]
     design = np.column_stack(
         [np.asarray(penalties), np.ones(len(penalties))]
     )

@@ -24,7 +24,9 @@ Owning the mixing lets streams that share a label prefix share its work.
 :class:`StreamPrefix` mixes the seed and the leading labels once;
 :meth:`StreamPrefix.spawn` then finishes only the words that differ per
 stream, which is how the streaming shard provider derives a whole stacked
-fetch's shard streams and the trainer every client's SGD stream.
+fetch's shard streams and the trainer every client's SGD stream;
+:meth:`StreamPrefix.extend` appends labels to a mixed prefix, so an
+:class:`RngFactory` mixes its seed once and each stream only its labels.
 :func:`spawn_rngs` is that batch form over a label path, and
 :func:`spawn_rng` the one-stream case. NumPy's ``SeedSequence`` remains the
 oracle the tests check every stream against; here it only draws OS entropy
@@ -273,6 +275,17 @@ class StreamPrefix:
         pool, self._key = _mix_entropy(words)
         self._pool = tuple(pool)
 
+    def extend(self, *labels: str) -> "StreamPrefix":
+        """The prefix at path ``(*prefix, *labels)``, mixing only
+        ``labels``' words: ``StreamPrefix(seed, *a).extend(*b)`` equals
+        ``StreamPrefix(seed, *a, *b)``."""
+        extended = StreamPrefix.__new__(StreamPrefix)
+        pool, extended._key = _absorb(
+            self._pool, self._key, [_label_entropy(label) for label in labels]
+        )
+        extended._pool = tuple(pool)
+        return extended
+
     def generator(self) -> np.random.Generator:
         """The stream at the prefix's own label path."""
         [generator] = _generators(np.array([self._pool], dtype=_UINT32))
@@ -306,6 +319,13 @@ def spawn_rngs(
     shared words once (:class:`StreamPrefix`). A generator seed is drawn
     from, and a ``None`` seed draws OS entropy, once for the whole batch.
     """
+    return _spawn_batch(StreamPrefix(seed), labels)
+
+
+def _spawn_batch(
+    prefix: StreamPrefix, labels: Sequence[Union[str, Sequence[str]]]
+) -> List[np.random.Generator]:
+    """:func:`spawn_rngs` below an already-mixed ``prefix``."""
     varying = [
         index for index, label in enumerate(labels) if not isinstance(label, str)
     ]
@@ -315,7 +335,7 @@ def spawn_rngs(
             f"labels, got {len(varying)}"
         )
     [at] = varying
-    return StreamPrefix(seed, *labels[:at]).spawn(labels[at], *labels[at + 1:])
+    return prefix.extend(*labels[:at]).spawn(labels[at], *labels[at + 1:])
 
 
 def spawn_rng(seed: SeedLike, *labels: str) -> np.random.Generator:
@@ -403,6 +423,9 @@ class RngFactory:
         elif seed is None:
             seed = int(np.random.SeedSequence().entropy)
         self._seed = seed
+        # The seed's words are mixed once here; every stream then mixes
+        # only its own labels (as the shard provider's StreamPrefix does).
+        self._prefix = StreamPrefix(seed)
 
     @property
     def seed(self) -> SeedLike:
@@ -410,16 +433,19 @@ class RngFactory:
         return self._seed
 
     def make(self, *labels: str) -> np.random.Generator:
-        """Return the generator for the given label path."""
-        return spawn_rng(self._seed, *labels)
+        """Return the generator for the given label path
+        (``spawn_rng(seed, *labels)``)."""
+        if not labels:
+            return spawn_rng(self._seed)
+        return self._prefix.extend(*labels).generator()
 
     def make_many(
         self, *labels: Union[str, Sequence[str]]
     ) -> List[np.random.Generator]:
         """The generators of a batch of label paths (:func:`spawn_rngs`)."""
-        return spawn_rngs(self._seed, *labels)
+        return _spawn_batch(self._prefix, labels)
 
     def child(self, *labels: str) -> "RngFactory":
         """Return a factory whose streams are nested under ``labels``."""
-        entropy = spawn_rng(self._seed, *labels, "child-factory")
+        entropy = self.make(*labels, "child-factory")
         return RngFactory(int(entropy.integers(0, 2**31)))

@@ -47,7 +47,8 @@ VARIANTS = [
     AlgorithmSpec(kind="fedprox", mu=0.05, beta=0.9),
 ]
 
-ENGINES = [("vectorized", None), ("vectorized", 2), ("loop", None)]
+#: Stack widths of the one local-update engine (``None`` = default).
+ENGINES = [None, 2, 1]
 
 
 def make_federated(streaming: bool = False):
@@ -66,7 +67,6 @@ def make_federated(streaming: bool = False):
 def run_training(
     *,
     algorithm=None,
-    backend="vectorized",
     chunk_size=None,
     streaming=False,
     precision="float64",
@@ -92,7 +92,6 @@ def run_training(
         batch_size=8,
         eval_every=3,
         rng_factory=factory,
-        backend=backend,
         chunk_size=chunk_size,
         precision=precision,
         algorithm=algorithm,
@@ -178,20 +177,19 @@ class TestBitIdentityMatrix:
         "algorithm", VARIANTS, ids=lambda spec: spec.canonical()
     )
     def test_engines_and_storage_bit_identical(self, algorithm):
-        """4 algorithms x {loop, vectorized, chunked} x {eager, streaming}:
-        one history per algorithm, bitwise."""
+        """4 algorithms x chunk widths {default, 2, 1} x {eager,
+        streaming}: one history per algorithm, bitwise."""
         reference = run_training(algorithm=algorithm)
-        for backend, chunk_size in ENGINES:
+        for chunk_size in ENGINES:
             for streaming in (False, True):
                 history = run_training(
                     algorithm=algorithm,
-                    backend=backend,
                     chunk_size=chunk_size,
                     streaming=streaming,
                 )
                 assert history.records == reference.records, (
                     f"{algorithm.canonical()} diverged on "
-                    f"{backend}/chunk={chunk_size}/streaming={streaming}"
+                    f"chunk={chunk_size}/streaming={streaming}"
                 )
 
     def test_each_algorithm_changes_the_history(self):

@@ -9,6 +9,7 @@ from repro.datasets import (
     mnist_like,
     synthetic_federated,
 )
+from repro.datasets.synthetic import _row_argmax, _row_max
 
 
 class TestSyntheticFederated:
@@ -136,3 +137,18 @@ class TestImageLikeFederations:
         summary = fed.summary()
         assert summary["num_clients"] == 5
         assert summary["total_samples"] + summary["test_samples"] == 1000
+
+
+class TestSoftmaxColumnScans:
+    """The shard recipe's row max and argmax run column by column; they
+    must equal NumPy's row reductions, first maximum on ties included."""
+
+    @pytest.mark.parametrize("classes", [1, 2, 10])
+    def test_match_numpy_row_reductions(self, classes):
+        rng = np.random.default_rng(classes)
+        dense = rng.normal(size=(500, classes))
+        # Rounding makes many rows tie between several columns.
+        tied = np.round(dense)
+        for matrix in (dense, tied, -np.abs(tied)):
+            assert np.array_equal(_row_max(matrix), matrix.max(axis=1))
+            assert np.array_equal(_row_argmax(matrix), matrix.argmax(axis=1))

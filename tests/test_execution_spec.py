@@ -1,9 +1,12 @@
 """Tests for :class:`repro.fl.execution.ExecutionSpec` and key relevance.
 
-The audit below is generated from the spec's own fields: every knob is
+The audits below are generated from the spec's own fields: every knob is
 trained at a non-default value (eager and streaming) and its effect on
 the history digest is checked against its effect on the ``TrainJob``
-cache key. A new knob without an audit value fails the suite.
+cache key; and every knob declared result-neutral is trained at each of
+its audit values under every ``precision`` x ``fast`` cell, where it must
+leave the history's bytes unchanged. A new knob without audit values
+fails the suite.
 """
 
 from __future__ import annotations
@@ -16,14 +19,14 @@ import pytest
 from repro.algorithms import AlgorithmSpec
 from repro.experiments.orchestrator import TrainJob
 from repro.fl import CheckpointConfig, ParticipationSpec
-from repro.fl.execution import DEFAULT_EXECUTION, ExecutionSpec
+from repro.fl.execution import DEFAULT_EXECUTION, PRECISIONS, ExecutionSpec
 from repro.game.client_model import ClientPopulation
 from repro.game.server_problem import ServerProblem
 from repro.testing import InvariantContext
+from repro.utils.serialization import canonical_dumps, history_to_doc
 
 #: One non-default value per spec field, for the generated audit.
 AUDIT_VALUES = {
-    "backend": "loop",
     "chunk_size": 2,
     "precision": "float32",
     "fast": True,
@@ -40,6 +43,10 @@ RESULT_NEUTRAL = {
     if not knob.metadata["changes_results"]
 }
 
+#: Every value each result-neutral knob is audited at, in every
+#: precision x fast cell.
+NEUTRAL_AUDIT_VALUES = {"chunk_size": (1, 2)}
+
 Q = (0.5, 0.25)
 
 
@@ -51,8 +58,7 @@ class TestValidation:
     def test_defaults(self):
         spec = ExecutionSpec()
         assert spec == DEFAULT_EXECUTION
-        assert (spec.backend, spec.chunk_size, spec.precision, spec.fast) == (
-            "vectorized",
+        assert (spec.chunk_size, spec.precision, spec.fast) == (
             None,
             "float64",
             False,
@@ -62,7 +68,6 @@ class TestValidation:
     @pytest.mark.parametrize(
         "knobs, field",
         [
-            ({"backend": "gpu"}, "backend"),
             ({"chunk_size": 0}, "chunk_size"),
             ({"precision": "float16"}, "precision"),
         ],
@@ -71,6 +76,14 @@ class TestValidation:
         with pytest.raises(ValueError) as error:
             ExecutionSpec(**knobs)
         assert str(error.value).startswith(f"{field} ")
+
+    def test_backend_knob_is_gone(self):
+        """One local-update engine: there is no engine to choose."""
+        with pytest.raises(TypeError):
+            ExecutionSpec(backend="loop")
+        assert "backend" not in {
+            knob.name for knob in dataclasses.fields(ExecutionSpec)
+        }
 
     def test_normalizes_types(self):
         spec = ExecutionSpec(chunk_size=np.int64(4), fast=1)
@@ -93,9 +106,9 @@ class TestPinnedKeyFields:
         "execution, expected",
         [
             (ExecutionSpec(), {}),
-            (ExecutionSpec(backend="loop"), {}),
+            (ExecutionSpec(chunk_size=1), {}),
             (ExecutionSpec(chunk_size=8), {}),
-            (ExecutionSpec(backend="loop", chunk_size=3), {}),
+            (ExecutionSpec(chunk_size=3), {}),
             (ExecutionSpec(precision="float32"), {"precision": "float32"}),
             (ExecutionSpec(fast=True), {"fast": True}),
             (
@@ -103,10 +116,7 @@ class TestPinnedKeyFields:
                 {"precision": "float32", "fast": True},
             ),
             (
-                ExecutionSpec(
-                    backend="loop", chunk_size=4, precision="float32",
-                    fast=True,
-                ),
+                ExecutionSpec(chunk_size=4, precision="float32", fast=True),
                 {"precision": "float32", "fast": True},
             ),
         ],
@@ -117,9 +127,7 @@ class TestPinnedKeyFields:
     def test_train_job_key_fields(self):
         base = {"q": [0.5, 0.25], "seed": 3}
         assert _key() == base
-        assert _key(execution=ExecutionSpec(backend="loop", chunk_size=2)) == (
-            base
-        )
+        assert _key(execution=ExecutionSpec(chunk_size=2)) == base
         assert _key(
             checkpoint=CheckpointConfig("/tmp/ck", every=3, resume=True)
         ) == base
@@ -221,3 +229,25 @@ class TestKeyRelevanceAudit:
         assert context.run_training(
             algorithm=AUDIT_ALGORITHM
         ).digest() != reference
+
+
+def _history_bytes(history) -> str:
+    return canonical_dumps(history_to_doc(history))
+
+
+class TestResultNeutralKnobAudit:
+    def test_every_neutral_knob_has_audit_values(self):
+        assert set(NEUTRAL_AUDIT_VALUES) == RESULT_NEUTRAL
+
+    @pytest.mark.parametrize("fast", [False, True], ids=["exact", "fast"])
+    @pytest.mark.parametrize("precision", PRECISIONS)
+    @pytest.mark.parametrize("knob", sorted(RESULT_NEUTRAL))
+    def test_neutral_knob_keeps_history_bytes(self, knob, precision, fast):
+        context = _context()
+        cell = ExecutionSpec(precision=precision, fast=fast)
+        reference = _history_bytes(context.run_training(cell))
+        for value in NEUTRAL_AUDIT_VALUES[knob]:
+            varied = dataclasses.replace(cell, **{knob: value})
+            assert _history_bytes(context.run_training(varied)) == reference, (
+                f"{knob}={value!r} moved the history at {cell}"
+            )

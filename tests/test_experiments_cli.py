@@ -114,16 +114,23 @@ class TestArgumentValidation:
 
 
 class TestBackendFlags:
-    def test_backend_flag_parses_on_either_side_of_verb(self):
+    def test_chunk_size_flag_parses_on_either_side_of_verb(self):
         from repro.experiments.cli import _build_parser
 
         parser = _build_parser()
-        args = parser.parse_args(["--backend", "loop", "fig", "--id", "4"])
-        assert args.backend == "loop"
-        args = parser.parse_args(["fig", "--id", "4", "--backend", "loop"])
-        assert args.backend == "loop"
+        args = parser.parse_args(["--chunk-size", "3", "fig", "--id", "4"])
+        assert args.chunk_size == 3
+        args = parser.parse_args(["fig", "--id", "4", "--chunk-size", "3"])
+        assert args.chunk_size == 3
         args = parser.parse_args(["equilibrium"])
-        assert args.backend == "vectorized"
+        assert args.chunk_size is None
+
+    def test_backend_flag_is_gone(self, capsys):
+        """One local-update engine: ``--backend`` is no longer a flag."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["equilibrium", "--backend", "loop"])
+        assert excinfo.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
     def test_execution_flags_reach_the_orchestrator(self):
         """The global execution and algorithm flags build one orchestrator

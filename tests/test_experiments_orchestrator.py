@@ -15,6 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
+from repro.algorithms import AlgorithmSpec
 from repro.experiments import (
     SCALES,
     SETUP1,
@@ -30,7 +31,9 @@ from repro.experiments.orchestrator import (
     ResultCache,
     ResultStore,
     TrainJob,
+    _Inflight,
     _scheme_spec,
+    _submission_units,
     job_key,
     job_key_doc,
 )
@@ -333,6 +336,72 @@ class TestSerialParallelEquivalence:
             decoded.equilibrium.lambda_star
         assert outcome.equilibrium.value_threshold == \
             decoded.equilibrium.value_threshold
+
+
+class TestLockstepGroups:
+    def test_comparison_groups_equal_solo_runs(
+        self, prepared, monkeypatch
+    ):
+        """A comparison at jobs=1 trains as one lockstep group, at jobs=2
+        as groups split across the workers, and every member's record
+        equals its solo run's."""
+        from repro.experiments import orchestrator as module
+
+        sizes = []
+        execute = module._execute_spec
+
+        def spy(setup, specs):
+            sizes.append((specs[0].kind, len(specs)))
+            return execute(setup, specs)
+
+        monkeypatch.setattr(module, "_execute_spec", spy)
+        serial = run_pricing_comparison(prepared, repeats=2)
+        monkeypatch.setattr(module, "_execute_spec", execute)
+        assert sizes == [("equilibrium", 1)] * 3 + [("train", 6)]
+        pool = ExperimentOrchestrator(jobs=2)
+        parallel = run_pricing_comparison(
+            prepared, repeats=2, orchestrator=pool
+        )
+        assert pool.last_report.submitted == 3 + 6
+        for name, result in serial.items():
+            solo = [
+                run_history(prepared, result.outcome.q, seed=seed)
+                for seed in range(2)
+            ]
+            for variant in (serial, parallel):
+                assert [h.records for h in variant[name].histories] == [
+                    h.records for h in solo
+                ]
+
+    def test_units_group_train_jobs_and_split_them_across_slots(self):
+        def job(name, spec):
+            return _Inflight(spec, name, [name])
+
+        q = (0.5, 0.5)
+        prox = AlgorithmSpec(kind="fedprox", mu=0.05)
+        eq = EquilibriumJob(scheme_class="UniformPricing", scheme_name="u")
+        due = [
+            job("eq", eq),
+            job("a0", TrainJob(q=q, seed=0)),
+            job("p0", TrainJob(q=q, seed=0, algorithm=prox)),
+            job("a1", TrainJob(q=q, seed=1)),
+            job("a2", TrainJob(q=q, seed=2)),
+            job("p1", TrainJob(q=q, seed=1, algorithm=prox)),
+        ]
+
+        def names(slots):
+            return [
+                [job.key for job in unit]
+                for unit in _submission_units(due, slots)
+            ]
+
+        assert names(0) == []
+        assert names(1) == [["eq"]]
+        assert names(2) == [["eq"], ["a0", "a1", "a2"]]
+        assert names(3) == [["eq"], ["a0", "a1", "a2"], ["p0", "p1"]]
+        assert names(4) == [["eq"], ["a0", "a1"], ["a2"], ["p0", "p1"]]
+        assert names(5) == [["eq"], ["a0", "a1"], ["a2"], ["p0"], ["p1"]]
+        assert names(9) == [["eq"], ["a0"], ["a1"], ["a2"], ["p0"], ["p1"]]
 
 
 class TestGraphExecution:

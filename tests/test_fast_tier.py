@@ -5,7 +5,7 @@ The fast tier's contract is *statistical equivalence*, not digest
 equality: float32 fused rounds and sub-sampled evaluation must land
 within pinned tolerance bands of the exact float64 path, while the
 exact path itself stays bit-identical (its digest pins live in the
-backend/checkpoint suites; here we assert the fast knobs leave it
+engine/checkpoint suites; here we assert the fast knobs leave it
 untouched).
 """
 
@@ -46,15 +46,14 @@ NUM_ROUNDS = 8
 #: scale (matches the fuzz catalog's FAST_LOSS_RTOL).
 LOSS_RTOL = 0.05
 
-#: (backend, chunk_size) grid the fast tier must stay in-band across.
-ENGINES = [("vectorized", None), ("vectorized", 2), ("loop", None)]
+#: Stack widths the fast tier must stay in-band across.
+ENGINES = [None, 2, 1]
 
 
 def make_trainer(
     *,
     precision="float64",
     fast=False,
-    backend="vectorized",
     chunk_size=None,
     seed=5,
 ):
@@ -76,7 +75,6 @@ def make_trainer(
         batch_size=8,
         eval_every=2,
         rng_factory=factory,
-        backend=backend,
         chunk_size=chunk_size,
         precision=precision,
         fast=fast,
@@ -114,14 +112,13 @@ class TestDtypeThreading:
 
 
 class TestFastTierTolerance:
-    @pytest.mark.parametrize("backend,chunk_size", ENGINES)
-    def test_fast_in_band_across_engines(self, backend, chunk_size):
+    @pytest.mark.parametrize("chunk_size", ENGINES)
+    def test_fast_in_band_across_engines(self, chunk_size):
         exact = final_loss(make_trainer().run(NUM_ROUNDS))
         fast = final_loss(
             make_trainer(
                 precision="float32",
                 fast=True,
-                backend=backend,
                 chunk_size=chunk_size,
             ).run(NUM_ROUNDS)
         )

@@ -2,7 +2,7 @@
 
 The ISSUE-6 contract: a run killed mid-training and resumed from its
 newest checkpoint produces a history **bit-identical** to an
-uninterrupted run — across backends, chunkings, and participation
+uninterrupted run — across chunk widths, lockstep groups, and participation
 regimes (whose RNG positions and extra state are part of the snapshot).
 Includes a real ``SIGKILL`` of a training subprocess.
 """
@@ -34,8 +34,8 @@ from repro.utils.rng import RngFactory
 
 NUM_ROUNDS = 12
 
-#: (backend, chunk_size) combinations pinned by the determinism contract.
-ENGINES = [("vectorized", None), ("vectorized", 2), ("loop", None)]
+#: Stack widths pinned by the determinism contract (``None`` = default).
+ENGINES = [None, 2, 1]
 
 #: Participation regimes whose state must survive a checkpoint.
 REGIMES = {
@@ -56,7 +56,6 @@ def make_trainer(
     federated,
     *,
     regime=None,
-    backend="vectorized",
     chunk_size=None,
     seed=5,
 ):
@@ -76,7 +75,6 @@ def make_trainer(
         batch_size=8,
         eval_every=3,
         rng_factory=factory,
-        backend=backend,
         chunk_size=chunk_size,
     )
 
@@ -145,16 +143,15 @@ class TestCheckpointManager:
 
 
 class TestResumeBitIdentity:
-    @pytest.mark.parametrize("backend,chunk_size", ENGINES,
-                             ids=["vectorized", "chunked", "loop"])
+    @pytest.mark.parametrize("chunk_size", ENGINES,
+                             ids=["vectorized", "chunked", "chunk1"])
     @pytest.mark.parametrize("regime", sorted(REGIMES), ids=str)
     def test_killed_run_resumes_bit_identically(
-        self, small_model, small_federated, tmp_path, regime, backend,
-        chunk_size,
+        self, small_model, small_federated, tmp_path, regime, chunk_size,
     ):
         spec = REGIMES[regime]
         build = lambda: make_trainer(
-            small_model, small_federated, regime=spec, backend=backend,
+            small_model, small_federated, regime=spec,
             chunk_size=chunk_size,
         )
         reference = build().run(NUM_ROUNDS)
@@ -170,23 +167,21 @@ class TestResumeBitIdentity:
         assert resumed.records == reference.records
         assert resumed.digest() == reference.digest()
 
-    def test_resume_crosses_backends(
+    def test_resume_crosses_chunk_widths(
         self, small_model, small_federated, tmp_path
     ):
-        """A checkpoint taken on one backend resumes on the other —
-        backend/chunking are absent from the fingerprint by design."""
+        """A checkpoint taken at one stack width resumes at another —
+        chunking is absent from the fingerprint by design."""
         reference = make_trainer(
-            small_model, small_federated, backend="loop"
+            small_model, small_federated, chunk_size=1
         ).run(NUM_ROUNDS)
         config = CheckpointConfig(directory=tmp_path, every=4, resume=True)
-        interrupted = make_trainer(
-            small_model, small_federated, backend="vectorized"
-        )
+        interrupted = make_trainer(small_model, small_federated)
         interrupt_at(interrupted, kill_round=9)
         with pytest.raises(_KilledRun):
             interrupted.run(NUM_ROUNDS, checkpoint=config)
         resumed = make_trainer(
-            small_model, small_federated, backend="loop"
+            small_model, small_federated, chunk_size=1
         ).run(NUM_ROUNDS, checkpoint=config)
         assert resumed.records == reference.records
 
@@ -259,7 +254,7 @@ class TestResumeBitIdentity:
         assert doc["format"] == CHECKPOINT_FORMAT
         assert doc["trainer"]["num_clients"] == small_federated.num_clients
         assert len(doc["clients"]) == small_federated.num_clients
-        assert "backend" not in doc["trainer"]  # resume crosses backends
+        assert "chunk_size" not in doc["trainer"]  # resume crosses widths
 
 
 class TestRunHistoryCheckpointing:
@@ -295,7 +290,7 @@ class TestRunHistoryCheckpointing:
             checkpoint=CheckpointConfig(tmp_path, every=7),
         )
         resumed = run_history(
-            prepared, q, seed=0, chunk_size=2, backend="loop",
+            prepared, q, seed=0, chunk_size=1,
             checkpoint=CheckpointConfig(tmp_path, every=7, resume=True),
         )
         assert resumed.records == reference.records

@@ -52,7 +52,6 @@ def _run(
     q,
     *,
     seed=3,
-    backend="vectorized",
     chunk_size=None,
     local_steps=3,
     batch_size=12,
@@ -66,7 +65,6 @@ def _run(
         batch_size=batch_size,
         eval_every=2,
         rng_factory=RngFactory(seed),
-        backend=backend,
         chunk_size=chunk_size,
     )
     history = trainer.run(num_rounds)
@@ -101,7 +99,7 @@ class TestChunkedBitIdentity:
         for kwargs in (
             dict(),  # the default width
             dict(chunk_size=5),
-            dict(backend="loop"),
+            dict(chunk_size=1),
         ):
             history, params = _run(model, streaming, q, **kwargs)
             assert history.records == reference.records, kwargs

@@ -1,6 +1,6 @@
-"""Tests for the batched model API (the vectorized backend's kernels).
+"""Tests for the batched model API (the local-update engine's kernels).
 
-The vectorized FL backend's determinism contract rests on one property:
+The engine's determinism contract rests on one property:
 ``batched_gradient`` / ``batched_loss`` over a parameter stack are
 **bit-identical** to looping the scalar API over the slices. These tests
 pin that property for both library models, the base-class fallback, and

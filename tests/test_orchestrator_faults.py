@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro import faults
+from repro.algorithms import AlgorithmSpec
 from repro.experiments import (
     SCALES,
     SETUP1,
@@ -45,6 +46,10 @@ from repro.fl import CheckpointConfig
 from repro.game import UniformPricing
 
 
+FEDPROX = AlgorithmSpec(kind="fedprox", mu=0.05)
+FEDDYN = AlgorithmSpec(kind="feddyn", alpha=0.02)
+
+
 @pytest.fixture(scope="module")
 def prepared():
     scale = SCALES["ci"]
@@ -59,12 +64,16 @@ def _no_leaked_plan():
     faults.clear()
 
 
-def _train_nodes(prepared, seeds=(0, 1)):
+def _train_nodes(prepared, seeds=(0, 1), algorithm=None):
+    """Train nodes at q = 0.5; one ``algorithm`` per lockstep group."""
     q = tuple(float(v) for v in np.full(prepared.config.num_clients, 0.5))
+    prefix = "train" if algorithm is None else algorithm.kind
     return [
         JobNode(
-            name=f"train-{seed}",
-            build=lambda results, s=seed: TrainJob(q=q, seed=s),
+            name=f"{prefix}-{seed}",
+            build=lambda results, s=seed: TrainJob(
+                q=q, seed=s, algorithm=algorithm
+            ),
         )
         for seed in seeds
     ]
@@ -133,33 +142,36 @@ class TestCrashRetry:
 
 
 class TestInlineJobs:
-    def test_interrupt_keeps_the_finished_job(
+    def test_interrupt_keeps_the_finished_group(
         self, prepared, tmp_path, monkeypatch
     ):
-        """At jobs=1 each result is persisted before the next job starts,
-        so a KeyboardInterrupt in the second job keeps the first."""
+        """At jobs=1 each lockstep group is persisted, member by member,
+        before the next group starts, so a KeyboardInterrupt in the
+        second group keeps every member of the first."""
         from repro.experiments import orchestrator as module
 
         calls = []
         execute = module._execute_spec
 
-        def interrupt_second(setup, spec):
-            calls.append(spec.seed)
+        def interrupt_second(setup, specs):
+            calls.append([(spec.algorithm, spec.seed) for spec in specs])
             if len(calls) == 2:
                 raise KeyboardInterrupt
-            return execute(setup, spec)
+            return execute(setup, specs)
 
         monkeypatch.setattr(module, "_execute_spec", interrupt_second)
         store = ResultStore(tmp_path / "cache")
-        nodes = _train_nodes(prepared)
+        plain = _train_nodes(prepared)
+        prox = _train_nodes(prepared, algorithm=FEDPROX)
         with pytest.raises(KeyboardInterrupt):
             ExperimentOrchestrator(jobs=1, store=store).run_graph(
-                prepared, nodes
+                prepared, plain + prox
             )
-        assert calls == [0, 1]
-        first, second = (node.build({}) for node in nodes)
-        assert store._path(job_key(prepared, first)).is_file()
-        assert not store._path(job_key(prepared, second)).exists()
+        assert calls == [[(None, 0), (None, 1)], [(FEDPROX, 0), (FEDPROX, 1)]]
+        for node in plain:
+            assert store._path(job_key(prepared, node.build({}))).is_file()
+        for node in prox:
+            assert not store._path(job_key(prepared, node.build({}))).exists()
 
 
 class TestStragglerTimeout:
@@ -185,21 +197,29 @@ class TestStragglerTimeout:
         assert any(e["event"] == "timeout" for e in report.events)
 
     def test_job_waiting_for_a_worker_never_times_out(self, prepared):
-        """At most ``jobs`` jobs are in flight, so a job's clock starts
-        when a worker is free for it: four 3-second jobs on two workers
-        take two waves, and none of them is overdue at 4.5 s."""
+        """A unit's clock starts when a worker is free for it, and a
+        lockstep group's timeout is ``job_timeout`` per member: three
+        groups of two 2-second stragglers on two workers take two waves of
+        4 s each. Every group runs past the unscaled 3 s, and the last one
+        finishes 8 s after the graph started, yet none of them is overdue
+        against its 6 s scaled timeout counted from its own start."""
         plan = FaultPlan(
             straggler_probability=1.0,
-            straggler_seconds=3.0,
+            straggler_seconds=2.0,
             straggler_attempts=1,
         )
         orchestrator = ExperimentOrchestrator(
-            jobs=2, fault_plan=plan, job_timeout=4.5, max_retries=2,
+            jobs=2, fault_plan=plan, job_timeout=3.0, max_retries=2,
             retry_base_delay=0.05,
         )
-        orchestrator.run_graph(prepared, _train_nodes(prepared, (0, 1, 2, 3)))
+        nodes = (
+            _train_nodes(prepared)
+            + _train_nodes(prepared, algorithm=FEDPROX)
+            + _train_nodes(prepared, algorithm=FEDDYN)
+        )
+        orchestrator.run_graph(prepared, nodes)
         report = orchestrator.last_report
-        assert (report.timeouts, report.retries, report.submitted) == (0, 0, 4)
+        assert (report.timeouts, report.retries, report.submitted) == (0, 0, 6)
 
 
 class TestGraphReport:

@@ -182,6 +182,31 @@ class TestSeedLike:
             spawn_rngs(0, ["a"], ["b"])
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=SEEDS, labels=st.lists(LABELS, max_size=4))
+def test_factory_streams_match_numpy(seed, labels):
+    """A factory mixes its seed once; every stream it makes is still
+    NumPy's, and so is the factory a pickle round-trip rebuilds."""
+    factory = RngFactory(seed)
+    if labels:
+        assert_same_stream(factory.make(*labels), oracle(seed, labels))
+    else:
+        assert_same_stream(factory.make(), np.random.default_rng(seed))
+    clone = pickle.loads(pickle.dumps(factory))
+    assert_same_stream(clone.make("a", *labels), oracle(seed, ["a", *labels]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=SEEDS,
+    head=st.lists(LABELS, max_size=3),
+    tail=st.lists(LABELS, max_size=3),
+)
+def test_extended_prefix_is_the_longer_prefix(seed, head, tail):
+    extended = StreamPrefix(seed, *head).extend(*tail)
+    assert_same_stream(extended.generator(), oracle(seed, [*head, *tail]))
+
+
 def test_derived_generator_pickles():
     generator = spawn_rng(12, "client", "4", "sgd")
     generator.random(5)
