@@ -45,7 +45,7 @@ from repro.game import (
 )
 from repro.models import MultinomialLogisticRegression
 from repro.simulation import TestbedRuntime, build_testbed
-from repro.theory import ConvergenceBound, ProblemConstants
+from repro.theory import ProblemConstants
 
 # 1.1.0: evaluation metrics moved to a single stacked pass (per-shard loss
 # values can shift by ~1 ulp), so the cache-key code component is bumped and
@@ -103,7 +103,6 @@ __all__ = [
     "TrainingHistory",
     "TestbedRuntime",
     "build_testbed",
-    "ConvergenceBound",
     "ProblemConstants",
     "ClientPopulation",
     "sample_population",

@@ -8,8 +8,6 @@ from repro.datasets.imagelike import (
     mnist_like,
 )
 from repro.datasets.partition import (
-    dirichlet_partition,
-    iid_partition,
     partition_by_label_limit,
     power_law_sizes,
 )
@@ -35,6 +33,4 @@ __all__ = [
     "emnist_like",
     "power_law_sizes",
     "partition_by_label_limit",
-    "dirichlet_partition",
-    "iid_partition",
 ]

@@ -6,9 +6,7 @@ The paper's setups distribute samples across 40 devices with
 * **non-IID labels** where each device only holds a limited number of classes
   (1-6 for the MNIST setup, 1-10 for EMNIST).
 
-Both are implemented here, along with a Dirichlet partitioner, which is the
-other standard non-IID benchmark in the FL literature and is used by our
-extension experiments.
+Both are implemented here.
 """
 
 from __future__ import annotations
@@ -177,65 +175,4 @@ def partition_by_label_limit(
                     generator.choice(all_label_idx, size=shortfall, replace=True)
                 )
         shards.append(dataset.subset(np.asarray(chosen, dtype=int)))
-    return shards
-
-
-def dirichlet_partition(
-    dataset: Dataset,
-    num_clients: int,
-    *,
-    concentration: float = 0.5,
-    min_size: int = 2,
-    rng: SeedLike = None,
-) -> List[Dataset]:
-    """Partition via per-class Dirichlet allocation (Hsu et al. style).
-
-    Smaller ``concentration`` means more skewed label distributions. Used in
-    extension experiments; not part of the paper's original setups.
-    """
-    check_positive(concentration, "concentration")
-    generator = spawn_rng(rng)
-    while True:
-        client_indices: List[List[int]] = [[] for _ in range(num_clients)]
-        for label in range(dataset.num_classes):
-            pool = np.flatnonzero(dataset.labels == label)
-            generator.shuffle(pool)
-            proportions = generator.dirichlet(
-                np.full(num_clients, concentration)
-            )
-            counts = np.floor(proportions * len(pool)).astype(int)
-            counts[: len(pool) - counts.sum()] += 1
-            start = 0
-            for client, count in enumerate(counts):
-                client_indices[client].extend(pool[start : start + count])
-                start += count
-        if min(len(indices) for indices in client_indices) >= min_size:
-            break
-    return [
-        dataset.subset(np.asarray(indices, dtype=int))
-        for indices in client_indices
-    ]
-
-
-def iid_partition(
-    dataset: Dataset,
-    num_clients: int,
-    *,
-    sizes: Sequence[int] = None,
-    rng: SeedLike = None,
-) -> List[Dataset]:
-    """Uniformly random partition (the homogeneous control condition)."""
-    generator = spawn_rng(rng)
-    permutation = generator.permutation(len(dataset))
-    if sizes is None:
-        split_points = np.linspace(0, len(dataset), num_clients + 1).astype(int)
-        sizes = np.diff(split_points)
-    sizes = np.asarray(sizes, dtype=int)
-    if sizes.sum() > len(dataset):
-        raise ValueError("sizes exceed dataset length")
-    shards = []
-    start = 0
-    for size in sizes:
-        shards.append(dataset.subset(permutation[start : start + size]))
-        start += size
     return shards

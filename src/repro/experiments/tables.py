@@ -1,4 +1,4 @@
-"""Generators for the paper's tables (I-V).
+"""Generators for the paper's tables (II-V).
 
 Targets for the time-to-target tables are chosen *reachably*: the paper picks
 a target visible in its Fig.-4 axes; at reduced scale we use the worst
@@ -11,24 +11,11 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.configs import SETUPS
 from repro.experiments.runner import PricingComparison
 from repro.experiments.setup import PreparedSetup
 from repro.game import solve_cpl_game
 
 SCHEME_ORDER = ("proposed", "weighted", "uniform")
-
-
-def table1_rows() -> List[List[object]]:
-    """Table I: system parameters for the three setups."""
-    rows = []
-    for name in ("setup1", "setup2", "setup3"):
-        config = SETUPS[name]
-        rows.append(
-            [name, config.dataset, config.budget, config.mean_cost,
-             config.mean_value]
-        )
-    return rows
 
 
 def reachable_loss_target(comparison: PricingComparison) -> float:

@@ -18,9 +18,8 @@ that production code consults at a handful of *injection points*:
   ``ENOSPC``-style :class:`OSError` for the first ``N`` calls, simulating
   a full disk mid-write or a failing atomic rename.
 * **Client dropout** — mid-round client failure is *modeled*, not
-  injected: :func:`client_dropout_spec` returns the
-  ``ParticipationSpec(kind="dropout")`` variant whose
-  :class:`~repro.fl.participation.DropoutParticipation` model folds the
+  injected: ``ParticipationSpec(kind="dropout", dropout=rate)`` builds a
+  :class:`~repro.fl.participation.DropoutParticipation` model that folds the
   failure probability into the effective inclusion probability, so the
   Lemma-1 aggregator stays unbiased under failure.
 
@@ -40,9 +39,8 @@ from __future__ import annotations
 import errno
 import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.utils.rng import spawn_rng
 
@@ -135,16 +133,6 @@ def active() -> Optional[FaultPlan]:
     return _ACTIVE
 
 
-@contextmanager
-def fault_scope(plan: FaultPlan) -> Iterator[FaultPlan]:
-    """Install ``plan`` for the duration of a ``with`` block."""
-    install(plan)
-    try:
-        yield plan
-    finally:
-        clear()
-
-
 def _fires(
     plan: FaultPlan, label: str, key: str, attempt: int, probability: float
 ) -> bool:
@@ -196,15 +184,3 @@ def on_store_replace(path: str) -> None:
     if _ACTIVE is not None and _STORE_BUDGET["replace"] > 0:
         _STORE_BUDGET["replace"] -= 1
         raise OSError(errno.EIO, "injected replace failure", path)
-
-
-def client_dropout_spec(rate: float, **kwargs):
-    """The participation-layer fault: clients fail after being selected.
-
-    Returns ``ParticipationSpec(kind="dropout", dropout=rate)`` — see
-    :class:`repro.fl.participation.DropoutParticipation` for the
-    unbiasedness argument.
-    """
-    from repro.fl.participation import ParticipationSpec
-
-    return ParticipationSpec(kind="dropout", dropout=float(rate), **kwargs)

@@ -36,7 +36,6 @@ Public symbols and their paper correspondence:
 * :class:`ParticipationModel` / :class:`BernoulliParticipation` — the
   paper's independent-Bernoulli(``q_n``) participation (Sec. III-A);
   :class:`FullParticipation`, :class:`FixedSubsetParticipation`,
-  :class:`UniformSamplingParticipation`,
   :class:`CorrelatedParticipation`, and
   :class:`IntermittentAvailabilityParticipation` cover the comparison
   regimes from the partial-participation literature.
@@ -79,7 +78,6 @@ from repro.fl.participation import (
     IntermittentAvailabilityParticipation,
     ParticipationModel,
     ParticipationSpec,
-    UniformSamplingParticipation,
 )
 from repro.fl.server import FLServer
 from repro.fl.state import RunState
@@ -107,7 +105,6 @@ __all__ = [
     "FullParticipation",
     "FixedSubsetParticipation",
     "IntermittentAvailabilityParticipation",
-    "UniformSamplingParticipation",
     "audit_participation",
     "empirical_participation_counts",
     "AuditReport",

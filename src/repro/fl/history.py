@@ -85,11 +85,6 @@ class TrainingHistory:
         return self._column("global_loss")
 
     @property
-    def test_losses(self) -> np.ndarray:
-        """Held-out loss where evaluated (NaN elsewhere)."""
-        return self._column("test_loss")
-
-    @property
     def test_accuracies(self) -> np.ndarray:
         """Held-out accuracy where evaluated (NaN elsewhere)."""
         return self._column("test_accuracy")

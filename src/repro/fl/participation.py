@@ -368,36 +368,6 @@ class CorrelatedParticipation(ParticipationModel):
         return self._q.copy()
 
 
-class UniformSamplingParticipation(ParticipationModel):
-    """Server samples ``K`` of ``N`` clients uniformly without replacement.
-
-    The classical FedAvg sampling scheme; inclusion probability is ``K/N``
-    for every client. Contrast with Bernoulli participation where
-    probabilities are client-chosen and independent.
-    """
-
-    def __init__(self, num_clients: int, cohort_size: int, rng: SeedLike = None):
-        super().__init__(num_clients)
-        if not 1 <= cohort_size <= num_clients:
-            raise ValueError(
-                f"cohort_size must lie in [1, {num_clients}], got {cohort_size}"
-            )
-        self.cohort_size = int(cohort_size)
-        self._rng = spawn_rng(rng)
-
-    def sample_round(self, round_index: int) -> np.ndarray:
-        chosen = self._rng.choice(
-            self.num_clients, size=self.cohort_size, replace=False
-        )
-        mask = np.zeros(self.num_clients, dtype=bool)
-        mask[chosen] = True
-        return mask
-
-    @property
-    def inclusion_probabilities(self) -> np.ndarray:
-        return np.full(self.num_clients, self.cohort_size / self.num_clients)
-
-
 @dataclass(frozen=True)
 class ParticipationSpec:
     """Declarative description of a participation *process*.

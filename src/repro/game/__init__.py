@@ -11,9 +11,6 @@ Public symbols and their paper correspondence:
 * :class:`ClientPopulation` / :func:`sample_population` — the client
   economy: weights ``W_n``, gradient bounds ``G_n``, participation costs
   ``c_n``, intrinsic values ``v_n`` (Table I, Sec. VI-A).
-* :class:`DecoupledCost` / :func:`decoupled_costs` /
-  :func:`cost_parameters_from_testbed` — computation/communication cost
-  decomposition behind ``c_n`` (Sec. III-B).
 * :func:`surrogate_utility` — client utility ``U_n(q_n, P_n)`` under the
   Theorem-1 convergence surrogate (Eq. 8a with Eq. 7's loss term).
 * :func:`best_response` / :func:`best_response_vector` — the Stage-II
@@ -33,11 +30,11 @@ Public symbols and their paper correspondence:
   reporting quantities the analysis highlights: ``lambda*``, the
   bi-directional-payment threshold
   ``v_t = 1/(3 lambda*)`` (Theorem 3), and per-client payment directions.
-* :func:`server_utility` / :func:`population_utilities` — Eq. 9 and Eq. 8a
-  evaluated at a profile (Table IV's quantities).
+* :func:`population_utilities` — Eq. 8a evaluated at a profile (Table
+  IV's quantity).
 * :class:`PricingScheme` / :class:`OptimalPricing` /
   :class:`WeightedPricing` / :class:`UniformPricing` /
-  :func:`compare_schemes` / :func:`evaluate_posted_prices` /
+  :func:`evaluate_posted_prices` /
   :class:`PricingOutcome` — the proposed mechanism vs the paper's two
   budget-matched benchmarks ``P^w`` (datasize-weighted) and ``P^u``
   (uniform), Sec. VI-B.
@@ -72,16 +69,10 @@ from repro.game.best_response import (
     surrogate_utility,
 )
 from repro.game.client_model import ClientPopulation, sample_population
-from repro.game.cost_model import (
-    DecoupledCost,
-    cost_parameters_from_testbed,
-    decoupled_costs,
-)
 from repro.game.equilibrium import (
     STAGE1_SOLVERS,
     StackelbergEquilibrium,
     population_utilities,
-    server_utility,
     solve_cpl_game,
 )
 from repro.game.mechanisms import (
@@ -101,7 +92,6 @@ from repro.game.pricing import (
     PricingScheme,
     UniformPricing,
     WeightedPricing,
-    compare_schemes,
     evaluate_posted_prices,
 )
 from repro.game.properties import (
@@ -124,9 +114,6 @@ from repro.game.server_problem import (
 __all__ = [
     "ClientPopulation",
     "sample_population",
-    "DecoupledCost",
-    "decoupled_costs",
-    "cost_parameters_from_testbed",
     "best_response",
     "best_response_vector",
     "inverse_price",
@@ -140,13 +127,11 @@ __all__ = [
     "STAGE1_SOLVERS",
     "solve_cpl_game",
     "population_utilities",
-    "server_utility",
     "PricingScheme",
     "PricingOutcome",
     "OptimalPricing",
     "UniformPricing",
     "WeightedPricing",
-    "compare_schemes",
     "evaluate_posted_prices",
     "Mechanism",
     "MECHANISMS",

@@ -150,8 +150,3 @@ def population_utilities(
         - population.costs * q**2
         + population.values * (local_gaps - gap)
     )
-
-
-def server_utility(problem: ServerProblem, q: Sequence[float]) -> float:
-    """Server utility (Eq. 5a): the surrogate expected loss (lower = better)."""
-    return problem.expected_loss(q)

@@ -372,13 +372,3 @@ class WeightedPricing(_LevelPricing):
     def shape(population: ClientPopulation) -> np.ndarray:
         # Normalize so the level has the same scale as a uniform price.
         return population.weights * population.num_clients
-
-
-def compare_schemes(
-    problem: ServerProblem,
-    schemes: Sequence[PricingScheme] = None,
-) -> dict:
-    """Apply several schemes to one problem; keyed by scheme name."""
-    if schemes is None:
-        schemes = (OptimalPricing(), WeightedPricing(), UniformPricing())
-    return {scheme.name: scheme.apply(problem) for scheme in schemes}

@@ -1,8 +1,9 @@
 """Equilibrium properties: Theorems 2-3, Corollary 1, Proposition 1.
 
 These functions turn the paper's analytical statements into executable
-checks; the test suite and the property benches call them against solved
-equilibria.
+checks; the invariant catalog (:mod:`repro.testing.invariants`) runs
+Theorem 2, Proposition 1 and Corollary 1 against the solved equilibrium of
+every fuzz case.
 """
 
 from __future__ import annotations

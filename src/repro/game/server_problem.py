@@ -41,7 +41,6 @@ from scipy.optimize import minimize
 
 from repro.game.best_response import bucket_representatives, inverse_price
 from repro.game.client_model import ClientPopulation
-from repro.theory.bound import ConvergenceBound
 from repro.utils.validation import check_nonnegative, check_positive
 
 _Q_FLOOR = 1e-9
@@ -82,29 +81,6 @@ class ServerProblem:
             if gaps.size != self.population.num_clients:
                 raise ValueError("local_gaps must have one entry per client")
             object.__setattr__(self, "local_gaps", gaps)
-
-    @classmethod
-    def from_bound(
-        cls,
-        population: ClientPopulation,
-        bound: ConvergenceBound,
-        *,
-        num_rounds: int,
-        budget: float,
-        local_gaps: Optional[Sequence[float]] = None,
-    ) -> "ServerProblem":
-        """Build a problem whose surrogate coefficients come from ``bound``."""
-        return cls(
-            population=population,
-            alpha=bound.alpha,
-            num_rounds=num_rounds,
-            budget=budget,
-            beta=bound.beta,
-            f_star=bound.constants.f_star,
-            local_gaps=(
-                None if local_gaps is None else np.asarray(local_gaps, float)
-            ),
-        )
 
     @property
     def num_clients(self) -> int:

@@ -1,12 +1,11 @@
 """From-scratch ML substrate: convex models, SGD, schedules, metrics."""
 
 from repro.models.base import Model
-from repro.models.linear import MultinomialLogisticRegression, RidgeRegression
-from repro.models.metrics import Evaluation, evaluate, global_loss, per_client_losses
+from repro.models.linear import MultinomialLogisticRegression
+from repro.models.metrics import global_loss, per_client_losses
 from repro.models.optim import (
     ExponentialDecaySchedule,
     LearningRateSchedule,
-    constant_schedule,
     gradient_descent,
     minimize_loss,
     sgd_steps,
@@ -16,16 +15,12 @@ from repro.models.optim import (
 __all__ = [
     "Model",
     "MultinomialLogisticRegression",
-    "RidgeRegression",
-    "Evaluation",
-    "evaluate",
     "global_loss",
     "per_client_losses",
     "sgd_steps",
     "gradient_descent",
     "minimize_loss",
     "theorem1_schedule",
-    "constant_schedule",
     "ExponentialDecaySchedule",
     "LearningRateSchedule",
 ]

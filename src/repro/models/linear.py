@@ -1,11 +1,9 @@
 """Convex models satisfying the paper's Assumption 1.
 
 The paper's experiments use L2-regularized multinomial logistic regression,
-which is L-smooth and mu-strongly convex — exactly Assumption 1. A ridge
-regression model is also provided because its closed-form optimum makes it
-ideal for exact convergence tests of the FL engine.
+which is L-smooth and mu-strongly convex — exactly Assumption 1.
 
-Both models implement the batched :class:`~repro.models.base.Model` API with
+The model implements the batched :class:`~repro.models.base.Model` API with
 stacked ``np.matmul`` kernels. Stacked matmul dispatches the same BLAS GEMM
 per 2-D slice as the scalar path does per call, so ``batched_gradient`` /
 ``batched_loss`` are **bit-identical** to looping :meth:`gradient` /
@@ -20,10 +18,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.models.base import Model
-from repro.utils.validation import (
-    check_nonnegative,
-    check_positive,
-)
+from repro.utils.validation import check_positive
 
 
 #: Precisions the models accept; everything else is a configuration error.
@@ -323,120 +318,3 @@ class MultinomialLogisticRegression(Model):
         squared_norms = np.sum(np.asarray(features, dtype=float) ** 2, axis=1)
         smoothness = 0.5 * float(np.mean(squared_norms + 1.0)) + self.l2
         return smoothness, self.l2
-
-
-class RidgeRegression(Model):
-    """Least-squares regression with L2 regularization.
-
-    Labels are treated as scalar real targets. The quadratic objective has a
-    closed-form optimum, which the test suite uses to check FL convergence to
-    the exact full-participation solution.
-    """
-
-    def __init__(
-        self, num_features: int, l2: float = 1e-2, dtype: str = "float64"
-    ):
-        if num_features <= 0:
-            raise ValueError(f"need num_features >= 1, got {num_features}")
-        self.num_features = int(num_features)
-        self.l2 = check_nonnegative(l2, "l2")
-        self.dtype = _check_dtype(dtype)
-
-    @property
-    def num_params(self) -> int:
-        return self.num_features + 1
-
-    def init_params(self) -> np.ndarray:
-        return np.zeros(self.num_params, dtype=self.dtype)
-
-    def _design(self, features: np.ndarray) -> np.ndarray:
-        # The bias column is float32 only for float32 features; any other
-        # input keeps the float64 column (and design) it always had.
-        ones_dtype = np.float32 if features.dtype == np.float32 else np.float64
-        ones = np.ones((features.shape[0], 1), dtype=ones_dtype)
-        return np.hstack([features, ones])
-
-    def loss(
-        self, params: np.ndarray, features: np.ndarray, labels: np.ndarray
-    ) -> float:
-        params = self._check_params(params)
-        residuals = self._design(features) @ params - labels
-        return float(
-            0.5 * np.mean(residuals**2) + 0.5 * self.l2 * params @ params
-        )
-
-    def gradient(
-        self, params: np.ndarray, features: np.ndarray, labels: np.ndarray
-    ) -> np.ndarray:
-        params = self._check_params(params)
-        design = self._design(features)
-        residuals = design @ params - labels
-        return design.T @ residuals / len(labels) + self.l2 * params
-
-    def predict(self, params: np.ndarray, features: np.ndarray) -> np.ndarray:
-        params = self._check_params(params)
-        return self._design(features) @ params
-
-    def sample_losses(
-        self, params: np.ndarray, features: np.ndarray, labels: np.ndarray
-    ) -> np.ndarray:
-        params = self._check_params(params)
-        residuals = self._design(features) @ params - labels
-        return 0.5 * residuals**2
-
-    def penalty(self, params: np.ndarray) -> float:
-        params = self._check_params(params)
-        return float(0.5 * self.l2 * params @ params)
-
-    @staticmethod
-    def _batched_design(features: np.ndarray) -> np.ndarray:
-        ones_dtype = np.float32 if features.dtype == np.float32 else np.float64
-        ones = np.ones(features.shape[:2] + (1,), dtype=ones_dtype)
-        return np.concatenate([features, ones], axis=2)
-
-    def batched_loss(
-        self,
-        params_stack: np.ndarray,
-        features: np.ndarray,
-        labels: np.ndarray,
-    ) -> np.ndarray:
-        params_stack = self._check_params_stack(params_stack)
-        design = self._batched_design(features)
-        residuals = (
-            np.matmul(design, params_stack[..., None])[..., 0] - labels
-        )
-        return 0.5 * np.mean(residuals**2, axis=1) + np.array(
-            [0.5 * self.l2 * row @ row for row in params_stack]
-        )
-
-    def batched_gradient(
-        self,
-        params_stack: np.ndarray,
-        features: np.ndarray,
-        labels: np.ndarray,
-    ) -> np.ndarray:
-        params_stack = self._check_params_stack(params_stack)
-        design = self._batched_design(features)
-        residuals = (
-            np.matmul(design, params_stack[..., None])[..., 0] - labels
-        )
-        return (
-            np.matmul(design.transpose(0, 2, 1), residuals[..., None])[..., 0]
-            / labels.shape[1]
-            + self.l2 * params_stack
-        )
-
-    def closed_form_optimum(
-        self, features: np.ndarray, labels: np.ndarray
-    ) -> np.ndarray:
-        """Exact minimizer of the regularized least-squares objective."""
-        design = self._design(features)
-        gram = design.T @ design / len(labels) + self.l2 * np.eye(self.num_params)
-        rhs = design.T @ np.asarray(labels, dtype=float) / len(labels)
-        return np.linalg.solve(gram, rhs)
-
-    def smoothness_constants(self, features: np.ndarray) -> Tuple[float, float]:
-        design = self._design(np.asarray(features, dtype=float))
-        gram = design.T @ design / design.shape[0]
-        eigenvalues = np.linalg.eigvalsh(gram)
-        return float(eigenvalues[-1] + self.l2), float(eigenvalues[0] + self.l2)

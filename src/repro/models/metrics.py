@@ -22,7 +22,6 @@ from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.datasets.base import Dataset
 from repro.datasets.federated import FederatedDataset
 from repro.models.base import Model
 
@@ -35,22 +34,6 @@ EVAL_CHUNK_SAMPLES = 4096
 #: A stacked row fetch: client ids -> their ``(features, labels)`` rows,
 #: stacked in list order.
 StackedFetch = Callable[[Sequence[int]], Tuple[np.ndarray, np.ndarray]]
-
-
-@dataclass(frozen=True)
-class Evaluation:
-    """Loss and accuracy of a parameter vector on an evaluation set."""
-
-    loss: float
-    accuracy: float
-
-
-def evaluate(model: Model, params: np.ndarray, dataset: Dataset) -> Evaluation:
-    """Evaluate ``params`` on ``dataset`` (loss includes regularization)."""
-    return Evaluation(
-        loss=model.dataset_loss(params, dataset),
-        accuracy=model.dataset_accuracy(params, dataset),
-    )
 
 
 def global_loss(

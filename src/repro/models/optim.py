@@ -62,12 +62,6 @@ def theorem1_schedule(
     return schedule
 
 
-def constant_schedule(step_size: float) -> LearningRateSchedule:
-    """A constant step size, mostly for unit tests."""
-    check_positive(step_size, "step_size")
-    return lambda round_index: step_size
-
-
 def draw_batch_indices(
     rng: np.random.Generator, num_samples: int, num_steps: int, batch_size: int
 ) -> np.ndarray:

@@ -17,9 +17,9 @@ Families:
 * ``game`` — solved-price properties: q bounds, budget feasibility,
   individual rationality, the best-response fixed point, the Eq.-(13)
   first-order condition, Theorem-2 constancy, Proposition-1 budget
-  monotonicity, screened level searches pricing the same bytes as
-  all-reference ones, and replayed budget searches returning plain
-  bisection's bracket.
+  monotonicity, Corollary-1 price ordering, screened level searches
+  pricing the same bytes as all-reference ones, and replayed budget
+  searches returning plain bisection's bracket.
 * ``estimator`` — Lemma-1 unbiasedness under the case's *participation
   process* (exact enumeration over a sub-economy) plus bias-mass
   accounting — including under every non-default local-update algorithm
@@ -58,7 +58,11 @@ from repro.game.pricing import (
     UniformPricing,
     WeightedPricing,
 )
-from repro.game.properties import theorem2_invariant
+from repro.game.properties import (
+    check_proposition1,
+    corollary1_violations,
+    theorem2_invariant,
+)
 from repro.game.server_problem import (
     _KKT_TOLERANCE,
     ServerProblem,
@@ -693,9 +697,9 @@ def check_theorem2(ctx: InvariantContext) -> Optional[List[Violation]]:
 
 @register_invariant(
     "budget-monotonicity",
-    claim="Server utility improves (gap shrinks) as the budget grows "
-    "(Proposition 1)",
-    module="repro.game.server_problem",
+    claim="Server utility improves (gap shrinks), and every client's "
+    "price and participation rise, as the budget grows (Proposition 1)",
+    module="repro.game.server_problem / repro.game.properties",
     family="game",
 )
 def check_budget_monotonicity(
@@ -715,8 +719,9 @@ def check_budget_monotonicity(
         local_gaps=problem.local_gaps,
     )
     rich_gap = solve_stage1_kkt(richer).objective_gap
+    violations = []
     if rich_gap > lean_gap + 1e-9 * max(1.0, abs(lean_gap)):
-        return [
+        violations.append(
             _violation(
                 "budget-monotonicity",
                 "a larger budget produced a worse objective gap",
@@ -724,6 +729,42 @@ def check_budget_monotonicity(
                 richer_budget=richer.budget,
                 gap=lean_gap,
                 richer_gap=rich_gap,
+            )
+        )
+    report = check_proposition1(problem, [problem.budget, richer.budget])
+    if not (report.q_monotone and report.price_monotone):
+        violations.append(
+            _violation(
+                "budget-monotonicity",
+                "a client's participation or price fell as the budget rose",
+                budgets=report.budgets.tolist(),
+                q_monotone=report.q_monotone,
+                price_monotone=report.price_monotone,
+                mean_q=report.mean_q.tolist(),
+                mean_price=report.mean_price.tolist(),
+            )
+        )
+    return violations
+
+
+@register_invariant(
+    "corollary1-price-order",
+    claim="Interior clients with the larger c_n a_n G_n get the larger "
+    "positive price below v_t and the more negative price above it "
+    "(Corollary 1)",
+    module="repro.game.properties",
+    family="game",
+)
+def check_corollary1(ctx: InvariantContext) -> Optional[List[Violation]]:
+    if ctx.mechanism != "proposed":
+        return None
+    pairs = corollary1_violations(ctx.outcome.equilibrium)
+    if pairs:
+        return [
+            _violation(
+                "corollary1-price-order",
+                "a client pair's prices break the Corollary-1 ordering",
+                pairs=[list(pair) for pair in pairs],
             )
         ]
     return []

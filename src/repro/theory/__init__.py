@@ -1,7 +1,7 @@
 """Convergence theory: Theorem-1 bound, Lemma-2 variance, estimation."""
 
 from repro.theory.assumptions import ProblemConstants
-from repro.theory.bound import ConvergenceBound, heterogeneity_term
+from repro.theory.bound import heterogeneity_term
 from repro.theory.estimation import (
     ReferenceOptima,
     compute_reference_optima,
@@ -19,7 +19,6 @@ from repro.theory.variance import (
 
 __all__ = [
     "ProblemConstants",
-    "ConvergenceBound",
     "heterogeneity_term",
     "ReferenceOptima",
     "compute_reference_optima",

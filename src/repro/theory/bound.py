@@ -7,22 +7,22 @@ with ``alpha = 8 L E / mu^2`` and
 + (4 L^2 / (mu E)) ||w^0 - w*||^2``, where
 ``A_0 = sum_n a_n^2 sigma_n^2 + 8 sum_n a_n G_n^2 (E - 1)^2``.
 
-The bound is the analytic surrogate both players optimize. Worst-case
+The bound is the analytic surrogate both players optimize
+(:class:`repro.game.server_problem.ServerProblem` evaluates it). Worst-case
 constants are famously loose in practice, so — exactly like the paper, which
-"estimates the task-related parameter alpha following [22]" — the class
-supports replacing the analytic ``alpha``/``beta`` with values fitted to
-pilot measurements (:func:`repro.theory.estimation.fit_bound_scale`).
+"estimates the task-related parameter alpha following [22]" — the library
+fits ``alpha``/``beta`` to pilot measurements
+(:func:`repro.theory.estimation.fit_bound_scale`) instead of using the
+analytic values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from repro.theory.assumptions import ProblemConstants
-from repro.utils.validation import check_positive, check_probability_vector
+from repro.utils.validation import check_probability_vector
 
 
 def heterogeneity_term(weights: np.ndarray, gradient_bounds: np.ndarray,
@@ -36,103 +36,3 @@ def heterogeneity_term(weights: np.ndarray, gradient_bounds: np.ndarray,
     q = check_probability_vector(q, "q", allow_zero=False)
     contributions = weights**2 * gradient_bounds**2
     return float(np.sum((1.0 - q) * contributions / q))
-
-
-@dataclass(frozen=True)
-class ConvergenceBound:
-    """The Theorem-1 bound as an evaluable object.
-
-    Attributes:
-        constants: Problem constants (Assumptions 1-3 quantities).
-        alpha: Coefficient of the participation penalty. Defaults to the
-            analytic ``8 L E / mu^2``; can be overridden by a fitted value.
-        beta: Participation-independent constant. Defaults analytic.
-    """
-
-    constants: ProblemConstants
-    alpha: float = None
-    beta: float = None
-
-    def __post_init__(self) -> None:
-        constants = self.constants
-        if self.alpha is None:
-            object.__setattr__(self, "alpha", self.analytic_alpha(constants))
-        if self.beta is None:
-            object.__setattr__(self, "beta", self.analytic_beta(constants))
-        check_positive(self.alpha, "alpha")
-        if self.beta < 0:
-            raise ValueError(f"beta must be non-negative, got {self.beta}")
-
-    @staticmethod
-    def analytic_alpha(constants: ProblemConstants) -> float:
-        """``alpha = 8 L E / mu^2``."""
-        return (
-            8.0
-            * constants.smoothness
-            * constants.local_steps
-            / constants.strong_convexity**2
-        )
-
-    @staticmethod
-    def analytic_beta(constants: ProblemConstants) -> float:
-        """The Theorem-1 ``beta`` from the paper's constants."""
-        smoothness = constants.smoothness
-        mu = constants.strong_convexity
-        steps = constants.local_steps
-        a0 = float(
-            np.sum(constants.weights**2 * constants.gradient_variances)
-            + 8.0
-            * np.sum(constants.weights * constants.gradient_bounds**2)
-            * (steps - 1) ** 2
-        )
-        return (
-            2.0 * smoothness / (mu**2 * steps) * a0
-            + 12.0 * smoothness**2 / (mu**2 * steps) * constants.gamma
-            + 4.0 * smoothness**2 / (mu * steps)
-            * constants.initial_distance_sq
-        )
-
-    def with_fitted(self, alpha: float, beta: float) -> "ConvergenceBound":
-        """Return a copy using fitted surrogate coefficients."""
-        return ConvergenceBound(self.constants, alpha=alpha, beta=beta)
-
-    # Evaluations -------------------------------------------------------------
-
-    def gap(self, q: Sequence[float], num_rounds: int) -> float:
-        """Right-hand side of Theorem 1: the bound on ``E[F(w^R)] - F*``."""
-        if num_rounds < 1:
-            raise ValueError("num_rounds must be >= 1")
-        penalty = heterogeneity_term(
-            self.constants.weights, self.constants.gradient_bounds, q
-        )
-        return (self.alpha * penalty + self.beta) / num_rounds
-
-    def expected_loss(self, q: Sequence[float], num_rounds: int) -> float:
-        """Surrogate for ``E[F(w^R(q))]`` used in both players' utilities."""
-        return self.constants.f_star + self.gap(q, num_rounds)
-
-    def full_participation_gap(self, num_rounds: int) -> float:
-        """``beta / R`` — the bound when every client always participates."""
-        return self.beta / num_rounds
-
-    def contribution_coefficients(self, num_rounds: int) -> np.ndarray:
-        """Per-client coefficients ``A_n = alpha a_n^2 G_n^2 / R``.
-
-        The participation penalty is ``sum_n A_n (1 - q_n) / q_n``; ``A_n``
-        measures how much client ``n``'s participation moves the bound and is
-        the "contribution" quantity the mechanism prices.
-        """
-        if num_rounds < 1:
-            raise ValueError("num_rounds must be >= 1")
-        constants = self.constants
-        return (
-            self.alpha
-            * constants.weights**2
-            * constants.gradient_bounds**2
-            / num_rounds
-        )
-
-    def marginal_gap(self, q: Sequence[float], num_rounds: int) -> np.ndarray:
-        """Gradient of :meth:`gap` with respect to ``q`` (``-A_n / q_n^2``)."""
-        q = check_probability_vector(q, "q", allow_zero=False)
-        return -self.contribution_coefficients(num_rounds) / q**2

@@ -11,7 +11,6 @@ from repro.utils.validation import (
     check_in_range,
     check_nonnegative,
     check_positive,
-    check_probability,
     check_probability_vector,
 )
 
@@ -24,7 +23,6 @@ __all__ = [
     "render_table",
     "check_positive",
     "check_nonnegative",
-    "check_probability",
     "check_probability_vector",
     "check_in_range",
 ]

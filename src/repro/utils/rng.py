@@ -27,7 +27,7 @@ stream, which is how the streaming shard provider derives a whole stacked
 fetch's shard streams and the trainer every client's SGD stream;
 :meth:`StreamPrefix.extend` appends labels to a mixed prefix, so an
 :class:`RngFactory` mixes its seed once and each stream only its labels.
-:func:`spawn_rngs` is that batch form over a label path, and
+:meth:`RngFactory.make_many` is that batch form over a label path, and
 :func:`spawn_rng` the one-stream case. NumPy's ``SeedSequence`` remains the
 oracle the tests check every stream against; here it only draws OS entropy
 for ``seed=None``, and a seed with no labels goes to NumPy's ``default_rng``
@@ -307,42 +307,11 @@ class StreamPrefix:
         )
 
 
-def spawn_rngs(
-    seed: SeedLike, *labels: Union[str, Sequence[str]]
-) -> List[np.random.Generator]:
-    """Generators for a batch of label paths that differ in one label.
-
-    Exactly one of ``labels`` is a sequence of strings, one entry per
-    stream: ``spawn_rngs(seed, "client", ["0", "1"], "sgd")`` returns the
-    streams ``spawn_rng(seed, "client", "0", "sgd")`` and
-    ``spawn_rng(seed, "client", "1", "sgd")``, bit for bit, mixing the
-    shared words once (:class:`StreamPrefix`). A generator seed is drawn
-    from, and a ``None`` seed draws OS entropy, once for the whole batch.
-    """
-    return _spawn_batch(StreamPrefix(seed), labels)
-
-
-def _spawn_batch(
-    prefix: StreamPrefix, labels: Sequence[Union[str, Sequence[str]]]
-) -> List[np.random.Generator]:
-    """:func:`spawn_rngs` below an already-mixed ``prefix``."""
-    varying = [
-        index for index, label in enumerate(labels) if not isinstance(label, str)
-    ]
-    if len(varying) != 1:
-        raise TypeError(
-            "spawn_rngs needs exactly one label that is a sequence of "
-            f"labels, got {len(varying)}"
-        )
-    [at] = varying
-    return prefix.extend(*labels[:at]).spawn(labels[at], *labels[at + 1:])
-
-
 def spawn_rng(seed: SeedLike, *labels: str) -> np.random.Generator:
     """Create a generator derived from ``seed`` and a path of string labels.
 
-    The one-stream case of :func:`spawn_rngs`: the whole path is the
-    :class:`StreamPrefix`. With no labels the seed is NumPy's own,
+    The one-stream case of :meth:`StreamPrefix.spawn`: the whole path is
+    the :class:`StreamPrefix`. With no labels the seed is NumPy's own,
     ``default_rng(seed)``.
 
     Args:
@@ -442,8 +411,28 @@ class RngFactory:
     def make_many(
         self, *labels: Union[str, Sequence[str]]
     ) -> List[np.random.Generator]:
-        """The generators of a batch of label paths (:func:`spawn_rngs`)."""
-        return _spawn_batch(self._prefix, labels)
+        """The generators of a batch of label paths that differ in one
+        label.
+
+        Exactly one of ``labels`` is a sequence of strings, one entry per
+        stream: ``make_many("client", ["0", "1"], "sgd")`` equals
+        ``[make("client", "0", "sgd"), make("client", "1", "sgd")]`` bit
+        for bit, mixing the shared words once (:meth:`StreamPrefix.spawn`).
+        """
+        varying = [
+            index
+            for index, label in enumerate(labels)
+            if not isinstance(label, str)
+        ]
+        if len(varying) != 1:
+            raise TypeError(
+                "make_many needs exactly one label that is a sequence of "
+                f"labels, got {len(varying)}"
+            )
+        [at] = varying
+        return self._prefix.extend(*labels[:at]).spawn(
+            labels[at], *labels[at + 1:]
+        )
 
     def child(self, *labels: str) -> "RngFactory":
         """Return a factory whose streams are nested under ``labels``."""

@@ -28,16 +28,6 @@ def check_nonnegative(value: float, name: str) -> float:
     return value
 
 
-def check_probability(value: float, name: str, *, allow_zero: bool = True) -> float:
-    """Require ``value`` in ``[0, 1]`` (or ``(0, 1]`` when zero is disallowed)."""
-    value = float(value)
-    if not np.isfinite(value) or value < 0 or value > 1:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    if not allow_zero and value == 0:
-        raise ValueError(f"{name} must be strictly positive, got 0")
-    return value
-
-
 def check_probability_vector(
     values: Sequence[float], name: str, *, allow_zero: bool = True
 ) -> np.ndarray:

@@ -326,12 +326,14 @@ class TestWarmCache:
     def test_store_write_failure_is_logged_not_fatal(self, tmp_path, caplog):
         """A failed store write costs the entry and a warning, never the
         request: the same policy as the orchestrator's store-error."""
+        from helpers import fault_scope
+
         from repro import faults
 
         runtime = api.ApiRuntime(scale="ci", seed=0, cache_dir=tmp_path)
         request = api.PriceRequest(scenario=SCENARIO, mechanism="uniform")
         with caplog.at_level("WARNING"):
-            with faults.fault_scope(faults.FaultPlan(store_write_failures=10)):
+            with fault_scope(faults.FaultPlan(store_write_failures=10)):
                 response = api.price(request, runtime)
         assert response.cached is False
         assert runtime.store.stats()["entries"] == 0

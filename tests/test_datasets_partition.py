@@ -1,12 +1,10 @@
-"""Tests for partitioners: power-law sizes, label-limited, Dirichlet, IID."""
+"""Tests for partitioners: power-law sizes and label-limited shards."""
 
 import numpy as np
 import pytest
 
 from repro.datasets import (
     Dataset,
-    dirichlet_partition,
-    iid_partition,
     partition_by_label_limit,
     power_law_sizes,
 )
@@ -96,47 +94,3 @@ class TestLabelLimitPartition:
             partition_by_label_limit(
                 pool, 4, classes_per_client=(0, 3), sizes=np.full(4, 10)
             )
-
-
-class TestDirichletPartition:
-    def test_partition_exhaustive(self):
-        pool = _pool(n=600, classes=5)
-        shards = dirichlet_partition(pool, 6, concentration=0.5, rng=0)
-        assert sum(len(shard) for shard in shards) == 600
-
-    def test_low_concentration_skews_labels(self):
-        pool = _pool(n=4000, classes=5, seed=1)
-        skewed = dirichlet_partition(pool, 8, concentration=0.05, rng=1)
-        flat = dirichlet_partition(pool, 8, concentration=100.0, rng=1)
-
-        def mean_label_entropy(shards):
-            entropies = []
-            for shard in shards:
-                p = shard.class_counts() / max(len(shard), 1)
-                p = p[p > 0]
-                entropies.append(float(-(p * np.log(p)).sum()))
-            return np.mean(entropies)
-
-        assert mean_label_entropy(skewed) < mean_label_entropy(flat)
-
-    def test_min_size_respected(self):
-        pool = _pool(n=1000)
-        shards = dirichlet_partition(pool, 5, min_size=5, rng=4)
-        assert min(len(shard) for shard in shards) >= 5
-
-
-class TestIidPartition:
-    def test_even_split(self):
-        pool = _pool(n=100)
-        shards = iid_partition(pool, 4, rng=0)
-        assert [len(shard) for shard in shards] == [25, 25, 25, 25]
-
-    def test_custom_sizes(self):
-        pool = _pool(n=100)
-        shards = iid_partition(pool, 3, sizes=[10, 20, 30], rng=0)
-        assert [len(shard) for shard in shards] == [10, 20, 30]
-
-    def test_sizes_exceeding_pool_rejected(self):
-        pool = _pool(n=10)
-        with pytest.raises(ValueError):
-            iid_partition(pool, 2, sizes=[8, 8])

@@ -10,7 +10,6 @@ from repro.experiments import (
     SETUPS,
     apply_scale,
     resolve_scale,
-    table1_rows,
 )
 
 
@@ -48,12 +47,6 @@ class TestTable1:
             assert config.lr_decay == 0.996
             assert config.q_max == 1.0
             assert config.repeats == 20
-
-    def test_table1_rows(self):
-        rows = table1_rows()
-        assert len(rows) == 3
-        assert rows[0][2] == 200.0  # setup1 budget
-        assert rows[1][4] == 30_000.0  # setup2 mean value
 
 
 class TestScaleProfiles:

@@ -3,7 +3,8 @@
 Covers the ISSUE-6 fault catalog: plan validation, install/clear scoping,
 deterministic (seeded, scheduling-independent) fault decisions, store
 write/replace failure budgets, and the unbiasedness-preserving client
-dropout participation model that ``client_dropout_spec`` wires up.
+dropout participation model that ``ParticipationSpec(kind="dropout")``
+builds.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import errno
 
 import numpy as np
 import pytest
+from helpers import fault_scope
 
 from repro import faults
 from repro.faults import CRASH_EXIT_CODE, FaultPlan
@@ -77,13 +79,13 @@ class TestInstallScope:
             faults.install({"crash_probability": 1.0})
 
     def test_fault_scope_restores_on_exit(self):
-        with faults.fault_scope(FaultPlan(seed=2)) as plan:
+        with fault_scope(FaultPlan(seed=2)) as plan:
             assert faults.active() is plan
         assert faults.active() is None
 
     def test_fault_scope_restores_on_error(self):
         with pytest.raises(RuntimeError):
-            with faults.fault_scope(FaultPlan(seed=2)):
+            with fault_scope(FaultPlan(seed=2)):
                 raise RuntimeError("boom")
         assert faults.active() is None
 
@@ -168,14 +170,14 @@ class TestStoreFaults:
 
 class TestClientDropoutSpec:
     def test_returns_dropout_spec(self):
-        spec = faults.client_dropout_spec(0.25)
+        spec = ParticipationSpec(kind="dropout", dropout=0.25)
         assert isinstance(spec, ParticipationSpec)
         assert spec.kind == "dropout"
         assert spec.dropout == 0.25
 
     def test_rate_validated_by_spec(self):
         with pytest.raises(ValueError):
-            faults.client_dropout_spec(1.0)
+            ParticipationSpec(kind="dropout", dropout=1.0)
 
 
 class TestDropoutParticipation:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from helpers import RidgeRegression
 
 from repro.algorithms import AlgorithmSpec, build_algorithm
 from repro.datasets import Dataset, FederatedDataset, synthetic_federated
@@ -31,7 +32,6 @@ from repro.experiments.setup import prepare_setup
 from repro.fl import BernoulliParticipation, ExecutionSpec, FederatedTrainer
 from repro.game import OptimalPricing
 from repro.models import MultinomialLogisticRegression
-from repro.models.linear import RidgeRegression
 from repro.models.optim import draw_batch_indices, sgd_steps
 from repro.theory.estimation import sample_gradient_norms
 from repro.utils.rng import RngFactory

@@ -10,7 +10,6 @@ from repro.fl import (
     FullParticipation,
     IntermittentAvailabilityParticipation,
     ParticipationSpec,
-    UniformSamplingParticipation,
 )
 
 
@@ -72,26 +71,6 @@ class TestFixedSubset:
     def test_duplicates_deduplicated(self):
         model = FixedSubsetParticipation(4, subset=[2, 2, 2])
         assert model.sample_round(0).sum() == 1
-
-
-class TestUniformSampling:
-    def test_cohort_size_exact(self):
-        model = UniformSamplingParticipation(10, cohort_size=3, rng=0)
-        for r in range(50):
-            assert model.sample_round(r).sum() == 3
-
-    def test_inclusion_probability_k_over_n(self):
-        model = UniformSamplingParticipation(10, cohort_size=3, rng=0)
-        assert np.allclose(model.inclusion_probabilities, 0.3)
-
-    def test_empirical_inclusion_uniform(self):
-        model = UniformSamplingParticipation(8, cohort_size=2, rng=1)
-        draws = np.stack([model.sample_round(r) for r in range(4000)])
-        assert np.allclose(draws.mean(axis=0), 0.25, atol=0.03)
-
-    def test_invalid_cohort_rejected(self):
-        with pytest.raises(ValueError):
-            UniformSamplingParticipation(5, cohort_size=6)
 
 
 class TestCorrelated:

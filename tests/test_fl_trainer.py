@@ -13,8 +13,8 @@ from repro.fl import (
     ParticipantsOnlyAggregator,
 )
 from repro.models import (
+    ExponentialDecaySchedule,
     MultinomialLogisticRegression,
-    constant_schedule,
     sgd_steps,
 )
 from repro.theory.estimation import sample_gradient_norms
@@ -222,7 +222,7 @@ class TestConvergenceToOptimum:
             aggregator=ParticipantsOnlyAggregator(),
             local_steps=20,
             batch_size=32,
-            schedule=constant_schedule(0.1),
+            schedule=ExponentialDecaySchedule(0.1, decay=1.0),
             eval_every=20,
             rng_factory=RngFactory(7),
         )

@@ -9,7 +9,6 @@ from repro.game import (
     ServerProblem,
     best_response_vector,
     population_utilities,
-    server_utility,
     solve_cpl_game,
 )
 
@@ -159,9 +158,3 @@ class TestUtilities:
         )
         boost = small_population.values * 0.5
         assert np.allclose(u_gaps - u_base, boost)
-
-    def test_server_utility_is_expected_loss(self, small_problem):
-        equilibrium = solve_cpl_game(small_problem)
-        assert server_utility(small_problem, equilibrium.q) == pytest.approx(
-            small_problem.expected_loss(equilibrium.q)
-        )

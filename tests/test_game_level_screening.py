@@ -113,7 +113,7 @@ class TestScreenBitIdentity:
 class TestLevelSearchScreeningInvariant:
     def test_registered_in_the_game_family(self):
         assert INVARIANTS["level-search-screening"].family == "game"
-        assert len(INVARIANTS) == 18
+        assert len(INVARIANTS) == 19
 
     @pytest.mark.parametrize("index", range(6))
     def test_clean_on_fuzz_cases(self, index):

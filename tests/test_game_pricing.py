@@ -8,9 +8,14 @@ from repro.game import (
     OptimalPricing,
     UniformPricing,
     WeightedPricing,
-    compare_schemes,
     evaluate_posted_prices,
 )
+
+
+def compare_schemes(problem):
+    """The proposed mechanism and both benchmarks, keyed by name."""
+    schemes = (OptimalPricing(), WeightedPricing(), UniformPricing())
+    return {scheme.name: scheme.apply(problem) for scheme in schemes}
 
 
 class TestUniformPricing:

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from helpers import RidgeRegression
 
 from repro.models import MultinomialLogisticRegression
 from repro.models.base import Model
-from repro.models.linear import RidgeRegression
 from repro.models.optim import sgd_steps
 
 

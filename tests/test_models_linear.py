@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from helpers import RidgeRegression
 
-from repro.models import MultinomialLogisticRegression, RidgeRegression
+from repro.models import MultinomialLogisticRegression
 
 
 def _numerical_gradient(fn, params, eps=1e-6):

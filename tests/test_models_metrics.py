@@ -6,7 +6,6 @@ import pytest
 from repro.datasets import Dataset, FederatedDataset
 from repro.models import (
     MultinomialLogisticRegression,
-    evaluate,
     global_loss,
     per_client_losses,
 )
@@ -36,14 +35,6 @@ def tiny_federation():
 @pytest.fixture()
 def model():
     return MultinomialLogisticRegression(4, 3, l2=0.01)
-
-
-def test_evaluate_returns_loss_and_accuracy(tiny_federation, model):
-    result = evaluate(
-        model, model.init_params(), tiny_federation.test_dataset
-    )
-    assert result.loss > 0
-    assert 0 <= result.accuracy <= 1
 
 
 def test_global_loss_is_weighted_sum(tiny_federation, model):

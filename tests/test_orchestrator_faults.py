@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import fault_scope
 
 from repro import faults
 from repro.algorithms import AlgorithmSpec
@@ -264,7 +265,7 @@ class TestStoreFailures:
             q=tuple([0.5] * prepared.config.num_clients), seed=0
         )
         key = job_key(prepared, spec)
-        with faults.fault_scope(plan):
+        with fault_scope(plan):
             with pytest.raises(ResultStoreError, match="free space"):
                 store.put(key, {}, spec.kind, self._payload())
         assert store.stats()["orphaned_tmp"] == 0
@@ -284,7 +285,7 @@ class TestStoreFailures:
         orchestrator = ExperimentOrchestrator(
             jobs=jobs, cache_dir=tmp_path / "cache"
         )
-        with faults.fault_scope(FaultPlan(store_write_failures=10)):
+        with fault_scope(FaultPlan(store_write_failures=10)):
             results = orchestrator.run_graph(prepared, nodes)
         assert _records(results) == _records(reference)
         events = [e["event"] for e in orchestrator.last_report.events]

@@ -23,12 +23,7 @@ from repro.datasets import streaming_synthetic_federated
 from repro.fl import FederatedTrainer
 from repro.fl.participation import BernoulliParticipation
 from repro.models import MultinomialLogisticRegression
-from repro.utils.rng import (
-    RngFactory,
-    StreamPrefix,
-    spawn_rng,
-    spawn_rngs,
-)
+from repro.utils.rng import RngFactory, StreamPrefix, spawn_rng
 
 SEEDS = st.one_of(
     st.integers(0, 2**160 - 1),
@@ -65,8 +60,7 @@ def test_batch_streams_match_numpy(seed, labels, varying, data):
     """Every stream of a batch, whichever label varies, is NumPy's."""
     at = data.draw(st.integers(0, len(labels) - 1))
     path = list(labels)
-    path[at] = varying
-    generators = spawn_rngs(seed, *path)
+    generators = StreamPrefix(seed, *path[:at]).spawn(varying, *path[at + 1:])
     assert len(generators) == len(varying)
     for label, generator in zip(varying, generators):
         path[at] = label
@@ -152,7 +146,7 @@ class TestSeedLike:
     def test_generator_seed_draws_once_per_batch(self):
         source, twin = np.random.default_rng(8), np.random.default_rng(8)
         entropy = int(twin.integers(0, 2**32))
-        for label, generator in zip("xyz", spawn_rngs(source, ["x", "y", "z"])):
+        for label, generator in zip("xyz", StreamPrefix(source).spawn(["x", "y", "z"])):
             assert_same_stream(generator, oracle(entropy, [label]))
         assert source.bit_generator.state == twin.bit_generator.state
 
@@ -166,7 +160,7 @@ class TestSeedLike:
         with pytest.raises(ValueError):
             spawn_rng(seed, "a")
         with pytest.raises(ValueError):
-            spawn_rngs(seed, ["a"])
+            StreamPrefix(seed).spawn(["a"])
 
     @pytest.mark.parametrize("seed", [1.5, "5"])
     def test_non_integer_seed_refused(self, seed):
@@ -177,9 +171,9 @@ class TestSeedLike:
 
     def test_exactly_one_varying_label(self):
         with pytest.raises(TypeError):
-            spawn_rngs(0, "a", "b")
+            RngFactory(0).make_many("a", "b")
         with pytest.raises(TypeError):
-            spawn_rngs(0, ["a"], ["b"])
+            RngFactory(0).make_many(["a"], ["b"])
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from helpers import ConvergenceBound
 
-from repro.theory import ConvergenceBound, ProblemConstants, heterogeneity_term
+from repro.theory import ProblemConstants, heterogeneity_term
 
 
 @pytest.fixture()

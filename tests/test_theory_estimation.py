@@ -151,7 +151,7 @@ class TestFitBoundScale:
         self, small_federated, small_model
     ):
         """The analytic worst-case alpha overstates the measured penalty."""
-        from repro.theory import ConvergenceBound
+        from helpers import ConvergenceBound
 
         constants, optima = estimate_problem_constants(
             small_model,

@@ -7,7 +7,6 @@ from repro.utils.validation import (
     check_in_range,
     check_nonnegative,
     check_positive,
-    check_probability,
     check_probability_vector,
 )
 
@@ -32,21 +31,6 @@ class TestCheckNonnegative:
             check_nonnegative(bad, "x")
 
 
-class TestCheckProbability:
-    @pytest.mark.parametrize("ok", [0.0, 0.5, 1.0])
-    def test_accepts(self, ok):
-        assert check_probability(ok, "p") == ok
-
-    @pytest.mark.parametrize("bad", [-0.01, 1.01, float("nan")])
-    def test_rejects(self, bad):
-        with pytest.raises(ValueError):
-            check_probability(bad, "p")
-
-    def test_zero_disallowed_when_requested(self):
-        with pytest.raises(ValueError, match="strictly positive"):
-            check_probability(0.0, "p", allow_zero=False)
-
-
 class TestCheckProbabilityVector:
     def test_sum_need_not_be_one(self):
         result = check_probability_vector([0.9, 0.9, 0.9], "q")
@@ -55,6 +39,10 @@ class TestCheckProbabilityVector:
     def test_rejects_out_of_range_entry(self):
         with pytest.raises(ValueError):
             check_probability_vector([0.5, 1.5], "q")
+
+    def test_rejects_non_finite_entry(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            check_probability_vector([0.5, float("nan")], "q")
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="non-empty"):
