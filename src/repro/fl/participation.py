@@ -3,8 +3,9 @@
 The paper's central premise is that clients participate in each round as
 **independent Bernoulli trials** with probabilities ``q_n`` chosen by the
 clients themselves (Sec. III-A). The baselines from the related work —
-deterministic "valuable subset" selection and server-driven uniform sampling
-— are implemented alongside for the ablation experiments.
+deterministic "valuable subset" selection, correlated rounds, intermittent
+availability and client dropout — are implemented alongside for the
+ablation experiments.
 """
 
 from __future__ import annotations
