@@ -393,7 +393,8 @@ def comparison_summary_doc(
     *,
     population_fingerprint: Optional[str] = None,
 ) -> dict:
-    """Encode a per-scheme scalar summary (the ``compare_schemes`` shape)."""
+    """Encode a per-scheme scalar summary (the
+    :func:`repro.experiments.reporting.comparison_summary` shape)."""
     return envelope(
         "comparison-summary",
         {

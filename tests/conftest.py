@@ -59,3 +59,17 @@ def small_problem(small_population):
         num_rounds=200,
         budget=30.0,
     )
+
+
+@pytest.fixture()
+def straddling_problem(small_population):
+    """A binding budget whose interior clients hold values on both sides
+    of Theorem 3's threshold ``v_t`` (Corollary 1's two cases)."""
+    return ServerProblem(
+        population=small_population.with_values(
+            np.array([5.0, 30.0, 10.0, 25.0, 15.0, 20.0, 2.0, 40.0])
+        ),
+        alpha=2_000.0,
+        num_rounds=200,
+        budget=25.0,
+    )

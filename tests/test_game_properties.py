@@ -159,13 +159,14 @@ class TestCorollary1:
         equilibrium = solve_cpl_game(small_problem)
         assert corollary1_violations(equilibrium) == []
 
-    def test_no_violations_with_wide_value_spread(self, small_population):
-        values = np.array([0.0, 2.0, 10.0, 40.0, 90.0, 200.0, 500.0, 900.0])
-        problem = ServerProblem(
-            population=small_population.with_values(values),
-            alpha=2_000.0,
-            num_rounds=200,
-            budget=25.0,
-        )
-        equilibrium = solve_cpl_game(problem)
+    def test_no_violations_with_values_straddling_threshold(
+        self, straddling_problem
+    ):
+        """Interior clients on both sides of ``v_t``: both of the
+        corollary's orderings have pairs to check."""
+        equilibrium = solve_cpl_game(straddling_problem)
+        values = straddling_problem.population.values
+        interior = values[interior_mask(straddling_problem, equilibrium.q)]
+        assert np.sum(interior < equilibrium.value_threshold) >= 2
+        assert np.sum(interior > equilibrium.value_threshold) >= 2
         assert corollary1_violations(equilibrium) == []

@@ -217,6 +217,57 @@ class TestInvariantApplicability:
         assert report.failed
         assert report.violations[0].details["clients"]
 
+    def test_proposition1_check_reports_a_falling_price(
+        self, monkeypatch, small_problem
+    ):
+        """A Proposition-1 report with a falling price fails
+        ``budget-monotonicity`` even when the objective gap shrinks."""
+        check = invariants_module.check_proposition1
+
+        def falling(problem, budgets):
+            return dataclasses.replace(
+                check(problem, budgets), price_monotone=False
+            )
+
+        monkeypatch.setattr(invariants_module, "check_proposition1", falling)
+        context = InvariantContext(
+            small_problem, ParticipationSpec(kind="bernoulli"), "proposed"
+        )
+        [violation] = INVARIANTS["budget-monotonicity"].run(context).violations
+        assert "price" in violation.message
+
+    def test_corollary1_check_reports_reversed_prices(
+        self, monkeypatch, straddling_problem
+    ):
+        """Only the proposed mechanism is checked, and prices that break
+        Corollary 1's ordering are reported."""
+        problem = straddling_problem
+        invariant = INVARIANTS["corollary1-price-order"]
+        for mechanism in sorted(MECHANISMS):
+            context = InvariantContext(
+                problem, ParticipationSpec(kind="bernoulli"), mechanism
+            )
+            report = invariant.run(context)
+            assert report.checked == (mechanism == "proposed")
+            assert not report.failed, report.violations
+
+        violations = invariants_module.corollary1_violations
+
+        def reversed_prices(equilibrium):
+            return violations(
+                dataclasses.replace(equilibrium, prices=-equilibrium.prices)
+            )
+
+        monkeypatch.setattr(
+            invariants_module, "corollary1_violations", reversed_prices
+        )
+        context = InvariantContext(
+            problem, ParticipationSpec(kind="bernoulli"), "proposed"
+        )
+        report = invariant.run(context)
+        assert report.failed
+        assert report.violations[0].details["pairs"]
+
     def test_full_mechanism_exempt_from_budget(self):
         problem = draw_problem(spawn_rng(2, "edge"))
         context = InvariantContext(
