@@ -81,6 +81,35 @@ class TestLabelLimitPartition:
         )
         assert all(shard.num_classes == 7 for shard in shards)
 
+    def test_deterministic_with_seed(self):
+        pool = _pool()
+
+        def labels(seed):
+            shards = partition_by_label_limit(
+                pool, 5, classes_per_client=(1, 3), sizes=np.full(5, 40),
+                rng=seed,
+            )
+            return [shard.labels.tolist() for shard in shards]
+
+        assert labels(7) == labels(7)
+        assert labels(7) != labels(8)
+
+    def test_no_sample_reused_while_class_pools_last(self):
+        """Each class holds about 200 samples and no client takes more
+        than 20, so every shard draws fresh rows without replacement."""
+        pool = _pool()
+        shards = partition_by_label_limit(
+            pool, 4, classes_per_client=2, sizes=np.full(4, 20), rng=5
+        )
+        rows = np.concatenate([shard.features for shard in shards])
+        assert len(np.unique(rows, axis=0)) == len(rows) == 80
+
+    def test_sizes_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            partition_by_label_limit(
+                _pool(), 4, classes_per_client=2, sizes=np.full(3, 10)
+            )
+
     def test_oversubscription_rejected(self):
         pool = _pool(n=100)
         with pytest.raises(ValueError, match="requested"):

@@ -159,6 +159,21 @@ class TestParticipationSpec:
             model.inclusion_probabilities, spec.effective_inclusion(q)
         )
 
+    @pytest.mark.parametrize(
+        "kind", ["bernoulli", "correlated", "intermittent", "dropout"]
+    )
+    def test_built_model_inclusion_matches_spec(self, kind):
+        q = np.array([0.2, 0.5, 1.0])
+        spec = ParticipationSpec(kind=kind)
+        np.testing.assert_allclose(
+            spec.build(q, rng=0).inclusion_probabilities,
+            spec.effective_inclusion(q),
+        )
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown participation kind"):
+            ParticipationSpec(kind="uniform")
+
     def test_spec_is_hashable(self):
         assert len({ParticipationSpec(), ParticipationSpec()}) == 1
 

@@ -158,3 +158,13 @@ class TestUtilities:
         )
         boost = small_population.values * 0.5
         assert np.allclose(u_gaps - u_base, boost)
+
+    @pytest.mark.parametrize(
+        "field", ["expected_loss", "objective_gap", "spending"]
+    )
+    def test_reported_field_is_the_problem_at_q(self, small_problem, field):
+        """The server's utility (Eq. 5a) and budget use, as reported on the
+        equilibrium, are the problem's own functions at ``q^SE``."""
+        equilibrium = solve_cpl_game(small_problem)
+        at_q = getattr(small_problem, field)(equilibrium.q)
+        assert getattr(equilibrium, field) == pytest.approx(at_q)

@@ -1,5 +1,6 @@
 """Tests for the paper's equilibrium properties (Thm 2-3, Cor 1, Prop 1)."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -153,6 +154,19 @@ class TestProposition1:
         assert report.price_monotone
         assert np.all(np.diff(report.mean_q) >= -1e-9)
 
+    def test_budgets_sorted_and_binding_budgets_monotone(
+        self, straddling_problem
+    ):
+        """Budgets arrive in any order; across budgets that all bind, both
+        the mean participation and the mean price rise."""
+        report = check_proposition1(
+            straddling_problem, budgets=[40.0, 10.0, 25.0]
+        )
+        assert list(report.budgets) == [10.0, 25.0, 40.0]
+        assert report.q_monotone and report.price_monotone
+        assert np.all(np.diff(report.mean_q) > 0)
+        assert np.all(np.diff(report.mean_price) > 0)
+
 
 class TestCorollary1:
     def test_no_violations_at_equilibrium(self, small_problem):
@@ -170,3 +184,19 @@ class TestCorollary1:
         assert np.sum(interior < equilibrium.value_threshold) >= 2
         assert np.sum(interior > equilibrium.value_threshold) >= 2
         assert corollary1_violations(equilibrium) == []
+
+    def test_reversed_prices_are_reported(self, straddling_problem):
+        """Negated prices break both orderings; every reported pair is two
+        interior clients, the first of higher ``c a G``."""
+        equilibrium = solve_cpl_game(straddling_problem)
+        reversed_prices = dataclasses.replace(
+            equilibrium, prices=-equilibrium.prices
+        )
+        pairs = corollary1_violations(reversed_prices)
+        assert pairs
+        interior = interior_mask(straddling_problem, equilibrium.q)
+        population = straddling_problem.population
+        quality = population.costs * population.data_quality
+        for i, j in pairs:
+            assert interior[i] and interior[j]
+            assert quality[i] > quality[j]

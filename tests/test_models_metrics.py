@@ -37,6 +37,13 @@ def model():
     return MultinomialLogisticRegression(4, 3, l2=0.01)
 
 
+def test_held_out_loss_and_accuracy(tiny_federation, model):
+    params = model.init_params()
+    test = tiny_federation.test_dataset
+    assert model.dataset_loss(params, test) > 0
+    assert 0 <= model.dataset_accuracy(params, test) <= 1
+
+
 def test_global_loss_is_weighted_sum(tiny_federation, model):
     params = np.random.default_rng(1).normal(size=model.num_params)
     weights = tiny_federation.weights

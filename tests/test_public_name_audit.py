@@ -188,6 +188,39 @@ def test_planted_function_without_a_caller_is_reported(tmp_path):
     assert problems[0].startswith("repro.mod.orphan (src/repro/mod.py:5)")
 
 
+def test_planted_class_without_a_caller_is_reported(tmp_path):
+    root = _plant(
+        tmp_path,
+        {**_LIBRARY, "src/repro/shapes.py": "class Orphan:\n    pass\n"},
+    )
+    assert [p.split(" ")[0] for p in audit(root, {})] == [
+        "repro.mod.orphan",
+        "repro.shapes.Orphan",
+    ]
+
+
+def test_methods_and_private_names_are_not_scanned(tmp_path):
+    """Only module-level public definitions need a caller: a method of a
+    live class and a private helper with no caller pass."""
+    root = _plant(
+        tmp_path,
+        {
+            "src/repro/shapes.py": (
+                "class Square:\n"
+                "    def area(self):\n"
+                "        return 1\n\n\n"
+                "def _unused():\n"
+                "    return 2\n"
+            ),
+            "src/repro/user.py": "from repro.shapes import Square\n",
+        },
+    )
+    assert sorted(public_definitions(root / "src" / "repro")) == [
+        "repro.shapes.Square"
+    ]
+    assert audit(root, {}) == []
+
+
 def test_docstring_mention_is_not_a_caller(tmp_path):
     root = _plant(
         tmp_path,

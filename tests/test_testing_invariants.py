@@ -236,6 +236,23 @@ class TestInvariantApplicability:
         [violation] = INVARIANTS["budget-monotonicity"].run(context).violations
         assert "price" in violation.message
 
+    def test_budget_monotonicity_checks_proposed_only(
+        self, straddling_problem
+    ):
+        """On a binding budget the richer solve raises every price and
+        participation level, so the proposed mechanism passes; the other
+        mechanisms are not checked."""
+        invariant = INVARIANTS["budget-monotonicity"]
+        for mechanism in sorted(MECHANISMS):
+            context = InvariantContext(
+                straddling_problem,
+                ParticipationSpec(kind="bernoulli"),
+                mechanism,
+            )
+            report = invariant.run(context)
+            assert report.checked == (mechanism == "proposed")
+            assert not report.failed, report.violations
+
     def test_corollary1_check_reports_reversed_prices(
         self, monkeypatch, straddling_problem
     ):

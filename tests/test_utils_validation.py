@@ -40,6 +40,15 @@ class TestCheckProbabilityVector:
         with pytest.raises(ValueError):
             check_probability_vector([0.5, 1.5], "q")
 
+    @pytest.mark.parametrize("ok", [0.0, 0.5, 1.0])
+    def test_accepts_entry(self, ok):
+        assert check_probability_vector([ok], "q")[0] == ok
+
+    @pytest.mark.parametrize("bad", [-0.01, 1.01])
+    def test_rejects_entry_just_outside_unit_interval(self, bad):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            check_probability_vector([0.5, bad], "q")
+
     def test_rejects_non_finite_entry(self):
         with pytest.raises(ValueError, match="non-finite"):
             check_probability_vector([0.5, float("nan")], "q")
@@ -56,6 +65,10 @@ class TestCheckProbabilityVector:
         with pytest.raises(ValueError):
             check_probability_vector([0.2, 0.0], "q", allow_zero=False)
 
+    def test_zero_disallowed_names_strict_positivity(self):
+        with pytest.raises(ValueError, match="strictly positive"):
+            check_probability_vector([0.0], "p", allow_zero=False)
+
     def test_returns_float_array(self):
         result = check_probability_vector([0, 1], "q")
         assert result.dtype == float
@@ -68,3 +81,11 @@ class TestCheckInRange:
     def test_exclusive_bounds_reject_edge(self):
         with pytest.raises(ValueError):
             check_in_range(1.0, "x", 1.0, 2.0, inclusive=False)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="x"):
+            check_in_range(bad, "x", 0.0, 2.0)
+
+    def test_exclusive_bounds_accept_interior(self):
+        assert check_in_range(1.5, "x", 1.0, 2.0, inclusive=False) == 1.5
